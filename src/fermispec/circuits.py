@@ -39,9 +39,6 @@ TWO_QUBIT_KINDS = frozenset({
     GateKind.GIVENS,
 })
 PARAMETRIC_KINDS = frozenset({GateKind.RZ, GateKind.GIVENS})
-# diagonal in the computational basis
-DIAGONAL_KINDS = frozenset({GateKind.CZ, GateKind.Z, GateKind.S, GateKind.SDG,
-                            GateKind.RZ, GateKind.BARRIER})
 
 
 @dataclass(frozen=True)
@@ -211,14 +208,6 @@ def invert(circuit: Circuit) -> Circuit:
     for g in reversed(circuit.gates):
         gates.extend(_gate_inverse(g))
     return Circuit(circuit.num_qubits, tuple(gates))
-
-
-def concat(*circuits: Circuit, num_qubits: int | None = None) -> Circuit:
-    n = num_qubits if num_qubits is not None else max(c.num_qubits for c in circuits)
-    gates: list[Gate] = []
-    for c in circuits:
-        gates.extend(c.gates)
-    return Circuit(n, tuple(gates))
 
 
 def remap(circuit: Circuit, qubit_map: Sequence[int], num_qubits: int) -> Circuit:

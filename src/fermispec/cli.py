@@ -37,31 +37,40 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
+def _write_json(path: str, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_manifest(path: str, subcommand: str, config: dict, outputs: list[str],
                     seed: int | None = None) -> None:
-    manifest = {
+    _write_json(path, {
         "subcommand": subcommand,
         "config": config,
         "seed": seed,
         "tool_version": __version__,
         "outputs": {os.path.basename(p): _sha256(p) for p in outputs},
-    }
-    with open(path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
-def _load_protocol_config(path: str) -> tuple[ProtocolConfig, dict]:
-    with open(path) as fh:
-        raw = json.load(fh)
+def _load_protocol_config(path: str) -> tuple[ProtocolConfig, dict] | None:
+    """Parse a protocol config file; on a bad file, say why and return None."""
     known = {"n_sites", "epsilon", "omega", "t", "nu", "interaction",
              "trotter_steps", "environment", "initial_state"}
     extra = {"omegas", "method", "step_counts", "shots", "seed"}
-    for key in raw:
-        if key not in known | extra:
-            raise KeyError(key)
-    cfg = ProtocolConfig(**{k: raw[k] for k in known if k in raw})
-    return cfg, raw
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+        for key in raw:
+            if key not in known | extra:
+                raise KeyError(key)
+        return ProtocolConfig(**{k: raw[k] for k in known if k in raw}), raw
+    except KeyError as exc:
+        print(f"bad config: unknown or invalid key {exc}", file=sys.stderr)
+    except (TypeError, ValueError) as exc:
+        print(f"bad config: {exc}", file=sys.stderr)
+    return None
 
 
 def _cmd_compile_fft(args) -> int:
@@ -79,9 +88,7 @@ def _cmd_compile_fft(args) -> int:
         "mode_order": list(circuit.meta.get("mode_order", [])),
     }
     side_path = args.out + ".json"
-    with open(side_path, "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(side_path, sidecar)
     if args.manifest:
         _write_manifest(args.manifest, "compile-fft", sidecar, [args.out, side_path])
     print(f"wrote {args.out}: {sidecar['two_qubit_count']} two-qubit gates, "
@@ -106,9 +113,7 @@ def _cmd_optimize_cz(args) -> int:
         "depth_penalty": args.depth_penalty,
     }
     rep_path = args.out + ".json"
-    with open(rep_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(rep_path, report)
     if args.manifest:
         _write_manifest(args.manifest, "optimize-cz", report, [args.out, rep_path])
     print(json.dumps(report))
@@ -116,21 +121,16 @@ def _cmd_optimize_cz(args) -> int:
 
 
 def _cmd_simulate_spectral(args) -> int:
-    try:
-        cfg, raw = _load_protocol_config(args.config)
-    except KeyError as exc:
-        print(f"bad config: unknown or invalid key {exc}", file=sys.stderr)
+    loaded = _load_protocol_config(args.config)
+    if loaded is None:
         return 2
-    except (TypeError, ValueError) as exc:
-        print(f"bad config: {exc}", file=sys.stderr)
-        return 2
+    cfg, raw = loaded
     omegas = raw.get("omegas", [cfg.omega])
     shots = int(raw.get("shots", 0))
     seed = int(raw.get("seed", 0))
     method = raw.get("method", "auto")
     if method == "auto":
-        method = "circuit" if cfg.trotter_steps > 0 else (
-            "gaussian" if cfg.interaction == 0 else "circuit")
+        method = "circuit" if cfg.trotter_steps > 0 else "gaussian"
     if shots and method != "circuit":
         print("bad config: shots requires the circuit method", file=sys.stderr)
         return 2
@@ -149,28 +149,23 @@ def _cmd_simulate_spectral(args) -> int:
         return 2
     grid.to_csv(args.out)
     meta_path = args.out + ".json"
-    with open(meta_path, "w") as fh:
-        json.dump({"method": grid.method, "config": cfg.snapshot(),
-                   "omegas": list(map(float, omegas)),
-                   "columns": ["k", "omega", "value", "method"]},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(meta_path, {"method": grid.method, "config": cfg.snapshot(),
+                            "omegas": list(map(float, omegas)),
+                            "columns": ["k", "omega", "value", "method"]})
     if args.manifest:
-        _write_manifest(args.manifest, "simulate-spectral", cfg.snapshot(),
+        inputs = dict(cfg.snapshot(), method=method, omegas=list(map(float, omegas)),
+                      shots=shots, seed=seed)
+        _write_manifest(args.manifest, "simulate-spectral", inputs,
                         [args.out, meta_path], seed=seed if shots else None)
     print(f"wrote {args.out} ({grid.values.size} samples, method={grid.method})")
     return 0
 
 
 def _cmd_compare_trotter(args) -> int:
-    try:
-        cfg, raw = _load_protocol_config(args.config)
-    except KeyError as exc:
-        print(f"bad config: unknown or invalid key {exc}", file=sys.stderr)
+    loaded = _load_protocol_config(args.config)
+    if loaded is None:
         return 2
-    except (TypeError, ValueError) as exc:
-        print(f"bad config: {exc}", file=sys.stderr)
-        return 2
+    cfg, raw = loaded
     omegas = raw.get("omegas")
     if omegas is None:
         span = 3.0 * max(abs(cfg.nu), 1.0)
@@ -189,12 +184,11 @@ def _cmd_compare_trotter(args) -> int:
         for row in table["rows"]:
             fh.write(",".join(repr(row[c]) for c in cols) + "\n")
     meta_path = args.out + ".json"
-    with open(meta_path, "w") as fh:
-        json.dump(table, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(meta_path, table)
     if args.manifest:
-        _write_manifest(args.manifest, "compare-trotter", cfg.snapshot(),
-                        [args.out, meta_path])
+        inputs = dict(cfg.snapshot(), omegas=list(map(float, omegas)),
+                      step_counts=[int(s) for s in step_counts])
+        _write_manifest(args.manifest, "compare-trotter", inputs, [args.out, meta_path])
     for row in table["rows"]:
         print(f"steps={row['steps']:4d}  env_avg={row['env_avg_error']:.4e}  "
               f"base_avg={row['base_avg_error']:.4e}  "
@@ -234,9 +228,7 @@ def _cmd_report(args) -> int:
         for row in rows:
             fh.write(",".join(str(row[c]) for c in cols) + "\n")
     meta_path = args.out + ".json"
-    with open(meta_path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(meta_path, report)
     if args.manifest:
         _write_manifest(args.manifest, "report", {"modes": n, "radix": radix},
                         [args.out, meta_path])
@@ -294,10 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("FERMISPEC_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     args = build_parser().parse_args(argv)
     return args.func(args)
 

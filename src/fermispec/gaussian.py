@@ -119,14 +119,6 @@ class GaussianState:
     def occupations(self) -> np.ndarray:
         return self.corr.diagonal().real.copy()
 
-    def dump_json(self, path) -> None:
-        """Debugging dump of the correlation matrix (real/imag parts)."""
-        import json
-        with open(path, "w") as fh:
-            json.dump({"num_modes": self.num_modes,
-                       "corr_real": self.corr.real.tolist(),
-                       "corr_imag": self.corr.imag.tolist()}, fh)
-
 
 def vacuum_state(num_modes: int) -> GaussianState:
     return GaussianState(np.zeros((num_modes, num_modes), dtype=complex))

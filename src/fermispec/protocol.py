@@ -29,12 +29,12 @@ Trotterized circuit pipeline to agree numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
-from .circuits import Circuit, Gate, GateKind, cz, givens, rz, x, z
+from .circuits import Circuit, Gate, cx, cz, givens, remap, rz, x, z
 from .fft import (InterleaveStrategy, fft_circuit, ground_state_momenta,
                   ground_state_prep_circuit, interleave_circuit,
                   interleave_permutation)
@@ -69,7 +69,10 @@ class ProtocolConfig:
             raise ValueError("trotter_steps must be >= 0")
         if self.environment not in ("empty", "full"):
             raise ValueError(f"environment must be 'empty' or 'full', got {self.environment!r}")
-        if not isinstance(self.initial_state, str):
+        if isinstance(self.initial_state, str):
+            if self.initial_state != "ground":
+                raise ValueError(f"unknown initial_state {self.initial_state!r}")
+        else:
             rho = np.asarray(self.initial_state, dtype=float)
             if rho.shape != (self.n_sites,) or rho.min() < 0 or rho.max() > 1:
                 raise ValueError("explicit rho_k must be n_sites values in [0, 1]")
@@ -79,16 +82,11 @@ class ProtocolConfig:
 
     def rho(self) -> np.ndarray:
         if isinstance(self.initial_state, str):
-            if self.initial_state != "ground":
-                raise ValueError(f"unknown initial_state {self.initial_state!r}")
             filled = ground_state_momenta(self.n_sites, self.nu)
             rho = np.zeros(self.n_sites)
             rho[list(filled)] = 1.0
             return rho
-        rho = np.asarray(self.initial_state, dtype=float)
-        if rho.shape != (self.n_sites,) or rho.min() < 0 or rho.max() > 1:
-            raise ValueError("explicit rho_k must be n_sites values in [0, 1]")
-        return rho
+        return np.asarray(self.initial_state, dtype=float)
 
     def snapshot(self) -> dict:
         d = asdict(self)
@@ -152,19 +150,19 @@ class DeltaLineSpectrum:
 
     @staticmethod
     def free_particle(config: ProtocolConfig) -> "DeltaLineSpectrum":
-        ks = config.momenta()
-        rho = config.rho()
-        return DeltaLineSpectrum(
-            ks, [np.array([2 * config.nu * np.cos(kk)]) for kk in ks],
-            [np.array([r]) for r in rho])
+        return DeltaLineSpectrum._free_band(config, config.rho())
 
     @staticmethod
     def free_hole(config: ProtocolConfig) -> "DeltaLineSpectrum":
+        return DeltaLineSpectrum._free_band(config, 1 - config.rho())
+
+    @staticmethod
+    def _free_band(config: ProtocolConfig, weights: np.ndarray) -> "DeltaLineSpectrum":
+        """One line per k at the band energy 2 nu cos k."""
         ks = config.momenta()
-        rho = config.rho()
         return DeltaLineSpectrum(
             ks, [np.array([2 * config.nu * np.cos(kk)]) for kk in ks],
-            [np.array([1 - r]) for r in rho])
+            [np.array([wk]) for wk in weights])
 
 
 def convolve_kernel(spectrum: DeltaLineSpectrum, kern: Kernel,
@@ -282,44 +280,57 @@ def nk_gaussian(config: ProtocolConfig, omegas=None) -> SpectralGrid:
 # Trotterized circuit pipeline (dense statevector)
 # --------------------------------------------------------------------------
 
-def _hopping_bond_gates(n: int, j: int, theta: float) -> list[Gate]:
-    """exp(i theta/2 * (XZ..ZX + YZ..ZY)) between system sites j and j+1 mod n.
+def _bonds(n: int) -> range:
+    """Nearest-neighbour bonds (j, j+1 mod n); two sites share a single bond."""
+    return range(n if n > 2 else n - 1)
+
+
+def _hopping_bond_gates(n: int, j: int, theta: float, stride: int) -> list[Gate]:
+    """exp(i theta/2 * (XZ..ZX + YZ..ZY)) between system sites j and j+1 mod n,
+    with site j on qubit stride*j.
 
     The JW string through interposed qubits is produced by CZ conjugation of
     the plain two-qubit rotation.
     """
-    p, q = 2 * j, 2 * ((j + 1) % n)
+    p, q = stride * j, stride * ((j + 1) % n)
     lo, hi = min(p, q), max(p, q)
     middles = list(range(lo + 1, hi))
     gates = [cz(lo, m) for m in middles]
     return gates + [givens(theta, lo, hi)] + list(reversed(gates))
 
 
-def _interaction_bond_gates(j: int, n: int, alpha: float) -> list[Gate]:
+def _interaction_bond_gates(j: int, n: int, alpha: float, stride: int) -> list[Gate]:
     """exp(i alpha n_p n_q) on system sites j, j+1 (global phase dropped)."""
-    p, q = 2 * j, 2 * ((j + 1) % n)
-    return [rz(alpha / 2, p), rz(alpha / 2, q), Gate(GateKind.CX, (p, q)),
-            rz(-alpha / 2, q), Gate(GateKind.CX, (p, q))]
+    p, q = stride * j, stride * ((j + 1) % n)
+    return [rz(alpha / 2, p), rz(alpha / 2, q), cx(p, q), rz(-alpha / 2, q), cx(p, q)]
+
+
+def _system_step(config: ProtocolConfig, dt: float, stride: int) -> Circuit:
+    """First-order step of exp(+i H_sys dt): hopping (even bonds, odd bonds),
+    then interaction.
+
+    System site j sits on qubit stride*j: stride 2 on the interleaved
+    c_0,d_0,c_1,... register, stride 1 on the system qubits alone.
+    """
+    n = config.n_sites
+    bonds = _bonds(n)
+    gates: list[Gate] = []
+    for j in (*bonds[0::2], *bonds[1::2]):
+        gates.extend(_hopping_bond_gates(n, j, config.nu * dt, stride))
+    if config.interaction != 0:
+        for j in bonds:
+            gates.extend(_interaction_bond_gates(j, n, config.interaction * dt, stride))
+    return Circuit(stride * n, tuple(gates))
 
 
 def trotter_step_circuit(config: ProtocolConfig, dt: float) -> Circuit:
     """One first-order step of exp(+i H dt): hopping (even bonds, odd bonds),
     interaction, coupling, environment phase."""
     n = config.n_sites
-    gates: list[Gate] = []
-    bonds = list(range(n if n > 2 else n - 1))
-    for parity in (0, 1):
-        for j in bonds:
-            if j % 2 == parity:
-                gates.extend(_hopping_bond_gates(n, j, config.nu * dt))
-    if config.interaction != 0:
-        for j in bonds:
-            gates.extend(_interaction_bond_gates(j, n, config.interaction * dt))
-    for j in range(n):
-        gates.append(givens(config.epsilon * dt / 2, 2 * j, 2 * j + 1))
+    gates = list(_system_step(config, dt, 2).gates)
+    gates.extend(givens(config.epsilon * dt / 2, 2 * j, 2 * j + 1) for j in range(n))
     if config.omega != 0:
-        for j in range(n):
-            gates.append(rz(config.omega * dt, 2 * j + 1))
+        gates.extend(rz(config.omega * dt, 2 * j + 1) for j in range(n))
     return Circuit(2 * n, tuple(gates))
 
 
@@ -329,8 +340,7 @@ def _system_hamiltonian_dense(config: ProtocolConfig) -> np.ndarray:
     dim = 2 ** n
     ops = [sv.annihilation_operator(n, j) for j in range(n)]
     h = np.zeros((dim, dim), dtype=complex)
-    bonds = list(range(n if n > 2 else n - 1))
-    for j in bonds:
+    for j in _bonds(n):
         a, b = j, (j + 1) % n
         h += config.nu * (ops[a].conj().T @ ops[b] + ops[b].conj().T @ ops[a])
         if config.interaction != 0:
@@ -339,10 +349,44 @@ def _system_hamiltonian_dense(config: ProtocolConfig) -> np.ndarray:
     return h
 
 
-def _interacting_ground_state(config: ProtocolConfig) -> np.ndarray:
-    h = _system_hamiltonian_dense(config)
-    w, v = np.linalg.eigh(h)
-    return v[:, 0]
+def _has_fft(n: int) -> bool:
+    """True when the FFFT compiler supports n modes: n = 2**k or 3**k."""
+    radix = 3 if n % 3 == 0 else 2
+    while n % radix == 0:
+        n //= radix
+    return n == 1
+
+
+def _state_from_filled(n: int, rho: np.ndarray) -> np.ndarray:
+    """prod_k c^dag(k) |0> over the filled momenta, from dense JW operators."""
+    psi = sv.zero_state(n).ravel()
+    for j in range(n):
+        if rho[j] > 0.5:
+            kk = 2 * np.pi * j / n
+            psi = sv.momentum_annihilation(n, kk).conj().T @ psi
+    norm = np.linalg.norm(psi)
+    return (psi / norm).reshape((2,) * n)
+
+
+def _system_state(config: ProtocolConfig, eigvecs: np.ndarray | None = None) -> np.ndarray:
+    """Initial N-qubit system state, shape (2,)*N.
+
+    A free chain starts in its 0/1 momentum filling: the prep circuit builds it
+    when N = 2**k or 3**k, dense creation operators otherwise.  An interacting
+    chain starts in the ground state of H_sys, taken from `eigvecs` when the
+    caller has already diagonalized it.
+    """
+    n = config.n_sites
+    rho = config.rho()
+    if not np.all((rho < 1e-12) | (rho > 1 - 1e-12)):
+        raise ValueError("the initial system state needs 0/1 momentum occupations")
+    if config.interaction != 0:
+        if eigvecs is None:
+            eigvecs = np.linalg.eigh(_system_hamiltonian_dense(config))[1]
+        return eigvecs[:, 0].reshape((2,) * n)
+    if _has_fft(n):
+        return sv.run_circuit(ground_state_prep_circuit(n, np.flatnonzero(rho > 0.5)))
+    return _state_from_filled(n, rho)
 
 
 def _embed_system_state(psi_sys: np.ndarray, n: int) -> np.ndarray:
@@ -353,7 +397,7 @@ def _embed_system_state(psi_sys: np.ndarray, n: int) -> np.ndarray:
     return state
 
 
-def _fill_environment_gates(n: int) -> list[Gate]:
+def _fill_environment_circuit(n: int) -> Circuit:
     """X on every environment qubit plus the fermionic parity fix.
 
     Adding the d_j^dag in descending order leaves Z strings on the system
@@ -362,27 +406,7 @@ def _fill_environment_gates(n: int) -> list[Gate]:
     """
     gates = [x(2 * j + 1) for j in range(n - 1, -1, -1)]
     gates.extend(z(2 * j) for j in range(n) if (n - j) % 2 == 1)
-    return gates
-
-
-def _prep_state(config: ProtocolConfig) -> np.ndarray:
-    n = config.n_sites
-    rho = config.rho()
-    binary = np.all((rho < 1e-12) | (rho > 1 - 1e-12))
-    if config.interaction == 0 and binary:
-        filled = [j for j in range(n) if rho[j] > 0.5]
-        prep = ground_state_prep_circuit(n, filled)
-        state = sv.run_circuit(
-            Circuit(2 * n, tuple(Gate(g.kind, tuple(2 * q for q in g.qubits), g.angle)
-                                 for g in prep.gates)))
-    else:
-        if not binary and config.interaction == 0:
-            raise ValueError("circuit protocol needs 0/1 momentum occupations")
-        state = _embed_system_state(_interacting_ground_state(config), n)
-    if config.environment == "full":
-        for g in _fill_environment_gates(n):
-            state = sv.apply_gate(state, g)
-    return state
+    return Circuit(2 * n, tuple(gates))
 
 
 def _readout_circuit(n: int) -> Circuit:
@@ -391,29 +415,52 @@ def _readout_circuit(n: int) -> Circuit:
     inter = interleave_circuit(perm, InterleaveStrategy.LOCAL_FSWAP)
     radix = 3 if n % 3 == 0 else 2
     env_fft = fft_circuit(n, radix, InterleaveStrategy.LOCAL_FSWAP)
-    gates = list(inter.gates)
-    gates.extend(Gate(g.kind, tuple(n + q for q in g.qubits), g.angle)
-                 for g in env_fft.gates)
-    return Circuit(2 * n, tuple(gates))
+    return Circuit(2 * n, inter.gates + remap(env_fft, range(n, 2 * n), 2 * n).gates)
 
 
-def _pure_power(n: int, base: int) -> bool:
-    while n > 1 and n % base == 0:
-        n //= base
-    return n == 1
+def _run_trotter(config: ProtocolConfig, omegas: np.ndarray, environments: Sequence[str],
+                 shots: int = 0, seed: int = 0) -> np.ndarray:
+    """Trotterized pipeline on 2N qubits, batched over environment fillings.
 
-
-def _sampled_occupations(state: np.ndarray, num_qubits: int, shots: int,
-                         rng: np.random.Generator) -> np.ndarray:
-    """Multinomial Z-basis sampling; returns per-qubit occupation frequencies."""
-    probs = np.abs(state.ravel()) ** 2
-    probs = probs / probs.sum()
-    counts = rng.multinomial(shots, probs)
-    idx = np.arange(probs.size)
-    occ = np.empty(num_qubits)
-    for q in range(num_qubits):
-        mask = (idx >> (num_qubits - 1 - q)) & 1
-        occ[q] = counts[mask == 1].sum() / shots
+    The fillings share the system state and every gate, so they run as one
+    statevector of shape (2,)*2N + (len(environments),).  Returns the
+    environment occupations n(k), shape (N, len(omegas), len(environments));
+    shots > 0 samples them per omega, then per filling, from one seeded
+    generator.
+    """
+    n = config.n_sites
+    nq = 2 * n
+    if nq > sv.QUBIT_CAP:
+        raise ValueError(f"2*{n} qubits exceeds the statevector cap {sv.QUBIT_CAP}")
+    if config.trotter_steps < 1:
+        raise ValueError("the circuit protocol needs trotter_steps >= 1")
+    if not _has_fft(n):
+        raise ValueError("environment FFT readout needs n_sites = 2**k or 3**k")
+    psi = _embed_system_state(_system_state(config), n)
+    fill = _fill_environment_circuit(n)
+    batch = np.stack([sv.run_circuit(fill, psi) if env == "full" else psi
+                      for env in environments], axis=-1)
+    readout = _readout_circuit(n)
+    steps = config.trotter_steps
+    dt = config.t / steps
+    rng = np.random.default_rng(seed)
+    occ = np.zeros((n, len(omegas), len(environments)))
+    for iw, om in enumerate(omegas):
+        step = trotter_step_circuit(replace(config, omega=float(om)), dt)
+        state = batch.copy()
+        for _ in range(steps):
+            for g in step.gates:
+                state = sv.apply_gate(state, g, nq)
+        for g in readout.gates:
+            state = sv.apply_gate(state, g, nq)
+        if shots:
+            # multinomial Z-basis sampling; n(k) is the share of shots with qubit N+k set
+            for b in range(len(environments)):
+                probs = np.abs(state[..., b].ravel()) ** 2
+                counts = rng.multinomial(shots, probs / probs.sum()).reshape((2,) * nq)
+                occ[:, iw, b] = [np.take(counts, 1, axis=q).sum() / shots for q in range(n, nq)]
+        else:
+            occ[:, iw] = sv.occupations(state, nq)[n:]
     return occ
 
 
@@ -424,64 +471,18 @@ def run_circuit_protocol(config: ProtocolConfig, omegas=None, shots: int = 0,
     Default readout is the exact Z-basis expectation; shots > 0 switches to
     multinomial sampling of Z outcomes with a seeded generator.
     """
-    n = config.n_sites
-    if 2 * n > sv.QUBIT_CAP:
-        raise ValueError(f"2*{n} qubits exceeds the statevector cap {sv.QUBIT_CAP}")
-    if config.trotter_steps < 1:
-        raise ValueError("run_circuit_protocol needs trotter_steps >= 1")
-    if not (_pure_power(n, 2) or _pure_power(n, 3)):
-        raise ValueError("environment FFT readout needs n_sites = 2**k or 3**k")
     omegas = _omega_list(config, omegas)
-    ks = config.momenta()
-    steps = config.trotter_steps
-    dt = config.t / steps
-    prep = _prep_state(config)
-    readout = _readout_circuit(n)
-    rng = np.random.default_rng(seed)
-    vals = np.zeros((n, len(omegas)))
-    for iw, om in enumerate(omegas):
-        cfg = ProtocolConfig(n, config.epsilon, float(om), config.t, config.nu,
-                             config.interaction, steps, config.environment,
-                             config.initial_state)
-        step = trotter_step_circuit(cfg, dt)
-        state = prep.copy()
-        for _ in range(steps):
-            state = sv.run_circuit(step, state)
-        state = sv.run_circuit(readout, state)
-        if shots:
-            occ = _sampled_occupations(state, 2 * n, shots, rng)[n:]
-        else:
-            occ = sv.occupations(state)[n:]
-        vals[:, iw] = occ if config.environment == "empty" else 1 - occ
+    occ = _run_trotter(config, omegas, (config.environment,), shots, seed)[..., 0]
+    vals = occ if config.environment == "empty" else 1 - occ
     meta = {"config": config.snapshot()}
     if shots:
         meta.update(shots=shots, seed=seed)
-    return SpectralGrid(ks, omegas, vals, "circuit-protocol", meta)
+    return SpectralGrid(config.momenta(), omegas, vals, "circuit-protocol", meta)
 
 
 # --------------------------------------------------------------------------
 # dynamical-correlation baseline and exact windowed reference
 # --------------------------------------------------------------------------
-
-def _state_from_filled(n: int, rho: np.ndarray) -> np.ndarray:
-    psi = sv.zero_state(n).ravel()
-    for j in range(n):
-        if rho[j] > 0.5:
-            kk = 2 * np.pi * j / n
-            psi = sv.momentum_annihilation(n, kk).conj().T @ psi
-    norm = np.linalg.norm(psi)
-    return (psi / norm).reshape((2,) * n)
-
-
-def _baseline_initial_state(config: ProtocolConfig) -> np.ndarray:
-    rho = config.rho()
-    binary = np.all((rho < 1e-12) | (rho > 1 - 1e-12))
-    if config.interaction == 0 and binary:
-        return _state_from_filled(config.n_sites, rho)
-    if not binary:
-        raise ValueError("dynamical baseline needs 0/1 momentum occupations")
-    return _interacting_ground_state(config).reshape((2,) * config.n_sites)
-
 
 def dynamical_correlation_baseline(config: ProtocolConfig, omegas=None,
                                    return_parts: bool = False):
@@ -499,23 +500,20 @@ def dynamical_correlation_baseline(config: ProtocolConfig, omegas=None,
         raise ValueError("dense baseline limited to 12 system qubits")
     omegas = _omega_list(config, omegas)
     ks = config.momenta()
-    psi0 = _baseline_initial_state(config).ravel()
-    cks = [sv.momentum_annihilation(n, kk) for kk in ks]
 
     steps = config.trotter_steps
     if steps == 0:
         points = 800
         vgrid = np.linspace(-config.t, config.t, 2 * points + 1)
-        ham = _system_hamiltonian_dense(config)
-        w, vmat = np.linalg.eigh(ham)
+        w, vmat = np.linalg.eigh(_system_hamiltonian_dense(config))
+        psi0 = _system_state(config, vmat).ravel()
     else:
         vgrid = np.linspace(-config.t, config.t, 2 * steps + 1)
-        sys_cfg = ProtocolConfig(n, 0.0, 0.0, config.t, config.nu,
-                                 config.interaction, steps, "empty",
-                                 config.initial_state)
+        psi0 = _system_state(config).ravel()
         dt = config.t / steps
-        step_fwd = _system_only_step(sys_cfg, dt)
-        step_bwd = _system_only_step(sys_cfg, -dt)
+        step_fwd = _system_step(config, dt, 1)
+        step_bwd = _system_step(config, -dt, 1)
+    cks = [sv.momentum_annihilation(n, kk) for kk in ks]
 
     # S+(k,v) = <psi(v)| c^dag(k) |[c(k) psi](v)>      (poles at E0 - E_m)
     # S-(k,v) = <[c^dag(k) psi](v)| c^dag(k) |psi(v)>  (poles at E_m - E0)
@@ -535,22 +533,17 @@ def dynamical_correlation_baseline(config: ProtocolConfig, omegas=None,
                 y0 = cdag_eig @ (ph * a[:, 0])
                 sminus[ik, iv] = np.vdot(ph * a[:, 2], y0)
         else:
-            shaped = cols.reshape((2,) * n + (3,))
-            cur = shaped.copy()
-            for iv in range(mid, len(vgrid)):
-                flat = cur.reshape(-1, 3)
-                splus[ik, iv] = np.vdot(flat[:, 0], cdag @ flat[:, 1])
-                sminus[ik, iv] = np.vdot(flat[:, 2], cdag @ flat[:, 0])
-                if iv + 1 < len(vgrid):
-                    cur = sv.run_circuit(step_fwd, cur)
-            cur = shaped.copy()
-            for iv in range(mid, -1, -1):
-                if iv != mid:
-                    flat = cur.reshape(-1, 3)
-                    splus[ik, iv] = np.vdot(flat[:, 0], cdag @ flat[:, 1])
-                    sminus[ik, iv] = np.vdot(flat[:, 2], cdag @ flat[:, 0])
-                if iv > 0:
-                    cur = sv.run_circuit(step_bwd, cur)
+            # step from v = 0 forward to v = t and backward to v = -t
+            evolved = {mid: cols}
+            for step, ivs in ((step_fwd, range(mid + 1, len(vgrid))),
+                              (step_bwd, range(mid - 1, -1, -1))):
+                cur = cols
+                for iv in ivs:
+                    cur = sv.run_circuit(step, cur.reshape((2,) * n + (3,))).reshape(-1, 3)
+                    evolved[iv] = cur
+            for iv, cur in evolved.items():
+                splus[ik, iv] = np.vdot(cur[:, 0], cdag @ cur[:, 1])
+                sminus[ik, iv] = np.vdot(cur[:, 2], cdag @ cur[:, 0])
 
     window = (config.t - np.abs(vgrid)) / 4
     weights = _simpson_weights(vgrid)
@@ -578,29 +571,6 @@ def _simpson_weights(grid: np.ndarray) -> np.ndarray:
     return w * (h / 3)
 
 
-def _system_only_step(config: ProtocolConfig, dt: float) -> Circuit:
-    """First-order step of exp(+i H_sys dt) on the N system qubits alone."""
-    n = config.n_sites
-    gates: list[Gate] = []
-    bonds = list(range(n if n > 2 else n - 1))
-    for parity in (0, 1):
-        for j in bonds:
-            if j % 2 == parity:
-                p, q = j, (j + 1) % n
-                lo, hi = min(p, q), max(p, q)
-                middles = list(range(lo + 1, hi))
-                pre = [cz(lo, m) for m in middles]
-                gates.extend(pre + [givens(config.nu * dt, lo, hi)] + list(reversed(pre)))
-    if config.interaction != 0:
-        for j in bonds:
-            p, q = j, (j + 1) % n
-            alpha = config.interaction * dt
-            gates.extend([rz(alpha / 2, p), rz(alpha / 2, q),
-                          Gate(GateKind.CX, (p, q)), rz(-alpha / 2, q),
-                          Gate(GateKind.CX, (p, q))])
-    return Circuit(n, tuple(gates))
-
-
 def lehmann_lines(config: ProtocolConfig) -> tuple[DeltaLineSpectrum, DeltaLineSpectrum]:
     """Exact A+/A- delta lines from dense diagonalization of H_sys."""
     n = config.n_sites
@@ -608,7 +578,7 @@ def lehmann_lines(config: ProtocolConfig) -> tuple[DeltaLineSpectrum, DeltaLineS
         raise ValueError("Lehmann reference limited to 12 system qubits")
     h = _system_hamiltonian_dense(config)
     w, vmat = np.linalg.eigh(h)
-    psi0 = _baseline_initial_state(config).ravel()
+    psi0 = _system_state(config, vmat).ravel()
     e0 = float(np.vdot(psi0, h @ psi0).real)
     ks = config.momenta()
     plus_c, plus_w, minus_c, minus_w = [], [], [], []
@@ -653,43 +623,14 @@ def environment_method_grid(config: ProtocolConfig, omegas) -> SpectralGrid:
     The two fillings share every evolution gate, so they run as one batched
     statevector of shape (2,)*2N + (2,).
     """
-    n = config.n_sites
-    if 2 * n > sv.QUBIT_CAP:
-        raise ValueError(f"2*{n} qubits exceeds the statevector cap {sv.QUBIT_CAP}")
-    if config.trotter_steps < 1:
-        raise ValueError("environment_method_grid needs trotter_steps >= 1")
     omegas = np.asarray(omegas, dtype=float)
-    empty = ProtocolConfig(n, config.epsilon, config.omega, config.t, config.nu,
-                           config.interaction, config.trotter_steps, "empty",
-                           config.initial_state)
-    full = ProtocolConfig(n, config.epsilon, config.omega, config.t, config.nu,
-                          config.interaction, config.trotter_steps, "full",
-                          config.initial_state)
-    batch = np.stack([_prep_state(empty), _prep_state(full)], axis=-1)
-    readout = _readout_circuit(n)
-    steps = config.trotter_steps
-    dt = config.t / steps
-    vals_e = np.zeros((n, len(omegas)))
-    vals_f = np.zeros((n, len(omegas)))
-    nq = 2 * n
-    for iw, om in enumerate(omegas):
-        cfg = ProtocolConfig(n, config.epsilon, float(om), config.t, config.nu,
-                             config.interaction, steps, "empty", config.initial_state)
-        step = trotter_step_circuit(cfg, dt)
-        state = batch.copy()
-        for _ in range(steps):
-            for g in step.gates:
-                state = sv.apply_gate(state, g, nq)
-        for g in readout.gates:
-            state = sv.apply_gate(state, g, nq)
-        occ = sv.occupations(state, nq)[n:]
-        vals_e[:, iw] = occ[:, 0]
-        vals_f[:, iw] = 1 - occ[:, 1]
+    occ = _run_trotter(config, omegas, ("empty", "full"))
+    vals_e, vals_f = occ[..., 0], 1 - occ[..., 1]
     meta = {"config": config.snapshot(),
             "empty_min": float(vals_e.min()), "empty_max": float(vals_e.max()),
             "full_min": float(vals_f.min()), "full_max": float(vals_f.max())}
-    ks = config.momenta()
-    return SpectralGrid(ks, omegas, vals_e + vals_f, "environment-combined", meta)
+    return SpectralGrid(config.momenta(), omegas, vals_e + vals_f,
+                        "environment-combined", meta)
 
 
 def compare_trotter(config: ProtocolConfig, omegas, step_counts) -> dict:
@@ -700,9 +641,7 @@ def compare_trotter(config: ProtocolConfig, omegas, step_counts) -> dict:
     ref = reference_windowed_spectral(config, omegas).values
     rows = []
     for steps in step_counts:
-        cfg = ProtocolConfig(config.n_sites, config.epsilon, config.omega,
-                             config.t, config.nu, config.interaction,
-                             int(steps), config.environment, config.initial_state)
+        cfg = replace(config, trotter_steps=int(steps))
         env = environment_method_grid(cfg, omegas)
         base = dynamical_correlation_baseline(cfg, omegas)
         s_env = least_squares_scale(env.values, ref)

@@ -226,10 +226,6 @@ def occupations(state: np.ndarray, num_qubits: int | None = None) -> np.ndarray:
     return np.array(out)
 
 
-def state_fidelity(a: np.ndarray, b: np.ndarray) -> float:
-    return float(np.abs(np.vdot(a.ravel(), b.ravel())) ** 2)
-
-
 def unitaries_equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
     ij = np.unravel_index(np.argmax(np.abs(b)), b.shape)
     if abs(b[ij]) < tol:
@@ -271,8 +267,3 @@ def momentum_annihilation(num_qubits: int, k: float) -> np.ndarray:
     for j in range(n):
         out += np.exp(-1j * j * k) * annihilation_operator(n, j)
     return out / np.sqrt(n)
-
-
-def expectation(state: np.ndarray, op: np.ndarray) -> complex:
-    flat = state.ravel()
-    return complex(np.vdot(flat, op @ flat))

@@ -127,3 +127,37 @@ def test_compare_trotter_small(tmp_path):
     assert rc == 0
     table = json.loads((tmp_path / "cmp.csv.json").read_text())
     assert [r["steps"] for r in table["rows"]] == [1, 4]
+
+
+def test_simulate_spectral_interacting_needs_trotter_steps(tmp_path, capsys):
+    # method auto routes continuous time (trotter_steps = 0) to the Gaussian path
+    cpath = tmp_path / "cfg.json"
+    cpath.write_text(json.dumps({"n_sites": 4, "epsilon": 0.1, "interaction": 2.0}))
+    rc = main(["simulate-spectral", "--config", str(cpath),
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 2
+    assert "requires V = 0" in capsys.readouterr().err
+
+
+def _manifest_config(tmp_path, name, subcommand, cfg):
+    cpath = tmp_path / f"{name}.json"
+    cpath.write_text(json.dumps(cfg))
+    man = tmp_path / f"{name}.manifest.json"
+    assert main([subcommand, "--config", str(cpath), "--out", str(tmp_path / f"{name}.csv"),
+                 "--manifest", str(man)]) == 0
+    return json.loads(man.read_text())["config"]
+
+
+def test_manifest_records_every_input(tmp_path):
+    spectral = {"n_sites": 4, "epsilon": 0.3, "t": 2.0, "initial_state": [1, 0, 0, 1],
+                "omegas": [0.0, 0.5]}
+    a = _manifest_config(tmp_path, "a", "simulate-spectral", spectral)
+    b = _manifest_config(tmp_path, "b", "simulate-spectral", dict(spectral, omegas=[0.0, 0.6]))
+    assert a != b
+    assert a["method"] == "gaussian" and a["shots"] == 0
+    trotter = {"n_sites": 2, "epsilon": 0.2, "t": 1.0, "interaction": 1.0,
+               "omegas": [0.0], "step_counts": [1]}
+    c = _manifest_config(tmp_path, "c", "compare-trotter", trotter)
+    d = _manifest_config(tmp_path, "d", "compare-trotter", dict(trotter, step_counts=[2]))
+    e = _manifest_config(tmp_path, "e", "compare-trotter", dict(trotter, omegas=[0.5]))
+    assert c != d and c != e

@@ -1,8 +1,13 @@
+import hashlib
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from fermispec import protocol
+from fermispec.circuits import format_circuit
 from fermispec.protocol import (DeltaLineSpectrum, Kernel, ProtocolConfig,
-                                broadening_and_ghosts, convolve_kernel,
+                                broadening_and_ghosts, compare_trotter, convolve_kernel,
                                 dynamical_correlation_baseline,
                                 environment_method_grid, least_squares_scale,
                                 nk_exact_free, nk_gaussian,
@@ -213,14 +218,82 @@ def test_trotter_step_term_identities():
         a, b = j, (j + 1) % n
         hop = nu * (ops[a].conj().T @ ops[b] + ops[b].conj().T @ ops[a])
         want = expm(1j * dt * hop)
-        got = sv.circuit_unitary(Circuit(2 * n, tuple(_hopping_bond_gates(n, j, nu * dt))))
+        got = sv.circuit_unitary(Circuit(2 * n, tuple(_hopping_bond_gates(n, j, nu * dt, 2))))
         assert np.max(np.abs(want - got)) < 1e-12, f"hopping bond {j}"
         inter = V * (ops[a].conj().T @ ops[a] @ ops[b].conj().T @ ops[b])
         want = expm(1j * dt * inter)
-        got = sv.circuit_unitary(Circuit(2 * n, tuple(_interaction_bond_gates(j, n, V * dt))))
+        got = sv.circuit_unitary(Circuit(2 * n, tuple(_interaction_bond_gates(j, n, V * dt, 2))))
         # the decomposition drops a global phase exp(i V dt / 4)
         phase = np.exp(1j * V * dt / 4)
         assert np.max(np.abs(want - phase * got)) < 1e-12, f"interaction bond {j}"
+
+
+# sha256 of format_circuit for (Trotter step, system-only step, readout); the
+# steps hash V in {0, 2.3} x omega in {0, 0.7}, the system-only step also both
+# signs of dt.  Any change to a gate, its qubits or its angle changes a digest.
+CIRCUIT_DIGESTS = {
+    2: ("8441bff54ad23d47a6dbcaf5300a8c0d929c9524f719aca58c6e5cfad085b79c",
+        "0e876be6ec11e8f02889df990c535fcc8b11856a9c8f4e5909b23aba0eee131b",
+        "c139df1b9f71b082989e9fa762591f49a5e75aebb4c9d88de77f4c6da1d0a777"),
+    3: ("2b70627d58cfb86fe9a58138011d161184c141a53fb83814b64e8cd0f1408d9b",
+        "a0a0f576fc374600a6c4a5e895481a36c707c51a4a47fd7f9e7c8d62c91ce5aa",
+        "7b973d87ec042955c4d7d652b89e074e6b432527aa49e9c865f5c92a3c892bfe"),
+    4: ("2095b96c219dafc040c3df92ca34b4b0ad8b236e4e0982981de769a9fd52378a",
+        "e94f2eeb1ff54a48beb9f29fdd40b8a97f9ca68cc9ada014579c996a3269ff54",
+        "13e3102feeaca39a4362fae7524495a2532b69401888b4af16bc2d6205a76799"),
+    8: ("8f3695783e0273fa74a20095529bc58ed1aa9d537efe7a9f7bfa868dbe1be160",
+        "598046e6da2a236b12b2fc7a35164b085fc68fa52c5ccac8f000bd53a1bf8531",
+        "ece98a17c73804d7f7f12c350fbddf85c0ef69fcd05287f4cd3fba3c301d9c0b"),
+    9: ("c559fdd7329e62ca1e5c126e5e072387047552d877a64f5c80f43fa57b2b6b2d",
+        "3ecf58809228368489b1b4d1493b5a3ac5442fd62043c78acefbea1063c63739",
+        "a7c427b5c6c969b08cf6e27f80b0ff408c5e445a29b470ca12823d805d6646b4"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(CIRCUIT_DIGESTS))
+def test_emitted_circuits_pinned(n):
+    dt = 0.37
+    step, system = hashlib.sha256(), hashlib.sha256()
+    for V in (0.0, 2.3):
+        for omega in (0.0, 0.7):
+            cfg = ProtocolConfig(n, 0.3, omega=omega, nu=0.8, interaction=V)
+            step.update(format_circuit(protocol.trotter_step_circuit(cfg, dt)).encode())
+            for sign in (1, -1):
+                system.update(format_circuit(protocol._system_step(cfg, sign * dt, 1)).encode())
+    readout = hashlib.sha256(format_circuit(protocol._readout_circuit(n)).encode())
+    assert (step.hexdigest(), system.hexdigest(), readout.hexdigest()) == CIRCUIT_DIGESTS[n]
+
+
+def test_one_eigendecomposition_per_call(monkeypatch):
+    """The interacting ground state comes from one dense H_sys and one eigh per call."""
+    calls = {"eigh": 0, "hamiltonian": 0}
+    eigh, hamiltonian = np.linalg.eigh, protocol._system_hamiltonian_dense
+
+    def counted_eigh(*args, **kwargs):
+        calls["eigh"] += 1
+        return eigh(*args, **kwargs)
+
+    def counted_hamiltonian(*args, **kwargs):
+        calls["hamiltonian"] += 1
+        return hamiltonian(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(protocol, "_system_hamiltonian_dense", counted_hamiltonian)
+    cfg = _cfg(n_sites=4, t=2.0, nu=-1.0, interaction=2.3, trotter_steps=2)
+    omegas = [0.0, 1.0]
+    runs = {"environment_method_grid": lambda: environment_method_grid(cfg, omegas),
+            "reference_windowed_spectral": lambda: reference_windowed_spectral(cfg, omegas),
+            "continuous-time baseline": lambda: dynamical_correlation_baseline(
+                replace(cfg, trotter_steps=0), omegas),
+            "Trotterized baseline": lambda: dynamical_correlation_baseline(cfg, omegas)}
+    for name, run in runs.items():
+        calls.update(eigh=0, hamiltonian=0)
+        run()
+        assert calls == {"eigh": 1, "hamiltonian": 1}, name
+    # the reference, then one grid and one baseline per step count
+    calls.update(eigh=0, hamiltonian=0)
+    compare_trotter(cfg, omegas, [1, 2])
+    assert calls == {"eigh": 5, "hamiltonian": 5}
 
 
 def test_circuit_protocol_positivity_under_coarse_steps():
@@ -237,6 +310,9 @@ def test_circuit_protocol_size_guards():
         run_circuit_protocol(_cfg(n_sites=16, trotter_steps=2), [0.0])
     with pytest.raises(ValueError):
         run_circuit_protocol(_cfg(n_sites=4), [0.0])  # steps = 0
+    for run in (run_circuit_protocol, environment_method_grid):
+        with pytest.raises(ValueError, match=r"n_sites = 2\*\*k or 3\*\*k"):
+            run(_cfg(n_sites=6, trotter_steps=2), [0.0])
 
 
 def test_shot_sampling_deterministic():
@@ -322,3 +398,5 @@ def test_config_validation():
         ProtocolConfig(4, 0.1, environment="half")
     with pytest.raises(ValueError):
         ProtocolConfig(4, 0.1, initial_state=[0.5, 0.2])  # wrong length
+    with pytest.raises(ValueError, match="unknown initial_state"):
+        ProtocolConfig(4, 0.1, initial_state="excited")
