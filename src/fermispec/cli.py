@@ -98,7 +98,12 @@ def _cmd_compile_fft(args) -> int:
 
 def _cmd_optimize_cz(args) -> int:
     with open(args.graph) as fh:
-        graph = parse_edge_list(fh.read())
+        text = fh.read()
+    try:
+        graph = parse_edge_list(text)
+    except ValueError as exc:
+        print(f"bad graph: {exc}", file=sys.stderr)
+        return 2
     circuit = decimate(graph, args.depth_penalty)
     if not verify_equivalence(circuit, graph):
         print("internal error: decimated circuit failed tableau verification",

@@ -1,29 +1,28 @@
 """CZ-circuit synthesis by greedy graph decimation.
 
 A CZ circuit is a simple graph G with U_G = prod_{(i,j) in E} CZ_{i,j}.
-Three rewrite moves map U_G to U_{G'} (edge sets combine by symmetric
-difference):
+Three rewrite moves on (i, j) toggle the edges (i, k), k != i, and satisfy
+U_G = W U_{G'} V, with V and W in circuit order:
 
-  CzRemoval(i,j):       U_G CZ_{i,j}          -> toggle (i,j)            cost 1
-  CxConjugation(i,j):   CX_{i,j} U_G CX_{i,j} -> toggle {(i,k): k in n(j)} cost 2
-  CxCyWrap(i,j):        CX_{i,j} U_G CY_{i,j} -> toggle {(i,k): k in n(j) ∪ {j}} cost 2
+  move                 k ranges over      V          W     cost
+  CzRemoval(i,j)       {j}                CZ         -     1
+  CxConjugation(i,j)   n(j)               CX [Z_i]   CX    2
+  CxCyWrap(i,j)        n(j) ^ {j}         CY [Z_i]   CX    2
 
-CX/CY take i as control.  When the toggle set would contain the self-pair
-(i,i) it is dropped and the identity instead produces a single-qubit Z_i
-(validated against the dense oracle in the tests): CxConjugation needs the
-correction iff i in n(j), CxCyWrap iff i not in n(j).
+CX/CY take i as control.  Both CX moves emit the Z_i by-product exactly when
+i in n(j): that is when the toggle set would contain the self-pair (i,i),
+which is dropped (validated against the dense oracle in the tests).
 
-The greedy loop picks the move minimizing |G'| - |G| + C, plus a tunable
-penalty for moves that cannot join the current circuit layer; ties break
-lexicographically on (rule, i, j).  Since removing an existing edge always
-scores <= penalty, the chosen move strictly shrinks the graph and the loop
-terminates.
+The greedy loop picks, among the moves that shrink the graph, the one
+minimizing |G'| - |G| + C, plus a tunable penalty for moves that cannot join
+the current circuit layer; ties break lexicographically on (rule, i, j).
+Removing an existing edge always shrinks the graph, so a candidate exists
+while edges remain, and the loop terminates for any penalty.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 from .circuits import Circuit, Gate, GateKind, cz, cx, cy, z
 from .tableau import CliffordTableau, tableau_of, tableau_of_cz_edges
@@ -55,19 +54,6 @@ class CZGraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def neighbors(self, i: int) -> set[int]:
-        return {b if a == i else a for (a, b) in self.edges if i in (a, b)}
-
-    def toggled(self, pairs: Iterable[tuple[int, int]]) -> "CZGraph":
-        es = set(self.edges)
-        for e in pairs:
-            e = _norm_edge(e)
-            if e in es:
-                es.discard(e)
-            else:
-                es.add(e)
-        return CZGraph(self.num_qubits, frozenset(es))
-
     def tableau(self) -> CliffordTableau:
         return tableau_of_cz_edges(self.num_qubits, self.edges)
 
@@ -82,6 +68,9 @@ class DecimationRule(Enum):
     CX_CY_WRAP = 2
 
 
+_COSTS = (1, 2, 2)  # two-qubit gates per move, by rule value
+
+
 @dataclass(frozen=True)
 class DecimationStep:
     rule: DecimationRule
@@ -90,144 +79,103 @@ class DecimationStep:
 
     @property
     def cost(self) -> int:
-        return 1 if self.rule is DecimationRule.CZ_REMOVAL else 2
+        return _COSTS[self.rule.value]
 
 
-def _toggle_pairs(graph: CZGraph, step: DecimationStep) -> list[tuple[int, int]]:
-    i, j = step.i, step.j
-    if step.rule is DecimationRule.CZ_REMOVAL:
-        return [(i, j)]
-    targets = graph.neighbors(j)
-    if step.rule is DecimationRule.CX_CY_WRAP:
-        targets = targets ^ {j}
-    return [(i, k) for k in sorted(targets) if k != i]
+# --------------------------------------------------------------------------
+# the moves, on a bitmask adjacency list (bit k of adj[q] = edge (q, k))
+# --------------------------------------------------------------------------
+
+def _adjacency(graph: CZGraph) -> list[int]:
+    adj = [0] * graph.num_qubits
+    for (a, b) in graph.edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return adj
 
 
-def needs_z_correction(graph: CZGraph, step: DecimationStep) -> bool:
-    """True when the move's exact identity carries a Z_i by-product."""
-    if step.rule is DecimationRule.CZ_REMOVAL:
-        return False
-    i_in_nj = step.i in graph.neighbors(step.j)
-    if step.rule is DecimationRule.CX_CONJUGATION:
-        return i_in_nj
-    return not i_in_nj
+def _targets(adj: list[int], j: int) -> tuple[int, int, int]:
+    """For rule value r = 0, 1, 2: the mask of k whose edge (i, k) the move
+    on (i, j) toggles.  The caller drops bit i."""
+    return (1 << j, adj[j], adj[j] ^ (1 << j))
+
+
+def _toggle(adj: list[int], i: int, mask: int) -> None:
+    """Toggle the edges (i, k) for every bit k of `mask`, in place."""
+    adj[i] ^= mask
+    while mask:
+        low = mask & -mask
+        adj[low.bit_length() - 1] ^= 1 << i
+        mask ^= low
+
+
+def _move_gates(adj: list[int], rule: DecimationRule, i: int,
+                j: int) -> tuple[list[Gate], list[Gate]]:
+    """(V, W) with U_G = W U_G' V, G' the graph after the move on `adj`."""
+    if rule is DecimationRule.CZ_REMOVAL:
+        return [cz(i, j)], []
+    v = [cx(i, j) if rule is DecimationRule.CX_CONJUGATION else cy(i, j)]
+    if (adj[j] >> i) & 1:
+        v.append(z(i))
+    return v, [cx(i, j)]
 
 
 def apply_rule(graph: CZGraph, step: DecimationStep) -> CZGraph:
-    i, j = step.i, step.j
-    if i == j or not (0 <= i < graph.num_qubits and 0 <= j < graph.num_qubits):
+    n, i, j = graph.num_qubits, step.i, step.j
+    if i == j or not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"invalid step qubits ({i},{j})")
-    return graph.toggled(_toggle_pairs(graph, step))
+    adj = _adjacency(graph)
+    _toggle(adj, i, _targets(adj, j)[step.rule.value] & ~(1 << i))
+    return CZGraph(n, frozenset((a, b) for a in range(n) for b in range(a + 1, n)
+                                if (adj[a] >> b) & 1))
 
 
 # --------------------------------------------------------------------------
 # greedy decimation
 # --------------------------------------------------------------------------
 
-def _popcount(v: int) -> int:
-    return v.bit_count()
-
-
 def decimate(graph: CZGraph, depth_penalty: float = 0.5) -> Circuit:
     """Synthesize a circuit realizing U_G exactly (phases included).
 
-    Unrolling the per-step identities, the emitted gate order is
-    [V_1 .. V_m, W_m .. W_1] where step t rewrites G_t into G_{t+1} with
-    U_{G_t} = W_t U_{G_{t+1}} V_t-matrix set out in the module docstring.
+    Step t rewrites G_t into G_{t+1} with U_{G_t} = W_t U_{G_{t+1}} V_t, so the
+    emitted gate order is [V_1 .. V_m, W_m .. W_1].
     """
     n = graph.num_qubits
-    adj = [0] * n
-    for (a, b) in graph.edges:
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
+    adj = _adjacency(graph)
     edge_count = graph.num_edges
 
-    v_side: list[list[Gate]] = []
+    v_side: list[Gate] = []
     w_side: list[list[Gate]] = []
     layer_mask = 0
 
     while edge_count:
-        best = None  # (score, rule, i, j, toggle_mask_on_i)
+        targets = [_targets(adj, j) for j in range(n)]
+        best = None  # (score, rule value, i, j, delta)
         for i in range(n):
-            bit_i = 1 << i
+            bit_i, row = 1 << i, adj[i]
+            degree = row.bit_count()
             for j in range(n):
-                if i == j:
-                    continue
-                # rule 1 on existing edges only; adding an edge never wins
-                if j > i and (adj[i] >> j) & 1:
-                    delta = -1
-                    pen = depth_penalty if layer_mask & (bit_i | (1 << j)) else 0.0
-                    score = delta + 1 + pen
-                    cand = (score, DecimationRule.CZ_REMOVAL.value, i, j, 1 << j)
-                    if best is None or cand < best:
-                        best = cand
-                if adj[j] == 0:
-                    continue
-                for rule in (DecimationRule.CX_CONJUGATION, DecimationRule.CX_CY_WRAP):
-                    mask = adj[j]
-                    if rule is DecimationRule.CX_CY_WRAP:
-                        mask ^= 1 << j
-                    mask &= ~bit_i
-                    if mask == 0:
-                        continue
-                    delta = _popcount(adj[i] ^ mask) - _popcount(adj[i])
-                    pen = depth_penalty if layer_mask & (bit_i | (1 << j)) else 0.0
-                    score = delta + 2 + pen
-                    cand = (score, rule.value, i, j, mask)
-                    if best is None or cand < best:
-                        best = cand
-        score, rule_value, i, j, mask = best
-        rule = DecimationRule(rule_value)
-        # guard: only progress moves (a removal scoring <= 1+penalty always exists)
-        if _popcount(adj[i] ^ mask) - _popcount(adj[i]) >= 0 and rule is not DecimationRule.CZ_REMOVAL:
-            # fall back to the lexicographically first existing edge
-            a, b = min((a, b) for a in range(n) for b in range(a + 1, n)
-                       if (adj[a] >> b) & 1)
-            rule, i, j, mask = DecimationRule.CZ_REMOVAL, a, b, 1 << b
-
-        step = DecimationStep(rule, i, j)
-        correction = False
-        if rule is not DecimationRule.CZ_REMOVAL:
-            i_in_nj = bool((adj[j] >> i) & 1)
-            correction = i_in_nj if rule is DecimationRule.CX_CONJUGATION else not i_in_nj
-
-        if rule is DecimationRule.CZ_REMOVAL:
-            v_gates = [cz(i, j)]
-            w_gates: list[Gate] = []
-        elif rule is DecimationRule.CX_CONJUGATION:
-            # U_{G_t} = CX . U_{G_{t+1}} . Z_i^s . CX  (circuit order: CX then Z)
-            v_gates = [cx(i, j)] + ([z(i)] if correction else [])
-            w_gates = [cx(i, j)]
-        else:
-            # U_{G_t} = CX . U_{G_{t+1}} . Z_i^(s+1) . CY
-            v_gates = [cy(i, j)] + ([z(i)] if not correction else [])
-            w_gates = [cx(i, j)]
-
-        # update adjacency
-        old = adj[i]
-        adj[i] ^= mask
-        edge_count += _popcount(adj[i]) - _popcount(old)
-        rest = mask
-        while rest:
-            k = (rest & -rest).bit_length() - 1
-            adj[k] ^= 1 << i
-            rest &= rest - 1
-
-        qubits_mask = (1 << i) | (1 << j)
-        if layer_mask & qubits_mask:
-            layer_mask = qubits_mask
-        else:
-            layer_mask |= qubits_mask
-
-        v_side.append(v_gates)
+                if j == i or not adj[j]:
+                    continue  # an isolated j offers no shrinking move
+                pen = depth_penalty if layer_mask & (bit_i | (1 << j)) else 0.0
+                for rule, target in enumerate(targets[j]):
+                    delta = (row ^ (target & ~bit_i)).bit_count() - degree
+                    if delta < 0:
+                        cand = (delta + _COSTS[rule] + pen, rule, i, j, delta)
+                        if best is None or cand < best:
+                            best = cand
+        _, rule, i, j, delta = best
+        v_gates, w_gates = _move_gates(adj, DecimationRule(rule), i, j)
+        _toggle(adj, i, targets[j][rule] & ~(1 << i))
+        edge_count += delta
+        v_side.extend(v_gates)
         w_side.append(w_gates)
 
-    gates: list[Gate] = []
-    for gs in v_side:
-        gates.extend(gs)
-    for gs in reversed(w_side):
-        gates.extend(gs)
-    return Circuit(n, tuple(gates), {"steps": len(v_side)})
+        qubits_mask = (1 << i) | (1 << j)
+        layer_mask = qubits_mask if layer_mask & qubits_mask else layer_mask | qubits_mask
+
+    gates = v_side + [g for gs in reversed(w_side) for g in gs]
+    return Circuit(n, tuple(gates), {"steps": len(w_side)})
 
 
 def verify_equivalence(circuit: Circuit, graph: CZGraph) -> bool:
@@ -245,16 +193,20 @@ def verify_equivalence(circuit: Circuit, graph: CZGraph) -> bool:
 # --------------------------------------------------------------------------
 
 def parse_edge_list(text: str, num_qubits: int | None = None) -> CZGraph:
+    """Parse the edge-list format; an explicit `num_qubits` wins over a
+    `# qubits:` header, as in `parse_circuit`."""
     edges = []
     declared = num_qubits
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
-            if "qubits:" in raw:
+            if "qubits:" in raw and num_qubits is None:
                 declared = int(raw.split("qubits:")[1].strip())
             continue
-        a, b = line.split()
-        edges.append((int(a), int(b)))
+        fields = line.split()
+        if len(fields) != 2 or not all(f.isdigit() for f in fields):
+            raise ValueError(f"line {lineno}: expected 'i j', got {line!r}")
+        edges.append((int(fields[0]), int(fields[1])))
     n = declared
     if n is None:
         n = 1 + max((q for e in edges for q in e), default=-1)

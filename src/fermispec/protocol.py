@@ -76,6 +76,9 @@ class ProtocolConfig:
             rho = np.asarray(self.initial_state, dtype=float)
             if rho.shape != (self.n_sites,) or rho.min() < 0 or rho.max() > 1:
                 raise ValueError("explicit rho_k must be n_sites values in [0, 1]")
+            if self.interaction != 0:
+                raise ValueError("an interacting chain starts in its ground state; "
+                                 "explicit rho_k needs interaction = 0")
 
     def momenta(self) -> np.ndarray:
         return 2 * np.pi * np.arange(self.n_sites) / self.n_sites
@@ -510,20 +513,31 @@ def dynamical_correlation_baseline(config: ProtocolConfig, omegas=None,
     else:
         vgrid = np.linspace(-config.t, config.t, 2 * steps + 1)
         psi0 = _system_state(config).ravel()
-        dt = config.t / steps
-        step_fwd = _system_step(config, dt, 1)
-        step_bwd = _system_step(config, -dt, 1)
+    # built after the state, so that they never coexist with the N dense
+    # operators _system_hamiltonian_dense builds
     cks = [sv.momentum_annihilation(n, kk) for kk in ks]
 
     # S+(k,v) = <psi(v)| c^dag(k) |[c(k) psi](v)>      (poles at E0 - E_m)
     # S-(k,v) = <[c^dag(k) psi](v)| c^dag(k) |psi(v)>  (poles at E_m - E0)
     splus = np.zeros((n, len(vgrid)), dtype=complex)
     sminus = np.zeros((n, len(vgrid)), dtype=complex)
-    mid = len(vgrid) // 2
+    if steps:
+        # step the columns [psi0, c(k) psi0 .., c^dag(k) psi0 ..] as one batch
+        # from v = 0 forward to v = t and backward to v = -t
+        width = 2 * n + 1
+        cols = np.stack([psi0] + [ck @ psi0 for ck in cks]
+                        + [ck.conj().T @ psi0 for ck in cks], axis=1)
+        evolved = {steps: cols}
+        for sign, ivs in ((1, range(steps + 1, 2 * steps + 1)), (-1, range(steps - 1, -1, -1))):
+            step = _system_step(config, sign * config.t / steps, 1)
+            cur = cols
+            for iv in ivs:
+                cur = sv.run_circuit(step, cur.reshape((2,) * n + (width,))).reshape(-1, width)
+                evolved[iv] = cur
     for ik, ck in enumerate(cks):
         cdag = ck.conj().T
-        cols = np.stack([psi0, ck @ psi0, cdag @ psi0], axis=1)
         if steps == 0:
+            cols = np.stack([psi0, ck @ psi0, cdag @ psi0], axis=1)
             a = vmat.conj().T @ cols          # eigenbasis amplitudes
             cdag_eig = vmat.conj().T @ cdag @ vmat
             for iv, v in enumerate(vgrid):
@@ -533,17 +547,9 @@ def dynamical_correlation_baseline(config: ProtocolConfig, omegas=None,
                 y0 = cdag_eig @ (ph * a[:, 0])
                 sminus[ik, iv] = np.vdot(ph * a[:, 2], y0)
         else:
-            # step from v = 0 forward to v = t and backward to v = -t
-            evolved = {mid: cols}
-            for step, ivs in ((step_fwd, range(mid + 1, len(vgrid))),
-                              (step_bwd, range(mid - 1, -1, -1))):
-                cur = cols
-                for iv in ivs:
-                    cur = sv.run_circuit(step, cur.reshape((2,) * n + (3,))).reshape(-1, 3)
-                    evolved[iv] = cur
             for iv, cur in evolved.items():
-                splus[ik, iv] = np.vdot(cur[:, 0], cdag @ cur[:, 1])
-                sminus[ik, iv] = np.vdot(cur[:, 2], cdag @ cur[:, 0])
+                splus[ik, iv] = np.vdot(cur[:, 0], cdag @ cur[:, 1 + ik])
+                sminus[ik, iv] = np.vdot(cur[:, 1 + n + ik], cdag @ cur[:, 0])
 
     window = (config.t - np.abs(vgrid)) / 4
     weights = _simpson_weights(vgrid)

@@ -7,6 +7,7 @@ from fermispec.circuits import read_circuit, two_qubit_count
 from fermispec.czgraph import format_edge_list
 from fermispec.fft import interleave_cz_graph, interleave_permutation
 from fermispec.protocol import ProtocolConfig, nk_exact_free
+from fermispec.verify import run_all
 
 
 def test_compile_fft_imported_27(tmp_path):
@@ -53,6 +54,14 @@ def test_optimize_cz_nine_qubit_interleave(tmp_path):
     report = json.loads((tmp_path / "opt.txt.json").read_text())
     assert report["edges_in"] == 9
     assert report["gates_out"] <= 9
+
+
+def test_optimize_cz_bad_graph(tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    gpath.write_text("0 1\n2\n")
+    rc = main(["optimize-cz", "--graph", str(gpath), "--out", str(tmp_path / "opt.txt")])
+    assert rc == 2
+    assert "bad graph: line 2" in capsys.readouterr().err
 
 
 def test_simulate_spectral_matches_exact(tmp_path):
@@ -114,6 +123,13 @@ def test_verify_exit_codes(monkeypatch):
                         [("ok", lambda: (True, "fine")),
                          ("bad", lambda: (False, "broken"))])
     assert main(["verify"]) == 1
+
+
+def test_verify_battery_passes():
+    """The checks `fermispec verify` ships, not a stand-in list."""
+    failed = [(name, detail) for name, ok, detail in run_all(verbose=False)
+              if not ok]
+    assert failed == []
 
 
 def test_compare_trotter_small(tmp_path):

@@ -1,12 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermispec.circuits import Circuit, GateKind, cx, cy, cz, two_qubit_count
+from fermispec.circuits import (Circuit, GateKind, cx, cz, format_circuit,
+                                two_qubit_count)
 from fermispec.czgraph import (CZGraph, DecimationRule, DecimationStep,
-                               apply_rule, decimate, format_edge_list,
-                               graph_from_edges, needs_z_correction,
+                               _adjacency, _move_gates, apply_rule, decimate,
+                               format_edge_list, graph_from_edges,
                                parse_edge_list, verify_equivalence)
 from fermispec.fft import interleave_cz_graph, interleave_permutation, \
     imported_interleave_sequence
@@ -38,7 +41,8 @@ def test_cx_conjugation_star():
     step = DecimationStep(DecimationRule.CX_CONJUGATION, 0, 1)
     g1 = apply_rule(g, step)
     assert g1.edges == frozenset({(1, 2), (1, 3), (0, 2), (0, 3)})
-    assert not needs_z_correction(g, step)
+    v, _ = _move_gates(_adjacency(g), step.rule, step.i, step.j)
+    assert GateKind.Z not in [gate.kind for gate in v]
 
 
 def test_cx_conjugation_involution():
@@ -58,7 +62,7 @@ def test_cx_cy_wrap_on_path():
 
 
 def test_rule_identities_dense():
-    """The rewrite identities hold exactly, including the Z_i by-products."""
+    """U_G = W U_G' V holds exactly on the gates each move emits, Z_i by-products included."""
     for edges in ([(0, 1)], [(1, 2)], [(0, 1), (1, 2)], [(0, 1), (0, 2), (1, 2)], []):
         g = graph_from_edges(3, edges)
         ug = cz_unitary(g)
@@ -66,17 +70,11 @@ def test_rule_identities_dense():
             for j in range(3):
                 if i == j:
                     continue
-                for rule in (DecimationRule.CX_CONJUGATION, DecimationRule.CX_CY_WRAP):
-                    step = DecimationStep(rule, i, j)
-                    g1 = apply_rule(g, step)
-                    zfix = np.diag([(-1.0) ** ((idx >> (2 - i)) & 1) for idx in range(8)]) \
-                        if needs_z_correction(g, step) else np.eye(8)
-                    u_cx = su(Circuit(3, (cx(i, j),)))
-                    right = su(Circuit(3, (cy(i, j),))) if rule is DecimationRule.CX_CY_WRAP \
-                        else u_cx
-                    lhs = u_cx @ ug @ right
-                    rhs = cz_unitary(g1) @ zfix
-                    assert np.max(np.abs(lhs - rhs)) < 1e-12, (edges, rule, i, j)
+                for rule in DecimationRule:
+                    g1 = apply_rule(g, DecimationStep(rule, i, j))
+                    v, w = _move_gates(_adjacency(g), rule, i, j)
+                    rhs = su(Circuit(3, tuple(w))) @ cz_unitary(g1) @ su(Circuit(3, tuple(v)))
+                    assert np.max(np.abs(ug - rhs)) < 1e-12, (edges, rule, i, j)
 
 
 def test_apply_rule_validates_indices():
@@ -136,6 +134,64 @@ def test_depth_penalty_variants_stay_sound():
         assert verify_equivalence(c, g)
 
 
+def _seeded_graphs(n):
+    rng = np.random.default_rng(1000 + n)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for density in (0.2, 0.4, 0.6, 0.8):
+        keep = rng.random(len(pairs)) < density
+        yield graph_from_edges(n, [p for p, k in zip(pairs, keep) if k])
+
+
+def test_large_penalty_terminates_sound():
+    """Above penalty 2 a non-shrinking move can outscore every removal; only
+    shrinking moves are candidates, so each step still removes an edge."""
+    for n in range(2, 12):
+        for g in _seeded_graphs(n):
+            for penalty in (3.0, 5.0):
+                c = decimate(g, penalty)
+                assert c.meta["steps"] <= g.num_edges
+                assert verify_equivalence(c, g), (n, penalty)
+
+
+# sha256 of format_circuit(decimate(g, p)): per n, the four _seeded_graphs(n)
+# at p in {0, 0.5, 2}; per interleave, the default p.  Any change to a chosen
+# move, a tie-break or an emitted gate changes a digest.
+RANDOM_DIGESTS = {
+    2: "61847ce52b467d1c71b08df83d0c244bbb3e77e4f5ee81fd2554102d25c8da44",
+    3: "6d88ea4cc178cb758d65fb104101e7bdbc49a1933a4e82db343a5e28af2474bc",
+    4: "7a4962498b981cb519cd784f425d6d9644c95df572f3e541c917d79feecdf4b5",
+    5: "a79538ed0f167cc448716b2d871e9226d5b418f0b85ce1bb4bdc3805c08ef09f",
+    6: "9211820b0b766565e7b3a9f1adb83cc0c9341bcdeaa6d50c68249c61ba8bcc2a",
+    7: "6534e8b8a8c272e181d5858bf352bf211a9207e00b54eff4dd3d66298522862b",
+    8: "58ccfa4ed5324f8044e132ee5b2549972b7344abeda4d9c70200eb61e65211a3",
+    9: "308296cff67b31b70e196e2927057ff868e83f51d77e28340d983219e05b0405",
+    10: "bd67d229993953ac9675ca4c4623e2f46499e55f82ff8fd115248e85cace6223",
+    11: "c343e80a7e7c91c0695956fdb5230f5c403d7c928a64521be4cad0e13098e3e1",
+    12: "4e34c21ae775d54652639aac2f26e6def488f7435e9cafbefb7a5854310fc7ab",
+}
+INTERLEAVE_DIGESTS = {
+    (9, 3): "42fc9212595aa6cb2bbb2bd39eb2668e7c41c8161146af50887eb634ecf73201",
+    (27, 3): "2dbaeaba8d477ace3bbf147d940ea167b0bc8c301b4c5bf76fe494970074a8d5",
+    (64, 2): "35c0435de8473bb515b8f026064ceaae93c72b1384cc6ca99315c80357cd6c67",
+    (81, 3): "9acb1a168281ab36c7490066c8d1aac8e3517e902be2bdb203f7e7373c249b76",
+}
+
+
+@pytest.mark.parametrize("n", sorted(RANDOM_DIGESTS))
+def test_decimate_random_graphs_pinned(n):
+    h = hashlib.sha256()
+    for g in _seeded_graphs(n):
+        for penalty in (0.0, 0.5, 2.0):
+            h.update(format_circuit(decimate(g, penalty)).encode())
+    assert h.hexdigest() == RANDOM_DIGESTS[n]
+
+
+@pytest.mark.parametrize("n,radix", sorted(INTERLEAVE_DIGESTS))
+def test_decimate_interleave_graphs_pinned(n, radix):
+    c = decimate(interleave_cz_graph(interleave_permutation(n, radix)))
+    assert hashlib.sha256(format_circuit(c).encode()).hexdigest() == INTERLEAVE_DIGESTS[n, radix]
+
+
 # ---------------------------------------------------------------- verify
 
 def test_verify_equivalence_examples():
@@ -157,3 +213,14 @@ def test_verify_27_qubit_listing_vs_graph():
 def test_edge_list_round_trip():
     g = graph_from_edges(5, [(0, 3), (1, 2)])
     assert parse_edge_list(format_edge_list(g)) == g
+
+
+def test_edge_list_explicit_qubits_win_over_header():
+    assert parse_edge_list("# qubits: 3\n0 1\n", num_qubits=5).num_qubits == 5
+    assert parse_edge_list("# qubits: 3\n0 1\n").num_qubits == 3
+
+
+@pytest.mark.parametrize("text", ["0 1\n2\n", "0 1\n1 x\n", "0 1\n1 2 3\n"])
+def test_edge_list_malformed_line_names_it(text):
+    with pytest.raises(ValueError, match="line 2"):
+        parse_edge_list(text)

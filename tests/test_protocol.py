@@ -296,11 +296,25 @@ def test_one_eigendecomposition_per_call(monkeypatch):
     assert calls == {"eigh": 5, "hamiltonian": 5}
 
 
+def test_trotterized_baseline_evolves_each_column_once(monkeypatch):
+    """psi0, c(k) psi0 and c^dag(k) psi0 for every k step as one batch: one
+    step circuit per time point off v = 0."""
+    batches = []
+    run_circuit = protocol.sv.run_circuit
+
+    def counted(circuit, state=None):
+        batches.append(state.shape[-1])
+        return run_circuit(circuit, state)
+
+    monkeypatch.setattr(protocol.sv, "run_circuit", counted)
+    cfg = _cfg(n_sites=6, t=2.0, nu=-1.0, interaction=2.3, trotter_steps=3)
+    dynamical_correlation_baseline(cfg, [0.0, 1.0])
+    assert batches == [2 * 6 + 1] * (2 * 3)
+
+
 def test_circuit_protocol_positivity_under_coarse_steps():
-    rho = [1.0, 0.0, 1.0, 0.0]
     for steps in (1, 2, 5):
-        cfg = _cfg(n_sites=4, t=5.0, trotter_steps=steps, interaction=3.0,
-                   nu=-1.0, initial_state=rho)
+        cfg = _cfg(n_sites=4, t=5.0, trotter_steps=steps, interaction=3.0, nu=-1.0)
         grid = run_circuit_protocol(cfg, [0.0, 1.0])
         assert grid.in_unit_interval()
 
@@ -400,3 +414,5 @@ def test_config_validation():
         ProtocolConfig(4, 0.1, initial_state=[0.5, 0.2])  # wrong length
     with pytest.raises(ValueError, match="unknown initial_state"):
         ProtocolConfig(4, 0.1, initial_state="excited")
+    with pytest.raises(ValueError, match="interaction = 0"):
+        ProtocolConfig(4, 0.1, interaction=2.0, initial_state=[1, 0, 0, 1])
