@@ -68,7 +68,7 @@ def _load_protocol_config(path: str) -> tuple[ProtocolConfig, dict] | None:
         return ProtocolConfig(**{k: raw[k] for k in known if k in raw}), raw
     except KeyError as exc:
         print(f"bad config: unknown or invalid key {exc}", file=sys.stderr)
-    except (TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         print(f"bad config: {exc}", file=sys.stderr)
     return None
 
@@ -97,11 +97,10 @@ def _cmd_compile_fft(args) -> int:
 
 
 def _cmd_optimize_cz(args) -> int:
-    with open(args.graph) as fh:
-        text = fh.read()
     try:
-        graph = parse_edge_list(text)
-    except ValueError as exc:
+        with open(args.graph) as fh:
+            graph = parse_edge_list(fh.read())
+    except (OSError, ValueError) as exc:
         print(f"bad graph: {exc}", file=sys.stderr)
         return 2
     circuit = decimate(graph, args.depth_penalty)

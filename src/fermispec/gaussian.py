@@ -82,14 +82,6 @@ def dft_matrix(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
 
 
-def transforms_equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
-    ij = np.unravel_index(np.argmax(np.abs(b)), b.shape)
-    phase = a[ij] / b[ij]
-    if abs(abs(phase) - 1) > tol:
-        return False
-    return bool(np.max(np.abs(a - phase * b)) < tol)
-
-
 def is_unitary(t: np.ndarray, tol: float = 1e-10) -> bool:
     n = t.shape[0]
     return bool(np.max(np.abs(t.conj().T @ t - np.eye(n))) < tol)

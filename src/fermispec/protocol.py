@@ -371,22 +371,25 @@ def _state_from_filled(n: int, rho: np.ndarray) -> np.ndarray:
     return (psi / norm).reshape((2,) * n)
 
 
-def _system_state(config: ProtocolConfig, eigvecs: np.ndarray | None = None) -> np.ndarray:
+def _system_state(config: ProtocolConfig, eig: tuple | None = None) -> np.ndarray:
     """Initial N-qubit system state, shape (2,)*N.
 
     A free chain starts in its 0/1 momentum filling: the prep circuit builds it
     when N = 2**k or 3**k, dense creation operators otherwise.  An interacting
-    chain starts in the ground state of H_sys, taken from `eigvecs` when the
-    caller has already diagonalized it.
+    chain starts in the ground state of H_sys, taken from the eigh pair `eig`
+    when the caller has already diagonalized it; a degenerate ground state
+    (gap below 1e-9) raises.
     """
     n = config.n_sites
     rho = config.rho()
     if not np.all((rho < 1e-12) | (rho > 1 - 1e-12)):
         raise ValueError("the initial system state needs 0/1 momentum occupations")
     if config.interaction != 0:
-        if eigvecs is None:
-            eigvecs = np.linalg.eigh(_system_hamiltonian_dense(config))[1]
-        return eigvecs[:, 0].reshape((2,) * n)
+        w, vmat = np.linalg.eigh(_system_hamiltonian_dense(config)) if eig is None else eig
+        if w[1] - w[0] < 1e-9:
+            raise ValueError(f"degenerate interacting ground state: gap E1 - E0 = "
+                             f"{w[1] - w[0]:.3g} < 1e-9")
+        return vmat[:, 0].reshape((2,) * n)
     if _has_fft(n):
         return sv.run_circuit(ground_state_prep_circuit(n, np.flatnonzero(rho > 0.5)))
     return _state_from_filled(n, rho)
@@ -509,7 +512,7 @@ def dynamical_correlation_baseline(config: ProtocolConfig, omegas=None,
         points = 800
         vgrid = np.linspace(-config.t, config.t, 2 * points + 1)
         w, vmat = np.linalg.eigh(_system_hamiltonian_dense(config))
-        psi0 = _system_state(config, vmat).ravel()
+        psi0 = _system_state(config, (w, vmat)).ravel()
     else:
         vgrid = np.linspace(-config.t, config.t, 2 * steps + 1)
         psi0 = _system_state(config).ravel()
@@ -584,7 +587,7 @@ def lehmann_lines(config: ProtocolConfig) -> tuple[DeltaLineSpectrum, DeltaLineS
         raise ValueError("Lehmann reference limited to 12 system qubits")
     h = _system_hamiltonian_dense(config)
     w, vmat = np.linalg.eigh(h)
-    psi0 = _system_state(config, vmat).ravel()
+    psi0 = _system_state(config, (w, vmat)).ravel()
     e0 = float(np.vdot(psi0, h @ psi0).real)
     ks = config.momenta()
     plus_c, plus_w, minus_c, minus_w = [], [], [], []

@@ -2,14 +2,18 @@
 
 States are numpy arrays of shape (2,)*n, optionally with one trailing batch
 axis.  Qubit 0 is the first tensor axis (most significant bit of the flat
-index).  Jordan-Wigner bookkeeping is the caller's responsibility; gates act
-at the qubit level.
+index).  Every gate is applied in place from its `gate_matrix`, the same
+definition the tableau and sector simulators read; gates act at the qubit
+level and Jordan-Wigner bookkeeping is the caller's responsibility.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import product
+
 import numpy as np
 
-from .circuits import Circuit, Gate, GateKind
+from .circuits import PARAMETRIC_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, GateKind
 
 QUBIT_CAP = 20
 
@@ -61,9 +65,7 @@ def gate_matrix(gate: Gate) -> np.ndarray:
 def zero_state(num_qubits: int) -> np.ndarray:
     if num_qubits > QUBIT_CAP:
         raise ValueError(f"statevector capped at {QUBIT_CAP} qubits, got {num_qubits}")
-    psi = np.zeros((2,) * num_qubits, dtype=complex)
-    psi[(0,) * num_qubits] = 1.0
-    return psi
+    return basis_state(num_qubits, (0,) * num_qubits)
 
 
 def basis_state(num_qubits: int, bits) -> np.ndarray:
@@ -72,122 +74,81 @@ def basis_state(num_qubits: int, bits) -> np.ndarray:
     return psi
 
 
-def _num_qubit_axes(state: np.ndarray) -> int:
-    n = state.ndim
-    if n and state.shape[-1] != 2:
-        n -= 1  # trailing batch axis
-    return n
-
-
 def _resolve_qubits(state: np.ndarray, num_qubits) -> int:
     # a trailing batch axis of size 2 is ambiguous; callers pass num_qubits then
-    return _num_qubit_axes(state) if num_qubits is None else num_qubits
+    if num_qubits is not None:
+        return num_qubits
+    n = state.ndim
+    return n - 1 if n and state.shape[-1] != 2 else n
 
 
-def _apply_matrix_1q(state: np.ndarray, m: np.ndarray, q: int) -> np.ndarray:
-    # factor the flat layout as (pre, 2, post); any trailing batch folds into post
-    da = 1 << q
-    dr = state.size // (2 * da)
-    v = state.reshape(da, 2, dr).transpose(0, 2, 1)
-    out = v @ m.T
-    return out.reshape(da, dr, 2).transpose(0, 2, 1).reshape(state.shape)
+@lru_cache(maxsize=None)
+def _row_pattern(kind: GateKind) -> tuple:
+    """(scaled, mixed) rows of a kind's gate_matrix, read once from a probe gate.
 
-
-def _apply_matrix_2q(state: np.ndarray, m: np.ndarray, a: int, b: int) -> np.ndarray:
-    if a > b:
-        a, b = b, a
-        m = m.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
-    da = 1 << a
-    dm = 1 << (b - a - 1)
-    dr = state.size // (da * 4 * dm)
-    v = state.reshape(da, 2, dm, 2, dr)
-    w = v.transpose(0, 2, 4, 1, 3).reshape(da, dm, dr, 4)
-    w = w @ m.T
-    return (w.reshape(da, dm, dr, 2, 2).transpose(0, 3, 1, 4, 2)
-            .reshape(state.shape))
-
-
-def _block(state: np.ndarray, bits: dict) -> np.ndarray:
-    """View of the state with the given qubit axes pinned to 0/1.
-
-    Length-1 slices keep the result a writable view even when every axis is
-    pinned.
+    Scaled rows only rescale their own block.  Mixed rows are (row, columns).
+    Identity rows are in neither.  The probe angle is generic, so its pattern
+    covers every angle's.
     """
-    idx = [slice(None)] * state.ndim
-    for q, v in bits.items():
-        idx[q] = slice(v, v + 1)
-    return state[tuple(idx)]
+    qubits = (0, 1) if kind in TWO_QUBIT_KINDS else (0,)
+    m = gate_matrix(Gate(kind, qubits, 1.0 if kind in PARAMETRIC_KINDS else None))
+    scaled, mixed = [], []
+    for r in range(len(m)):
+        cols = tuple(np.flatnonzero(m[r]).tolist())
+        if cols != (r,):
+            mixed.append((r, cols))
+        elif m[r, r] != 1:
+            scaled.append(r)
+    return tuple(scaled), tuple(mixed)
+
+
+@lru_cache(maxsize=None)
+def _block_indices(ndim: int, qubits: tuple) -> tuple:
+    """Index r selects the amplitudes where the qubits hold the bits of r.
+
+    The first qubit is the most significant bit.  Length-1 slices keep the
+    indexed result a writable view even when every axis is pinned.
+    """
+    out = []
+    for bits in product((0, 1), repeat=len(qubits)):
+        idx = [slice(None)] * ndim
+        for q, b in zip(qubits, bits):
+            idx[q] = slice(b, b + 1)
+        out.append(tuple(idx))
+    return tuple(out)
 
 
 def apply_gate(state: np.ndarray, gate: Gate, num_qubits: int | None = None) -> np.ndarray:
-    """Apply a gate; most kinds mutate the state in place and return it.
+    """Apply a gate in place from its gate_matrix and return the state.
 
-    Block-view fast paths cover the permutation-like and diagonal kinds; the
-    generic dense path handles the rest.
+    Row r of the matrix gives the new amplitude block where the gate's qubits
+    hold the bits of r.  Identity rows are skipped.  A row that only rescales
+    its block is applied in place: in a unitary no other row reads that block.
+    Mixed rows are built aside from the old blocks and then written back;
+    the last one goes straight into its block when it does not read it, since
+    no row reads that block any more.
     """
-    k = gate.kind
-    if k is GateKind.BARRIER:
+    if gate.kind is GateKind.BARRIER:
         return state
     n = _resolve_qubits(state, num_qubits)
-    if any(q >= n for q in gate.qubits):
+    if max(gate.qubits) >= n:
         raise IndexError(f"gate {gate} out of range for {n} qubits")
-    if k is GateKind.RZ:
-        _block(state, {gate.qubits[0]: 0})[...] *= np.exp(-0.5j * gate.angle)
-        _block(state, {gate.qubits[0]: 1})[...] *= np.exp(0.5j * gate.angle)
-        return state
-    if k is GateKind.Z:
-        _block(state, {gate.qubits[0]: 1})[...] *= -1
-        return state
-    if k in (GateKind.S, GateKind.SDG):
-        _block(state, {gate.qubits[0]: 1})[...] *= 1j if k is GateKind.S else -1j
-        return state
-    if k is GateKind.X:
-        q = gate.qubits[0]
-        v0 = _block(state, {q: 0})
-        v1 = _block(state, {q: 1})
-        tmp = v0.copy()
-        v0[...] = v1
-        v1[...] = tmp
-        return state
-    if k is GateKind.CZ:
-        a, b = gate.qubits
-        _block(state, {a: 1, b: 1})[...] *= -1
-        return state
-    if k in (GateKind.CX, GateKind.CY):
-        c, t = gate.qubits
-        v0 = _block(state, {c: 1, t: 0})
-        v1 = _block(state, {c: 1, t: 1})
-        tmp = v0.copy()
-        if k is GateKind.CX:
-            v0[...] = v1
-            v1[...] = tmp
-        else:  # controlled-iY: |10> -> -|11>, |11> -> |10>
-            v0[...] = v1
-            v1[...] = -tmp
-        return state
-    if k in (GateKind.SWAP, GateKind.FSWAP):
-        a, b = gate.qubits
-        v01 = _block(state, {a: 0, b: 1})
-        v10 = _block(state, {a: 1, b: 0})
-        tmp = v01.copy()
-        v01[...] = v10
-        v10[...] = tmp
-        if k is GateKind.FSWAP:
-            _block(state, {a: 1, b: 1})[...] *= -1
-        return state
-    if k is GateKind.GIVENS:
-        a, b = gate.qubits
-        c, sn = np.cos(gate.angle), 1j * np.sin(gate.angle)
-        v01 = _block(state, {a: 0, b: 1})
-        v10 = _block(state, {a: 1, b: 0})
-        new01 = c * v01 + sn * v10
-        v10[...] = sn * v01 + c * v10
-        v01[...] = new01
-        return state
     m = gate_matrix(gate)
-    if len(gate.qubits) == 1:
-        return _apply_matrix_1q(state, m, gate.qubits[0])
-    return _apply_matrix_2q(state, m, *gate.qubits)
+    blocks = [state[idx] for idx in _block_indices(state.ndim, gate.qubits)]
+    scaled, mixed = _row_pattern(gate.kind)
+    for r in scaled:
+        blocks[r] *= m[r, r]
+    built = []
+    for i, (r, cols) in enumerate(mixed):
+        out = blocks[r] if i == len(mixed) - 1 and r not in cols else None
+        acc = np.multiply(m[r, cols[0]], blocks[cols[0]], out=out)
+        for c in cols[1:]:
+            acc += m[r, c] * blocks[c]
+        if out is None:
+            built.append((r, acc))
+    for r, acc in built:
+        blocks[r][...] = acc
+    return state
 
 
 def run_circuit(circuit: Circuit, state: np.ndarray | None = None) -> np.ndarray:
@@ -241,7 +202,6 @@ def unitaries_equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9)
 # --------------------------------------------------------------------------
 
 _SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)
-_Z2 = np.diag([1, -1]).astype(complex)
 _I2 = np.eye(2, dtype=complex)
 
 
@@ -252,7 +212,7 @@ def annihilation_operator(num_qubits: int, mode: int) -> np.ndarray:
     op = np.array([[1.0 + 0j]])
     for q in range(num_qubits):
         if q < mode:
-            op = np.kron(op, _Z2)
+            op = np.kron(op, _1Q[GateKind.Z])
         elif q == mode:
             op = np.kron(op, _SIGMA_MINUS)
         else:

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuits import Circuit, Gate, GateKind, PARAMETRIC_KINDS
+from .circuits import PARAMETRIC_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, GateKind
 from .statevector import gate_matrix
 
 _HALF_PI = math.pi / 2
@@ -87,14 +87,8 @@ def _table_key(gate: Gate):
 @lru_cache(maxsize=None)
 def _cached_table(kind: GateKind, quarter_turns):
     angle = None if quarter_turns is None else quarter_turns * _HALF_PI
-    if kind in PARAMETRIC_KINDS:
-        probe = Gate(kind, (0, 1) if kind is GateKind.GIVENS else (0,), angle)
-    elif kind in (GateKind.X, GateKind.Z, GateKind.S, GateKind.SDG):
-        probe = Gate(kind, (0,))
-    else:
-        probe = Gate(kind, (0, 1))
-    u = gate_matrix(probe)
-    return _conjugation_table(u, len(probe.qubits))
+    qubits = (0, 1) if kind in TWO_QUBIT_KINDS else (0,)
+    return _conjugation_table(gate_matrix(Gate(kind, qubits, angle)), len(qubits))
 
 
 class CliffordTableau:

@@ -12,7 +12,7 @@ from .czgraph import decimate, graph_from_edges, verify_equivalence
 from .fft import (InterleaveStrategy, fft_circuit, interleave_circuit,
                   interleave_cz_graph, interleave_permutation,
                   single_particle_transfer)
-from .gaussian import dft_matrix, transforms_equal_up_to_phase
+from .gaussian import dft_matrix
 from .protocol import (ProtocolConfig, broadening_and_ghosts, nk_exact_free,
                        nk_gaussian, strong_coupling_leading)
 from .statevector import circuit_unitary, unitaries_equal_up_to_phase
@@ -25,8 +25,8 @@ def _check_fft_transfers():
             if strat is InterleaveStrategy.IMPORTED_SEQUENCE and r != 3:
                 continue
             c = fft_circuit(n, r, strat)
-            if not transforms_equal_up_to_phase(single_particle_transfer(c),
-                                                dft_matrix(n), 1e-9):
+            if not unitaries_equal_up_to_phase(single_particle_transfer(c),
+                                               dft_matrix(n), 1e-9):
                 return False, f"N={n} strategy={strat.value} transfer != DFT"
     return True, "all sizes and strategies match the DFT"
 

@@ -15,12 +15,13 @@ from fermispec.fft import (InterleaveStrategy, fft_circuit,
                            imported_interleave_sequence, interleave_circuit,
                            interleave_cz_graph, interleave_permutation,
                            single_particle_transfer)
-from fermispec.gaussian import dft_matrix, transforms_equal_up_to_phase
+from fermispec.gaussian import dft_matrix
 from fermispec.protocol import (DeltaLineSpectrum, Kernel, ProtocolConfig,
                                 broadening_and_ghosts, compare_trotter,
                                 convolve_kernel, nk_exact_free, nk_gaussian,
                                 strong_coupling_leading)
 from fermispec.statevector import circuit_unitary, unitaries_equal_up_to_phase
+from fermispec.statevector import unitaries_equal_up_to_phase as transforms_equal_up_to_phase
 from fermispec.tableau import tableau_of
 
 

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from fermispec.cli import main
 from fermispec.circuits import read_circuit, two_qubit_count
@@ -62,6 +63,20 @@ def test_optimize_cz_bad_graph(tmp_path, capsys):
     rc = main(["optimize-cz", "--graph", str(gpath), "--out", str(tmp_path / "opt.txt")])
     assert rc == 2
     assert "bad graph: line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("subcommand, flag, prefix", [
+    ("simulate-spectral", "--config", "bad config: "),
+    ("compare-trotter", "--config", "bad config: "),
+    ("optimize-cz", "--graph", "bad graph: "),
+])
+def test_missing_input_file(tmp_path, capsys, subcommand, flag, prefix):
+    missing = tmp_path / "missing.json"
+    rc = main([subcommand, flag, str(missing), "--out", str(tmp_path / "x.out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and str(missing) in err
+    assert len(err.splitlines()) == 1
 
 
 def test_simulate_spectral_matches_exact(tmp_path):

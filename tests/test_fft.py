@@ -8,10 +8,10 @@ from fermispec.fft import (FFTPlan, InterleaveStrategy, base_fft,
                            interleave_circuit, interleave_cz_graph,
                            interleave_permutation, single_particle_transfer)
 from fermispec.gaussian import (GaussianState, dft_matrix, evolve_gaussian,
-                                extract_mode_transform,
-                                transforms_equal_up_to_phase)
+                                extract_mode_transform)
 from fermispec.statevector import circuit_unitary, occupations, run_circuit, \
     unitaries_equal_up_to_phase
+from fermispec.statevector import unitaries_equal_up_to_phase as transforms_equal_up_to_phase
 from fermispec.tableau import tableau_of
 
 SOFTWARE = (InterleaveStrategy.CX_LADDER, InterleaveStrategy.GRAPH_DECIMATED,

@@ -10,8 +10,9 @@ from fermispec.gaussian import (GaussianState, ParticleConservationError,
                                 evolve_gaussian, extract_mode_transform,
                                 mode_propagator, momentum_occupations,
                                 state_from_momentum_occupations, system_block,
-                                transforms_equal_up_to_phase, vacuum_state)
+                                vacuum_state)
 from fermispec import statevector as sv
+from fermispec.statevector import unitaries_equal_up_to_phase as transforms_equal_up_to_phase
 
 from strategies import pc_circuits
 

@@ -307,9 +307,9 @@ def test_trotterized_baseline_evolves_each_column_once(monkeypatch):
         return run_circuit(circuit, state)
 
     monkeypatch.setattr(protocol.sv, "run_circuit", counted)
-    cfg = _cfg(n_sites=6, t=2.0, nu=-1.0, interaction=2.3, trotter_steps=3)
+    cfg = _cfg(n_sites=8, t=2.0, nu=-1.0, interaction=2.3, trotter_steps=3)
     dynamical_correlation_baseline(cfg, [0.0, 1.0])
-    assert batches == [2 * 6 + 1] * (2 * 3)
+    assert batches == [2 * 8 + 1] * (2 * 3)
 
 
 def test_circuit_protocol_positivity_under_coarse_steps():
@@ -362,7 +362,7 @@ def test_baseline_single_filled_mode_peak():
 
 
 def test_baseline_trotterized_can_go_negative():
-    cfg = _cfg(n_sites=6, epsilon=0.1, t=5.0, nu=-1.0, interaction=4.0,
+    cfg = _cfg(n_sites=8, epsilon=0.1, t=5.0, nu=-1.0, interaction=4.0,
                trotter_steps=2, initial_state="ground")
     grid = dynamical_correlation_baseline(cfg, OMEGAS)
     assert grid.meta["negative_samples"] > 0
@@ -416,3 +416,16 @@ def test_config_validation():
         ProtocolConfig(4, 0.1, initial_state="excited")
     with pytest.raises(ValueError, match="interaction = 0"):
         ProtocolConfig(4, 0.1, interaction=2.0, initial_state=[1, 0, 0, 1])
+
+
+def test_degenerate_ground_state_raises():
+    # N = 6, V = 4, nu = -1 has E1 - E0 = 4.4e-16; so has N = 3, V = 2.3, nu = 1
+    cfg = _cfg(n_sites=6, epsilon=0.1, t=5.0, nu=-1.0, interaction=4.0, trotter_steps=2)
+    runs = (lambda: dynamical_correlation_baseline(cfg, OMEGAS),
+            lambda: dynamical_correlation_baseline(replace(cfg, trotter_steps=0), OMEGAS),
+            lambda: reference_windowed_spectral(cfg, OMEGAS),
+            lambda: environment_method_grid(replace(cfg, n_sites=3, nu=1.0, interaction=2.3),
+                                            OMEGAS))
+    for run in runs:
+        with pytest.raises(ValueError, match="degenerate interacting ground state"):
+            run()

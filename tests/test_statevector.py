@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from fermispec.circuits import Circuit, cx, cy, cz, givens, rz, swap, x, z
+from fermispec.circuits import (PARAMETRIC_KINDS, TWO_QUBIT_KINDS, Circuit, Gate,
+                                GateKind, cx, cy, cz, givens, rz, swap, x, z)
 from fermispec import statevector as sv
 
 from strategies import any_circuits
@@ -48,6 +49,37 @@ def test_fswap_is_swap_then_cz():
     got = sv.gate_matrix(fswap(0, 1))
     want = sv.gate_matrix(swap(0, 1)) @ sv.gate_matrix(cz(0, 1))
     assert np.allclose(got, want)
+
+
+def _einsum_apply(state, gate):
+    """Contract gate_matrix over the gate's qubit axes of a (batched) state."""
+    op = sv.gate_matrix(gate).reshape((2,) * (2 * len(gate.qubits)))
+    axes = "abcdefghijklmnopqrstuvwxyz"[:state.ndim]
+    new = "ABCD"[:len(gate.qubits)]
+    out = list(axes)
+    for q, letter in zip(gate.qubits, new):
+        out[q] = letter
+    spec = f"{new}{''.join(axes[q] for q in gate.qubits)},{axes}->{''.join(out)}"
+    return np.einsum(spec, op, state)
+
+
+@pytest.mark.parametrize("kind", [k for k in GateKind if k is not GateKind.BARRIER])
+def test_apply_gate_matches_einsum_oracle(kind):
+    rng = np.random.default_rng(list(GateKind).index(kind))
+    n = 4
+    qubit_sets = ([(0, 3), (3, 0), (1, 2), (2, 1)] if kind in TWO_QUBIT_KINDS
+                  else [(0,), (2,), (3,)])
+    for qubits in qubit_sets:
+        for batch in ((), (3,)):
+            angle = float(rng.uniform(-4, 4)) if kind in PARAMETRIC_KINDS else None
+            gate = Gate(kind, qubits, angle)
+            matrix = sv.gate_matrix(gate).copy()
+            shape = (2,) * n + batch
+            psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            want = _einsum_apply(psi, gate)
+            got = sv.apply_gate(psi.copy(), gate, n)
+            assert np.max(np.abs(got - want)) < 1e-12, (gate, batch)
+            assert np.array_equal(sv.gate_matrix(gate), matrix)
 
 
 def test_norm_preserved_random():
