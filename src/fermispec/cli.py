@@ -202,6 +202,9 @@ def _cmd_compare_trotter(args) -> int:
 
 def _cmd_verify(args) -> int:
     results = verify_mod.run_all(verbose=True)
+    if args.json:
+        _write_json(args.json, [{"name": name, "passed": bool(ok), "detail": detail}
+                                for name, ok, detail in results])
     return 0 if all(ok for _, ok, _ in results) else 1
 
 
@@ -278,6 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=_cmd_compare_trotter)
 
     c = sub.add_parser("verify", help="run the oracle-equivalence suite")
+    c.add_argument("--json", metavar="PATH",
+                   help="also write the results as a list of {name, passed, detail}")
     c.set_defaults(func=_cmd_verify)
 
     c = sub.add_parser("report", help="gate-count/depth table across interleave strategies")

@@ -288,6 +288,18 @@ def _bonds(n: int) -> range:
     return range(n if n > 2 else n - 1)
 
 
+def _hop_order(n: int) -> tuple[int, ...]:
+    """Hopping bonds in step order: even bonds, then odd bonds."""
+    bonds = _bonds(n)
+    return (*bonds[0::2], *bonds[1::2])
+
+
+def _bond_qubits(n: int, j: int, stride: int) -> tuple[int, int]:
+    """Qubits (lo, hi) of the bond between system sites j and j+1 mod n."""
+    p, q = stride * j, stride * ((j + 1) % n)
+    return min(p, q), max(p, q)
+
+
 def _hopping_bond_gates(n: int, j: int, theta: float, stride: int) -> list[Gate]:
     """exp(i theta/2 * (XZ..ZX + YZ..ZY)) between system sites j and j+1 mod n,
     with site j on qubit stride*j.
@@ -295,10 +307,8 @@ def _hopping_bond_gates(n: int, j: int, theta: float, stride: int) -> list[Gate]
     The JW string through interposed qubits is produced by CZ conjugation of
     the plain two-qubit rotation.
     """
-    p, q = stride * j, stride * ((j + 1) % n)
-    lo, hi = min(p, q), max(p, q)
-    middles = list(range(lo + 1, hi))
-    gates = [cz(lo, m) for m in middles]
+    lo, hi = _bond_qubits(n, j, stride)
+    gates = [cz(lo, m) for m in range(lo + 1, hi)]
     return gates + [givens(theta, lo, hi)] + list(reversed(gates))
 
 
@@ -306,6 +316,27 @@ def _interaction_bond_gates(j: int, n: int, alpha: float, stride: int) -> list[G
     """exp(i alpha n_p n_q) on system sites j, j+1 (global phase dropped)."""
     p, q = stride * j, stride * ((j + 1) % n)
     return [rz(alpha / 2, p), rz(alpha / 2, q), cx(p, q), rz(-alpha / 2, q), cx(p, q)]
+
+
+def _interaction_gates(config: ProtocolConfig, dt: float, stride: int) -> list[Gate]:
+    """The interaction term of one step, every bond; empty for V = 0."""
+    n = config.n_sites
+    if config.interaction == 0:
+        return []
+    return [g for j in _bonds(n)
+            for g in _interaction_bond_gates(j, n, config.interaction * dt, stride)]
+
+
+def _coupling_gates(config: ProtocolConfig, dt: float) -> list[Gate]:
+    """GIVENS(eps dt / 2) between system site j (qubit 2j) and environment site j."""
+    return [givens(config.epsilon * dt / 2, 2 * j, 2 * j + 1) for j in range(config.n_sites)]
+
+
+def _env_phase_gates(config: ProtocolConfig, dt: float) -> list[Gate]:
+    """RZ(omega dt) on every environment qubit; empty for omega = 0."""
+    if config.omega == 0:
+        return []
+    return [rz(config.omega * dt, 2 * j + 1) for j in range(config.n_sites)]
 
 
 def _system_step(config: ProtocolConfig, dt: float, stride: int) -> Circuit:
@@ -316,39 +347,91 @@ def _system_step(config: ProtocolConfig, dt: float, stride: int) -> Circuit:
     c_0,d_0,c_1,... register, stride 1 on the system qubits alone.
     """
     n = config.n_sites
-    bonds = _bonds(n)
-    gates: list[Gate] = []
-    for j in (*bonds[0::2], *bonds[1::2]):
-        gates.extend(_hopping_bond_gates(n, j, config.nu * dt, stride))
-    if config.interaction != 0:
-        for j in bonds:
-            gates.extend(_interaction_bond_gates(j, n, config.interaction * dt, stride))
-    return Circuit(stride * n, tuple(gates))
+    gates = [g for j in _hop_order(n)
+             for g in _hopping_bond_gates(n, j, config.nu * dt, stride)]
+    return Circuit(stride * n, tuple(gates + _interaction_gates(config, dt, stride)))
 
 
 def trotter_step_circuit(config: ProtocolConfig, dt: float) -> Circuit:
     """One first-order step of exp(+i H dt): hopping (even bonds, odd bonds),
     interaction, coupling, environment phase."""
+    gates = (*_system_step(config, dt, 2).gates, *_coupling_gates(config, dt),
+             *_env_phase_gates(config, dt))
+    return Circuit(2 * config.n_sites, gates)
+
+
+def _diagonal(gates: list[Gate], parity: int, n: int) -> np.ndarray | None:
+    """Diagonal of gates that act diagonally on the qubits 2j + parity of the
+    2N register, one entry per basis state; None for no gates.
+
+    The gates run on a ones vector of the N qubits they touch; the result is
+    broadcast over the other N qubits.
+    """
+    if not gates:
+        return None
+    half = remap(Circuit(2 * n, tuple(gates)), [q // 2 for q in range(2 * n)], n)
+    d = sv.run_circuit(half, np.ones((2,) * n))
+    shape = [1] * (2 * n)
+    shape[parity::2] = [2] * n
+    return np.broadcast_to(d.reshape(shape), (2,) * (2 * n)).ravel()
+
+
+def _fused_steps(config: ProtocolConfig, dt: float, omegas):
+    """trotter_step_circuit(replace(config, omega=w), dt) for each w in omegas,
+    yielded as a function that updates a C-contiguous 2N-qubit state, batched
+    or not, in place.
+
+    Each hop bond is one `sv.apply_jw_givens` pass: its CZ string becomes a
+    parity sign.  The interaction gates and the environment RZ layer act
+    diagonally, so each becomes one diagonal, read off the gates themselves.
+    The coupling GIVENS gates run as emitted.
+    """
     n = config.n_sites
-    gates = list(_system_step(config, dt, 2).gates)
-    gates.extend(givens(config.epsilon * dt / 2, 2 * j, 2 * j + 1) for j in range(n))
-    if config.omega != 0:
-        gates.extend(rz(config.omega * dt, 2 * j + 1) for j in range(n))
-    return Circuit(2 * n, tuple(gates))
+    nq = 2 * n
+    theta = config.nu * dt
+    hops = [_bond_qubits(n, j, 2) for j in _hop_order(n)]
+    inter = _diagonal(_interaction_gates(config, dt, 2), 0, n)
+    coupling = _coupling_gates(config, dt)
+    for om in omegas:
+        env = _diagonal(_env_phase_gates(replace(config, omega=float(om)), dt), 1, n)
+
+        def step(state: np.ndarray, env=env) -> np.ndarray:
+            for lo, hi in hops:
+                sv.apply_jw_givens(state, lo, hi, theta)
+            if inter is not None:
+                sv.apply_diagonal(state, inter)
+            for g in coupling:
+                sv.apply_gate(state, g, nq)
+            if env is not None:
+                sv.apply_diagonal(state, env)
+            return state
+
+        yield step
 
 
 def _system_hamiltonian_dense(config: ProtocolConfig) -> np.ndarray:
-    """Dense many-body H_sys (+ interaction) on the N system qubits."""
+    """Dense many-body H_sys (+ interaction) on the N system qubits.
+
+    Built from bit operations on the basis index, with site j on bit N-1-j:
+    c_a^dag c_b + h.c. moves a particle between a and b with the JW sign
+    (-1)^(occupied sites strictly between), and V n_a n_b is diagonal.  The
+    diagonal sums V bond by bond, in the order a sum of dense JW-operator
+    products would.
+    """
     n = config.n_sites
-    dim = 2 ** n
-    ops = [sv.annihilation_operator(n, j) for j in range(n)]
-    h = np.zeros((dim, dim), dtype=complex)
+    idx = np.arange(2 ** n)
+    occ = (idx[:, None] >> (n - 1 - np.arange(n))) & 1      # occ[s, j] = n_j in s
+    h = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    diag = np.zeros(2 ** n)
     for j in _bonds(n):
         a, b = j, (j + 1) % n
-        h += config.nu * (ops[a].conj().T @ ops[b] + ops[b].conj().T @ ops[a])
+        lo, hi = min(a, b), max(a, b)
+        src = idx[occ[:, a] != occ[:, b]]
+        sign = 1 - 2 * (occ[src, lo + 1:hi].sum(axis=1) & 1)
+        h[src ^ (1 << (n - 1 - a)) ^ (1 << (n - 1 - b)), src] = config.nu * sign
         if config.interaction != 0:
-            h += config.interaction * (ops[a].conj().T @ ops[a]
-                                       @ ops[b].conj().T @ ops[b])
+            diag += config.interaction * (occ[:, a] & occ[:, b])
+    h[idx, idx] = diag
     return h
 
 
@@ -415,13 +498,55 @@ def _fill_environment_circuit(n: int) -> Circuit:
     return Circuit(2 * n, tuple(gates))
 
 
-def _readout_circuit(n: int) -> Circuit:
-    """Physical 2-way interleave followed by the environment FFFT."""
+def _readout_parts(n: int) -> tuple[Circuit, Circuit]:
+    """The readout's 2-way interleave on 2N qubits and the N-mode environment FFFT."""
     perm = interleave_permutation(2 * n, 2)
     inter = interleave_circuit(perm, InterleaveStrategy.LOCAL_FSWAP)
     radix = 3 if n % 3 == 0 else 2
-    env_fft = fft_circuit(n, radix, InterleaveStrategy.LOCAL_FSWAP)
+    return inter, fft_circuit(n, radix, InterleaveStrategy.LOCAL_FSWAP)
+
+
+def _readout_circuit(n: int) -> Circuit:
+    """Physical 2-way interleave followed by the environment FFFT."""
+    inter, env_fft = _readout_parts(n)
     return Circuit(2 * n, inter.gates + remap(env_fft, range(n, 2 * n), 2 * n).gates)
+
+
+def _fused_readout(n: int):
+    """_readout_circuit(n) as a function of a batched 2N-qubit state.
+
+    The FSWAP interleave is a qubit permutation followed by a +-1 phase on
+    its output.  Both are read off the emitted circuit: the permutation from
+    its FSWAP pairs, the phase by running it on a ones vector, which the
+    permutation leaves unchanged.  One signed transpose writes them into a
+    C-contiguous buffer with the environment qubits outermost, axes
+    (d_0 .. d_N-1, c_0 .. c_N-1, batch), and the environment FFFT gates run
+    there as emitted, on qubits 0..N-1, over contiguous blocks.  Returns
+    readout(state, out=None) -> buffer, written into `out` when given.
+    """
+    nq = 2 * n
+    inter, env_fft = _readout_parts(n)
+    held = list(range(nq))            # held[p]: input qubit now on qubit p
+    for g in inter.gates:
+        a, b = g.qubits
+        held[a], held[b] = held[b], held[a]
+    order = [*range(n, nq), *range(n)]
+    axes = [held[p] for p in order]
+    sign = np.ascontiguousarray(
+        sv.run_circuit(inter, np.ones((2,) * nq)).real.transpose(order)[..., None])
+
+    def readout(state: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        buf = np.multiply(state.transpose(axes + [nq]), sign, out=out, order="C")
+        for g in env_fft.gates:
+            sv.apply_gate(buf, g, nq)
+        return buf
+
+    return readout
+
+
+def _qubit_order(buf: np.ndarray, n: int) -> np.ndarray:
+    """A `_fused_readout` buffer as a view in qubit order (c_0 .. d_N-1, batch)."""
+    return np.moveaxis(buf, range(n), range(n, 2 * n))
 
 
 def _run_trotter(config: ProtocolConfig, omegas: np.ndarray, environments: Sequence[str],
@@ -429,10 +554,10 @@ def _run_trotter(config: ProtocolConfig, omegas: np.ndarray, environments: Seque
     """Trotterized pipeline on 2N qubits, batched over environment fillings.
 
     The fillings share the system state and every gate, so they run as one
-    statevector of shape (2,)*2N + (len(environments),).  Returns the
-    environment occupations n(k), shape (N, len(omegas), len(environments));
-    shots > 0 samples them per omega, then per filling, from one seeded
-    generator.
+    statevector of shape (2,)*2N + (len(environments),), through the fused
+    kernels `_fused_steps` and `_fused_readout`.  Returns the environment
+    occupations n(k), shape (N, len(omegas), len(environments)); shots > 0
+    samples them per omega, then per filling, from one seeded generator.
     """
     n = config.n_sites
     nq = 2 * n
@@ -446,27 +571,26 @@ def _run_trotter(config: ProtocolConfig, omegas: np.ndarray, environments: Seque
     fill = _fill_environment_circuit(n)
     batch = np.stack([sv.run_circuit(fill, psi) if env == "full" else psi
                       for env in environments], axis=-1)
-    readout = _readout_circuit(n)
+    readout = _fused_readout(n)
     steps = config.trotter_steps
     dt = config.t / steps
     rng = np.random.default_rng(seed)
     occ = np.zeros((n, len(omegas), len(environments)))
-    for iw, om in enumerate(omegas):
-        step = trotter_step_circuit(replace(config, omega=float(om)), dt)
-        state = batch.copy()
+    state, buf = np.empty_like(batch), np.empty_like(batch)
+    for iw, step in enumerate(_fused_steps(config, dt, omegas)):
+        state[...] = batch
         for _ in range(steps):
-            for g in step.gates:
-                state = sv.apply_gate(state, g, nq)
-        for g in readout.gates:
-            state = sv.apply_gate(state, g, nq)
+            step(state)
+        readout(state, buf)
         if shots:
             # multinomial Z-basis sampling; n(k) is the share of shots with qubit N+k set
+            final = _qubit_order(buf, n)
             for b in range(len(environments)):
-                probs = np.abs(state[..., b].ravel()) ** 2
+                probs = np.abs(final[..., b].ravel()) ** 2
                 counts = rng.multinomial(shots, probs / probs.sum()).reshape((2,) * nq)
                 occ[:, iw, b] = [np.take(counts, 1, axis=q).sum() / shots for q in range(n, nq)]
         else:
-            occ[:, iw] = sv.occupations(state, nq)[n:]
+            occ[:, iw] = sv.occupations(buf, nq, range(n))
     return occ
 
 

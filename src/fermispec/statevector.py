@@ -5,6 +5,8 @@ axis.  Qubit 0 is the first tensor axis (most significant bit of the flat
 index).  Every gate is applied in place from its `gate_matrix`, the same
 definition the tableau and sector simulators read; gates act at the qubit
 level and Jordan-Wigner bookkeeping is the caller's responsibility.
+`apply_jw_givens` and `apply_diagonal` are fused in-place passes that stand
+for runs of gates; tests hold them to `apply_gate` on those gates.
 """
 from __future__ import annotations
 
@@ -151,6 +153,48 @@ def apply_gate(state: np.ndarray, gate: Gate, num_qubits: int | None = None) -> 
     return state
 
 
+@lru_cache(maxsize=None)
+def _parity_signs(m: int) -> np.ndarray:
+    """(-1)^popcount(i) for i < 2**m, shaped (1, 2**m, 1) to broadcast over a
+    block (outer, middle, inner)."""
+    signs = np.ones(1)
+    for _ in range(m):
+        signs = np.concatenate([signs, -signs])
+    signs.flags.writeable = False   # shared by every caller
+    return signs.reshape(1, -1, 1)
+
+
+def apply_jw_givens(state: np.ndarray, lo: int, hi: int, theta: float) -> np.ndarray:
+    """exp(i theta/2 (X Z..Z X + Y Z..Z Y)) on qubits lo < hi, in place.
+
+    This is the GIVENS(theta) on (lo, hi) conjugated by CZ(lo, m) for every
+    qubit m strictly between them, done as one pass: the CZ string becomes
+    the parity sign of those qubits on the off-diagonal coefficient.  The
+    state must be C-contiguous; a trailing batch axis is allowed.
+    """
+    if not state.flags.c_contiguous:   # reshape would update a copy
+        raise ValueError("apply_jw_givens needs a C-contiguous state")
+    v = state.reshape(2 ** lo, 2, 2 ** (hi - lo - 1), 2, -1)
+    a01, a10 = v[:, 0, :, 1], v[:, 1, :, 0]
+    off = 1j * np.sin(theta) * _parity_signs(hi - lo - 1)
+    t = off * a01
+    a01 *= np.cos(theta)
+    a01 += off * a10
+    a10 *= np.cos(theta)
+    a10 += t
+    return state
+
+
+def apply_diagonal(state: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+    """Multiply a C-contiguous state, batched or not, in place by a diagonal
+    over its qubits (one entry per basis state)."""
+    if not state.flags.c_contiguous:   # reshape would update a copy
+        raise ValueError("apply_diagonal needs a C-contiguous state")
+    for column in state.reshape(diagonal.size, -1).T:
+        column *= diagonal
+    return state
+
+
 def run_circuit(circuit: Circuit, state: np.ndarray | None = None) -> np.ndarray:
     if circuit.num_qubits > QUBIT_CAP:
         raise ValueError(f"statevector capped at {QUBIT_CAP} qubits")
@@ -175,12 +219,14 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     return state.reshape(dim, dim)
 
 
-def occupations(state: np.ndarray, num_qubits: int | None = None) -> np.ndarray:
-    """<n_q> for every qubit; batched states return shape (n, batch)."""
+def occupations(state: np.ndarray, num_qubits: int | None = None,
+                qubits=None) -> np.ndarray:
+    """<n_q> for each of `qubits` (default: every qubit); batched states
+    return shape (len(qubits), batch)."""
     n = _resolve_qubits(state, num_qubits)
     p = np.abs(state) ** 2
     out = []
-    for q in range(n):
+    for q in range(n) if qubits is None else qubits:
         taken = np.take(p, 1, axis=q)
         axes = tuple(range(n - 1))  # remaining qubit axes; batch axis survives
         out.append(taken.sum(axis=axes))
@@ -201,22 +247,21 @@ def unitaries_equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9)
 # Jordan-Wigner fermionic operators (dense; small systems only)
 # --------------------------------------------------------------------------
 
-_SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=complex)
-_I2 = np.eye(2, dtype=complex)
-
-
 def annihilation_operator(num_qubits: int, mode: int) -> np.ndarray:
-    """JW annihilation c_mode = Z^(⊗mode) ⊗ sigma^- ⊗ I^(⊗rest), dense."""
+    """JW annihilation c_mode = Z^(⊗mode) ⊗ sigma^- ⊗ I^(⊗rest), dense.
+
+    Built from the basis index: c_mode empties qubit `mode` with the sign
+    (-1)^(occupied qubits before it).
+    """
     if num_qubits > 14:
         raise ValueError("dense JW operators limited to 14 qubits")
-    op = np.array([[1.0 + 0j]])
-    for q in range(num_qubits):
-        if q < mode:
-            op = np.kron(op, _1Q[GateKind.Z])
-        elif q == mode:
-            op = np.kron(op, _SIGMA_MINUS)
-        else:
-            op = np.kron(op, _I2)
+    dim = 2 ** num_qubits
+    src = np.flatnonzero(np.arange(dim) & (1 << (num_qubits - 1 - mode)))
+    parity = np.zeros(len(src), dtype=int)
+    for q in range(mode):
+        parity ^= src >> (num_qubits - 1 - q)
+    op = np.zeros((dim, dim), dtype=complex)
+    op[src ^ (1 << (num_qubits - 1 - mode)), src] = 1 - 2 * (parity & 1)
     return op
 
 

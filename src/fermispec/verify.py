@@ -13,9 +13,10 @@ from .fft import (InterleaveStrategy, fft_circuit, interleave_circuit,
                   interleave_cz_graph, interleave_permutation,
                   single_particle_transfer)
 from .gaussian import dft_matrix
-from .protocol import (ProtocolConfig, broadening_and_ghosts, nk_exact_free,
-                       nk_gaussian, strong_coupling_leading)
-from .statevector import circuit_unitary, unitaries_equal_up_to_phase
+from .protocol import (ProtocolConfig, _fused_readout, _fused_steps, _qubit_order,
+                       _readout_circuit, broadening_and_ghosts, nk_exact_free,
+                       nk_gaussian, strong_coupling_leading, trotter_step_circuit)
+from .statevector import circuit_unitary, run_circuit, unitaries_equal_up_to_phase
 from .tableau import tableau_of
 
 
@@ -100,6 +101,24 @@ def _check_ghost_formula():
     return ok, f"eps*t=pi gives r={r:.6f}"
 
 
+def _check_trotter_kernels():
+    """The fused Trotter step and readout against the emitted gate-level circuits."""
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for n in (3, 4):
+        cfg = ProtocolConfig(n, 0.3, omega=0.7, nu=0.8, interaction=2.3)
+        dt = 0.37
+        shape = (2,) * (2 * n) + (2,)
+        psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        psi /= np.linalg.norm(psi.reshape(-1, 2), axis=0)
+        want = run_circuit(_readout_circuit(n),
+                           run_circuit(trotter_step_circuit(cfg, dt), psi))
+        step, = _fused_steps(cfg, dt, [cfg.omega])
+        got = _qubit_order(_fused_readout(n)(step(psi.copy())), n)
+        worst = max(worst, float(np.max(np.abs(got - want))))
+    return worst < 1e-12, f"N=3,4 V=2.3: max |fused - gates| = {worst:.1e}"
+
+
 CHECKS = [
     ("fft-dft-equivalence", _check_fft_transfers),
     ("base-gate-counts", _check_base_counts),
@@ -108,6 +127,7 @@ CHECKS = [
     ("gaussian-vs-closed-form", _check_gaussian_vs_exact),
     ("strong-coupling-exactness", _check_strong_coupling),
     ("ghost-band-ratio", _check_ghost_formula),
+    ("trotter-kernel-vs-gates", _check_trotter_kernels),
 ]
 
 

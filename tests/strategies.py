@@ -3,11 +3,11 @@ import math
 
 from hypothesis import strategies as st
 
-from fermispec.circuits import Circuit, Gate, GateKind
+from fermispec.circuits import PARAMETRIC_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, GateKind
 
-TWO_QUBIT = [GateKind.CZ, GateKind.CX, GateKind.CY, GateKind.SWAP,
-             GateKind.FSWAP, GateKind.GIVENS]
-SINGLE_QUBIT = [GateKind.X, GateKind.Z, GateKind.S, GateKind.SDG, GateKind.RZ]
+# every gate kind but BARRIER, so that a new kind gets hypothesis coverage
+TWO_QUBIT = [k for k in GateKind if k in TWO_QUBIT_KINDS]
+SINGLE_QUBIT = [k for k in GateKind if k not in TWO_QUBIT_KINDS and k is not GateKind.BARRIER]
 
 CLIFFORD_KINDS = [GateKind.CZ, GateKind.CX, GateKind.CY, GateKind.SWAP,
                   GateKind.FSWAP, GateKind.X, GateKind.Z, GateKind.S, GateKind.SDG]
@@ -24,7 +24,7 @@ def gate_for(kind: GateKind, num_qubits: int, angle_strategy=angles):
                     unique=True).map(tuple)
     single = st.integers(0, num_qubits - 1).map(lambda q: (q,))
     qubits = pair if kind in TWO_QUBIT else single
-    if kind in (GateKind.RZ, GateKind.GIVENS):
+    if kind in PARAMETRIC_KINDS:
         return st.tuples(qubits, angle_strategy).map(
             lambda t: Gate(kind, t[0], t[1]))
     return qubits.map(lambda q: Gate(kind, q))

@@ -140,6 +140,22 @@ def test_verify_exit_codes(monkeypatch):
     assert main(["verify"]) == 1
 
 
+def test_verify_json(tmp_path, monkeypatch):
+    from fermispec import verify as verify_mod
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--json", str(out)]) == 0
+    records = json.loads(out.read_text())
+    assert [r["name"] for r in records] == [name for name, _ in verify_mod.CHECKS]
+    assert all(r["passed"] is True and isinstance(r["detail"], str) for r in records)
+    monkeypatch.setattr(verify_mod, "CHECKS",
+                        [("ok", lambda: (True, "fine")),
+                         ("bad", lambda: (False, "broken"))])
+    assert main(["verify", "--json", str(out)]) == 1
+    assert json.loads(out.read_text()) == [
+        {"name": "ok", "passed": True, "detail": "fine"},
+        {"name": "bad", "passed": False, "detail": "broken"}]
+
+
 def test_verify_battery_passes():
     """The checks `fermispec verify` ships, not a stand-in list."""
     failed = [(name, detail) for name, ok, detail in run_all(verbose=False)

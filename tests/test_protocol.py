@@ -264,6 +264,66 @@ def test_emitted_circuits_pinned(n):
     assert (step.hexdigest(), system.hexdigest(), readout.hexdigest()) == CIRCUIT_DIGESTS[n]
 
 
+def _random_batch(n_qubits, batch, seed):
+    """Random state of shape (2,)*n_qubits + (batch,), each column normalized."""
+    rng = np.random.default_rng(seed)
+    shape = (2,) * n_qubits + (batch,)
+    psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return psi / np.linalg.norm(psi.reshape(-1, batch), axis=0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 9])
+def test_fused_step_matches_gates(n):
+    """The fused Trotter step equals trotter_step_circuit on the gate-level
+    kernel; N >= 3 includes the wrap bond's JW string over 2N - 3 qubits."""
+    from fermispec import statevector as sv
+    dt = 0.37
+    for V in (0.0, 2.3):
+        for omega in (0.0, 0.7):
+            cfg = ProtocolConfig(n, 0.3, omega=omega, nu=0.8, interaction=V)
+            for batch in (1, 2):
+                psi = _random_batch(2 * n, batch, seed=n)
+                want = sv.run_circuit(protocol.trotter_step_circuit(cfg, dt), psi)
+                step, = protocol._fused_steps(cfg, dt, [omega])
+                got = step(psi.copy())
+                assert np.max(np.abs(got - want)) < 1e-12, (V, omega, batch)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 9])
+def test_fused_readout_matches_gates(n):
+    from fermispec import statevector as sv
+    for batch in (1, 2):
+        psi = _random_batch(2 * n, batch, seed=100 + n)
+        want = sv.run_circuit(protocol._readout_circuit(n), psi)
+        buf = protocol._fused_readout(n)(psi)
+        assert buf.flags.c_contiguous
+        assert np.max(np.abs(protocol._qubit_order(buf, n) - want)) < 1e-12, batch
+        assert np.max(np.abs(sv.occupations(buf, 2 * n, range(n))
+                             - sv.occupations(want, 2 * n)[n:])) < 1e-12
+
+
+def _jw_system_hamiltonian(config):
+    """H_sys from dense kron-built JW operators: the oracle of the bit-built one."""
+    from fermispec import statevector as sv
+    n = config.n_sites
+    ops = [sv.annihilation_operator(n, j) for j in range(n)]
+    h = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for j in protocol._bonds(n):
+        a, b = j, (j + 1) % n
+        h += config.nu * (ops[a].conj().T @ ops[b] + ops[b].conj().T @ ops[a])
+        if config.interaction != 0:
+            h += config.interaction * (ops[a].conj().T @ ops[a] @ ops[b].conj().T @ ops[b])
+    return h
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_system_hamiltonian_bit_built_equals_jw_operators(n):
+    for nu, V in ((1.0, 0.0), (-1.0, 4.0), (0.8, 2.3), (0.3, -0.7), (0.0, 0.1)):
+        cfg = ProtocolConfig(n, 0.1, nu=nu, interaction=V)
+        assert np.array_equal(protocol._system_hamiltonian_dense(cfg),
+                              _jw_system_hamiltonian(cfg)), (nu, V)
+
+
 def test_one_eigendecomposition_per_call(monkeypatch):
     """The interacting ground state comes from one dense H_sys and one eigh per call."""
     calls = {"eigh": 0, "hamiltonian": 0}
@@ -336,6 +396,17 @@ def test_shot_sampling_deterministic():
     assert np.array_equal(a.values, b.values)
     exact = run_circuit_protocol(cfg, [0.5])
     assert np.max(np.abs(a.values - exact.values)) < 0.2
+
+
+def test_shot_sampling_over_several_omegas():
+    """One generator serves the omegas in order: the first omega's samples do
+    not depend on the omegas after it."""
+    cfg = _cfg(n_sites=2, t=2.0, trotter_steps=8, initial_state=[1, 0])
+    both = run_circuit_protocol(cfg, [0.5, 1.5], shots=200, seed=42)
+    first = run_circuit_protocol(cfg, [0.5], shots=200, seed=42)
+    assert np.array_equal(both.values[:, :1], first.values)
+    exact = run_circuit_protocol(cfg, [0.5, 1.5])
+    assert np.max(np.abs(both.values - exact.values)) < 0.2
 
 
 # ------------------------------------------------------------ baseline
