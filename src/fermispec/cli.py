@@ -43,6 +43,11 @@ def _write_json(path: str, obj) -> None:
         fh.write("\n")
 
 
+def _json_safe(obj):
+    """obj with numpy scalars and arrays turned into JSON types."""
+    return json.loads(json.dumps(obj, default=lambda v: v.tolist()))
+
+
 def _write_manifest(path: str, subcommand: str, config: dict, outputs: list[str],
                     seed: int | None = None) -> None:
     _write_json(path, {
@@ -155,7 +160,8 @@ def _cmd_simulate_spectral(args) -> int:
     meta_path = args.out + ".json"
     _write_json(meta_path, {"method": grid.method, "config": cfg.snapshot(),
                             "omegas": list(map(float, omegas)),
-                            "columns": ["k", "omega", "value", "method"]})
+                            "columns": ["k", "omega", "value", "method"],
+                            "meta": _json_safe(grid.meta)})
     if args.manifest:
         inputs = dict(cfg.snapshot(), method=method, omegas=list(map(float, omegas)),
                       shots=shots, seed=seed)

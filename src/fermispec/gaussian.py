@@ -25,27 +25,35 @@ class ParticleConservationError(ValueError):
 
 _BLOCK_MIXING_2Q = [(1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3), (3, 1),
                     (3, 2), (1, 3), (2, 3)]
+# (rows, columns) of the entries that change particle number, by matrix size
+_MIXING = {2: ([0, 1], [1, 0]), 4: tuple(map(list, zip(*_BLOCK_MIXING_2Q)))}
+
+
+def number_parts(u: np.ndarray, what: str) -> tuple:
+    """Split a 2x2 or 4x4 gate matrix by particle number: (empty, full, pair).
+
+    `empty` and `full` are the phases on |0> and |1> (|00> and |11>); `pair`
+    is None for 2x2 and, for 4x4, the 2x2 map on the one-particle pair
+    (|01>, |10>) in the two-qubit basis index 2*bit_a + bit_b.  A matrix that
+    mixes particle numbers raises ParticleConservationError naming `what`.
+    """
+    if np.abs(u[_MIXING[len(u)]]).max() > 1e-14:
+        raise ParticleConservationError(f"{what} does not conserve particle number")
+    if len(u) == 2:
+        return u[0, 0], u[1, 1], None
+    return u[0, 0], u[3, 3], u[1:3, 1:3]
 
 
 def _sector_action(gate: Gate, num_modes: int):
     """(S, vac) with S the single-excitation matrix and vac the |0...0> phase."""
-    u = gate_matrix(gate)
-    if len(gate.qubits) == 1:
-        if abs(u[0, 1]) > 1e-14 or abs(u[1, 0]) > 1e-14:
-            raise ParticleConservationError(
-                f"{gate.kind.value} does not conserve particle number")
-        q = gate.qubits[0]
-        s = np.full(num_modes, u[0, 0], dtype=complex)
-        s[q] = u[1, 1]
-        return ("diag", s), u[0, 0]
-    for (i, j) in _BLOCK_MIXING_2Q:
-        if abs(u[i, j]) > 1e-14:
-            raise ParticleConservationError(
-                f"{gate.kind.value} does not conserve particle number")
+    empty, full, pair = number_parts(gate_matrix(gate), gate.kind.value)
+    if pair is None:
+        s = np.full(num_modes, empty, dtype=complex)
+        s[gate.qubits[0]] = full
+        return ("diag", s), empty
     a, b = gate.qubits
-    # basis index 2*bit_a + bit_b: |e_a> = index 2, |e_b> = index 1
-    block = np.array([[u[2, 2], u[2, 1]], [u[1, 2], u[1, 1]]])
-    return ("block", (a, b, u[0, 0], block)), u[0, 0]
+    # |e_a> is the pair's second state (|10>), |e_b> its first (|01>)
+    return ("block", (a, b, empty, pair[::-1, ::-1])), empty
 
 
 def extract_mode_transform(circuit: Circuit) -> np.ndarray:

@@ -41,6 +41,7 @@ from .fft import (InterleaveStrategy, fft_circuit, ground_state_momenta,
 from .gaussian import (GaussianState, coupled_hamiltonian, environment_block,
                        evolve_gaussian, filled_state, mode_propagator,
                        state_from_momentum_occupations, vacuum_state)
+from . import sector
 from . import statevector as sv
 
 
@@ -280,7 +281,7 @@ def nk_gaussian(config: ProtocolConfig, omegas=None) -> SpectralGrid:
 
 
 # --------------------------------------------------------------------------
-# Trotterized circuit pipeline (dense statevector)
+# Trotterized circuit pipeline (gate-level circuits, run in number sectors)
 # --------------------------------------------------------------------------
 
 def _bonds(n: int) -> range:
@@ -360,57 +361,8 @@ def trotter_step_circuit(config: ProtocolConfig, dt: float) -> Circuit:
     return Circuit(2 * config.n_sites, gates)
 
 
-def _diagonal(gates: list[Gate], parity: int, n: int) -> np.ndarray | None:
-    """Diagonal of gates that act diagonally on the qubits 2j + parity of the
-    2N register, one entry per basis state; None for no gates.
-
-    The gates run on a ones vector of the N qubits they touch; the result is
-    broadcast over the other N qubits.
-    """
-    if not gates:
-        return None
-    half = remap(Circuit(2 * n, tuple(gates)), [q // 2 for q in range(2 * n)], n)
-    d = sv.run_circuit(half, np.ones((2,) * n))
-    shape = [1] * (2 * n)
-    shape[parity::2] = [2] * n
-    return np.broadcast_to(d.reshape(shape), (2,) * (2 * n)).ravel()
-
-
-def _fused_steps(config: ProtocolConfig, dt: float, omegas):
-    """trotter_step_circuit(replace(config, omega=w), dt) for each w in omegas,
-    yielded as a function that updates a C-contiguous 2N-qubit state, batched
-    or not, in place.
-
-    Each hop bond is one `sv.apply_jw_givens` pass: its CZ string becomes a
-    parity sign.  The interaction gates and the environment RZ layer act
-    diagonally, so each becomes one diagonal, read off the gates themselves.
-    The coupling GIVENS gates run as emitted.
-    """
-    n = config.n_sites
-    nq = 2 * n
-    theta = config.nu * dt
-    hops = [_bond_qubits(n, j, 2) for j in _hop_order(n)]
-    inter = _diagonal(_interaction_gates(config, dt, 2), 0, n)
-    coupling = _coupling_gates(config, dt)
-    for om in omegas:
-        env = _diagonal(_env_phase_gates(replace(config, omega=float(om)), dt), 1, n)
-
-        def step(state: np.ndarray, env=env) -> np.ndarray:
-            for lo, hi in hops:
-                sv.apply_jw_givens(state, lo, hi, theta)
-            if inter is not None:
-                sv.apply_diagonal(state, inter)
-            for g in coupling:
-                sv.apply_gate(state, g, nq)
-            if env is not None:
-                sv.apply_diagonal(state, env)
-            return state
-
-        yield step
-
-
 def _system_hamiltonian_dense(config: ProtocolConfig) -> np.ndarray:
-    """Dense many-body H_sys (+ interaction) on the N system qubits.
+    """Dense real many-body H_sys (+ interaction) on the N system qubits.
 
     Built from bit operations on the basis index, with site j on bit N-1-j:
     c_a^dag c_b + h.c. moves a particle between a and b with the JW sign
@@ -421,7 +373,7 @@ def _system_hamiltonian_dense(config: ProtocolConfig) -> np.ndarray:
     n = config.n_sites
     idx = np.arange(2 ** n)
     occ = (idx[:, None] >> (n - 1 - np.arange(n))) & 1      # occ[s, j] = n_j in s
-    h = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    h = np.zeros((2 ** n, 2 ** n), dtype=float)
     diag = np.zeros(2 ** n)
     for j in _bonds(n):
         a, b = j, (j + 1) % n
@@ -512,52 +464,53 @@ def _readout_circuit(n: int) -> Circuit:
     return Circuit(2 * n, inter.gates + remap(env_fft, range(n, 2 * n), 2 * n).gates)
 
 
-def _fused_readout(n: int):
-    """_readout_circuit(n) as a function of a batched 2N-qubit state.
+def _sector_start(config: ProtocolConfig, environments: Sequence[str]):
+    """The start states of the environment fillings, gathered into their
+    particle-number sectors.
 
-    The FSWAP interleave is a qubit permutation followed by a +-1 phase on
-    its output.  Both are read off the emitted circuit: the permutation from
-    its FSWAP pairs, the phase by running it on a ones vector, which the
-    permutation leaves unchanged.  One signed transpose writes them into a
-    C-contiguous buffer with the environment qubits outermost, axes
-    (d_0 .. d_N-1, c_0 .. c_N-1, batch), and the environment FFFT gates run
-    there as emitted, on qubits 0..N-1, over contiguous blocks.  Returns
-    readout(state, out=None) -> buffer, written into `out` when given.
+    The dense 2N-qubit states are prepared as on the gate level: the system
+    state on the even qubits, and for a full environment the filling circuit
+    on top.  Each is a particle-number eigenstate, whose sector is read off
+    its support; more than 1e-12 of its weight outside that sector raises.
+    The fillings sit in disjoint sectors, so they share one vector over the
+    union basis.  Returns (basis, vector, masks), masks[b] selecting the
+    sector of filling b.
     """
+    n = config.n_sites
     nq = 2 * n
-    inter, env_fft = _readout_parts(n)
-    held = list(range(nq))            # held[p]: input qubit now on qubit p
-    for g in inter.gates:
-        a, b = g.qubits
-        held[a], held[b] = held[b], held[a]
-    order = [*range(n, nq), *range(n)]
-    axes = [held[p] for p in order]
-    sign = np.ascontiguousarray(
-        sv.run_circuit(inter, np.ones((2,) * nq)).real.transpose(order)[..., None])
-
-    def readout(state: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        buf = np.multiply(state.transpose(axes + [nq]), sign, out=out, order="C")
-        for g in env_fft.gates:
-            sv.apply_gate(buf, g, nq)
-        return buf
-
-    return readout
-
-
-def _qubit_order(buf: np.ndarray, n: int) -> np.ndarray:
-    """A `_fused_readout` buffer as a view in qubit order (c_0 .. d_N-1, batch)."""
-    return np.moveaxis(buf, range(n), range(n, 2 * n))
+    psi = _embed_system_state(_system_state(config), n)
+    fill = _fill_environment_circuit(n)
+    batch = np.stack([sv.run_circuit(fill, psi) if env == "full" else psi
+                      for env in environments], axis=-1).reshape(2 ** nq, -1)
+    probs = np.abs(batch) ** 2
+    counts = np.bitwise_count(np.arange(2 ** nq))
+    sectors = [int(k) for k in counts[np.argmax(probs, axis=0)]]
+    for env, k, p in zip(environments, sectors, probs.T):
+        outside = p[counts != k].sum() / p.sum()
+        if outside > 1e-12:
+            raise ValueError(f"the {env}-environment start state is not a particle-number "
+                             f"eigenstate: {outside:.1e} of its weight lies outside "
+                             f"the {k}-particle sector")
+    basis = sector.Basis(nq, sectors)
+    numbers = basis.particle_numbers()
+    masks = [numbers == k for k in sectors]
+    start = np.zeros(len(basis), dtype=complex)
+    for b, mask in enumerate(masks):
+        start[mask] = batch[basis.bits[mask], b]
+    return basis, start, masks
 
 
 def _run_trotter(config: ProtocolConfig, omegas: np.ndarray, environments: Sequence[str],
                  shots: int = 0, seed: int = 0) -> np.ndarray:
-    """Trotterized pipeline on 2N qubits, batched over environment fillings.
+    """Trotterized pipeline on 2N qubits, run in the particle-number sectors
+    of the environment fillings.
 
-    The fillings share the system state and every gate, so they run as one
-    statevector of shape (2,)*2N + (len(environments),), through the fused
-    kernels `_fused_steps` and `_fused_readout`.  Returns the environment
-    occupations n(k), shape (N, len(omegas), len(environments)); shots > 0
-    samples them per omega, then per filling, from one seeded generator.
+    Every gate after the start state conserves particle number, so the
+    fillings evolve as one vector over their sectors (`_sector_start`),
+    through `trotter_step_circuit` and `_readout_circuit` compiled by
+    `sector.compile_circuit`.  Returns the environment occupations n(k), shape
+    (N, len(omegas), len(environments)); shots > 0 samples them per omega,
+    then per filling, from one seeded generator.
     """
     n = config.n_sites
     nq = 2 * n
@@ -567,30 +520,28 @@ def _run_trotter(config: ProtocolConfig, omegas: np.ndarray, environments: Seque
         raise ValueError("the circuit protocol needs trotter_steps >= 1")
     if not _has_fft(n):
         raise ValueError("environment FFT readout needs n_sites = 2**k or 3**k")
-    psi = _embed_system_state(_system_state(config), n)
-    fill = _fill_environment_circuit(n)
-    batch = np.stack([sv.run_circuit(fill, psi) if env == "full" else psi
-                      for env in environments], axis=-1)
-    readout = _fused_readout(n)
+    basis, start, masks = _sector_start(config, environments)
+    readout = sector.compile_circuit(_readout_circuit(n), basis)
+    # after the readout, qubit N + k holds n(k)
+    env_bits = np.stack([basis.occupied(q) for q in range(n, nq)], axis=1).astype(float)
+    tables = [env_bits[mask] for mask in masks]
     steps = config.trotter_steps
     dt = config.t / steps
     rng = np.random.default_rng(seed)
     occ = np.zeros((n, len(omegas), len(environments)))
-    state, buf = np.empty_like(batch), np.empty_like(batch)
-    for iw, step in enumerate(_fused_steps(config, dt, omegas)):
-        state[...] = batch
+    for iw, om in enumerate(omegas):
+        step = sector.compile_circuit(trotter_step_circuit(replace(config, omega=float(om)), dt),
+                                      basis)
+        state = start.copy()
         for _ in range(steps):
-            step(state)
-        readout(state, buf)
-        if shots:
-            # multinomial Z-basis sampling; n(k) is the share of shots with qubit N+k set
-            final = _qubit_order(buf, n)
-            for b in range(len(environments)):
-                probs = np.abs(final[..., b].ravel()) ** 2
-                counts = rng.multinomial(shots, probs / probs.sum()).reshape((2,) * nq)
-                occ[:, iw, b] = [np.take(counts, 1, axis=q).sum() / shots for q in range(n, nq)]
-        else:
-            occ[:, iw] = sv.occupations(buf, nq, range(n))
+            sector.run_program(step, state)
+        probs = np.abs(sector.run_program(readout, state)) ** 2
+        for b, (mask, table) in enumerate(zip(masks, tables)):
+            p = probs[mask]
+            if shots:
+                # multinomial Z-basis sampling over the filling's sector
+                p = rng.multinomial(shots, p / p.sum()) / shots
+            occ[:, iw, b] = p @ table
     return occ
 
 
@@ -614,6 +565,15 @@ def run_circuit_protocol(config: ProtocolConfig, omegas=None, shots: int = 0,
 # dynamical-correlation baseline and exact windowed reference
 # --------------------------------------------------------------------------
 
+def _require_dense_memory(n: int, matrices: int, what: str) -> None:
+    """Raise before a call holds `matrices` dense 2**n x 2**n complex
+    operators at once when they would exceed 1 GiB."""
+    need = matrices * 4 ** n * 16
+    if need > 2 ** 30:
+        raise ValueError(f"{what} at N = {n} would hold {matrices} dense {2 ** n}x{2 ** n} "
+                         f"operators, about {need / 2 ** 30:.1f} GiB (limit 1 GiB)")
+
+
 def dynamical_correlation_baseline(config: ProtocolConfig, omegas=None,
                                    return_parts: bool = False):
     """Classical reference method: measure c(k) correlators on a time grid,
@@ -626,8 +586,9 @@ def dynamical_correlation_baseline(config: ProtocolConfig, omegas=None,
     meta["negative_samples"].
     """
     n = config.n_sites
-    if n > 12:
-        raise ValueError("dense baseline limited to 12 system qubits")
+    # the N operators c(k), the eigenvectors, and three temporaries: those of
+    # building one c(k), or of c^dag(k) in the eigenbasis
+    _require_dense_memory(n, n + 4, "the dynamical-correlation baseline")
     omegas = _omega_list(config, omegas)
     ks = config.momenta()
 
@@ -650,20 +611,20 @@ def dynamical_correlation_baseline(config: ProtocolConfig, omegas=None,
     sminus = np.zeros((n, len(vgrid)), dtype=complex)
     if steps:
         # step the columns [psi0, c(k) psi0 .., c^dag(k) psi0 ..] as one batch
-        # from v = 0 forward to v = t and backward to v = -t
-        width = 2 * n + 1
+        # over the full basis, from v = 0 forward to v = t and backward to v = -t
         cols = np.stack([psi0] + [ck @ psi0 for ck in cks]
                         + [ck.conj().T @ psi0 for ck in cks], axis=1)
         evolved = {steps: cols}
+        basis = sector.Basis(n)
         for sign, ivs in ((1, range(steps + 1, 2 * steps + 1)), (-1, range(steps - 1, -1, -1))):
-            step = _system_step(config, sign * config.t / steps, 1)
+            step = sector.compile_circuit(_system_step(config, sign * config.t / steps, 1), basis)
             cur = cols
             for iv in ivs:
-                cur = sv.run_circuit(step, cur.reshape((2,) * n + (width,))).reshape(-1, width)
+                cur = sector.run_program(step, cur.copy())
                 evolved[iv] = cur
     for ik, ck in enumerate(cks):
-        cdag = ck.conj().T
         if steps == 0:
+            cdag = ck.conj().T
             cols = np.stack([psi0, ck @ psi0, cdag @ psi0], axis=1)
             a = vmat.conj().T @ cols          # eigenbasis amplitudes
             cdag_eig = vmat.conj().T @ cdag @ vmat
@@ -675,8 +636,8 @@ def dynamical_correlation_baseline(config: ProtocolConfig, omegas=None,
                 sminus[ik, iv] = np.vdot(ph * a[:, 2], y0)
         else:
             for iv, cur in evolved.items():
-                splus[ik, iv] = np.vdot(cur[:, 0], cdag @ cur[:, 1 + ik])
-                sminus[ik, iv] = np.vdot(cur[:, 1 + n + ik], cdag @ cur[:, 0])
+                splus[ik, iv] = np.vdot(ck @ cur[:, 0], cur[:, 1 + ik])
+                sminus[ik, iv] = np.vdot(ck @ cur[:, 1 + n + ik], cur[:, 0])
 
     window = (config.t - np.abs(vgrid)) / 4
     weights = _simpson_weights(vgrid)
@@ -707,8 +668,8 @@ def _simpson_weights(grid: np.ndarray) -> np.ndarray:
 def lehmann_lines(config: ProtocolConfig) -> tuple[DeltaLineSpectrum, DeltaLineSpectrum]:
     """Exact A+/A- delta lines from dense diagonalization of H_sys."""
     n = config.n_sites
-    if n > 12:
-        raise ValueError("Lehmann reference limited to 12 system qubits")
+    # H_sys, its eigenvectors, and c(k) with the two temporaries of building it
+    _require_dense_memory(n, 5, "the Lehmann reference")
     h = _system_hamiltonian_dense(config)
     w, vmat = np.linalg.eigh(h)
     psi0 = _system_state(config, (w, vmat)).ravel()

@@ -3,10 +3,12 @@
 States are numpy arrays of shape (2,)*n, optionally with one trailing batch
 axis.  Qubit 0 is the first tensor axis (most significant bit of the flat
 index).  Every gate is applied in place from its `gate_matrix`, the same
-definition the tableau and sector simulators read; gates act at the qubit
-level and Jordan-Wigner bookkeeping is the caller's responsibility.
-`apply_jw_givens` and `apply_diagonal` are fused in-place passes that stand
-for runs of gates; tests hold them to `apply_gate` on those gates.
+definition the tableau, single-particle and `sector` simulators read; gates
+act at the qubit level and Jordan-Wigner bookkeeping is the caller's
+responsibility.  The protocol prepares its start states here and then runs
+its number-conserving circuits in their particle-number sectors
+(`sector.py`); this gate-level path is the oracle that tests and
+`fermispec verify` hold the sector programs to.
 """
 from __future__ import annotations
 
@@ -153,48 +155,6 @@ def apply_gate(state: np.ndarray, gate: Gate, num_qubits: int | None = None) -> 
     return state
 
 
-@lru_cache(maxsize=None)
-def _parity_signs(m: int) -> np.ndarray:
-    """(-1)^popcount(i) for i < 2**m, shaped (1, 2**m, 1) to broadcast over a
-    block (outer, middle, inner)."""
-    signs = np.ones(1)
-    for _ in range(m):
-        signs = np.concatenate([signs, -signs])
-    signs.flags.writeable = False   # shared by every caller
-    return signs.reshape(1, -1, 1)
-
-
-def apply_jw_givens(state: np.ndarray, lo: int, hi: int, theta: float) -> np.ndarray:
-    """exp(i theta/2 (X Z..Z X + Y Z..Z Y)) on qubits lo < hi, in place.
-
-    This is the GIVENS(theta) on (lo, hi) conjugated by CZ(lo, m) for every
-    qubit m strictly between them, done as one pass: the CZ string becomes
-    the parity sign of those qubits on the off-diagonal coefficient.  The
-    state must be C-contiguous; a trailing batch axis is allowed.
-    """
-    if not state.flags.c_contiguous:   # reshape would update a copy
-        raise ValueError("apply_jw_givens needs a C-contiguous state")
-    v = state.reshape(2 ** lo, 2, 2 ** (hi - lo - 1), 2, -1)
-    a01, a10 = v[:, 0, :, 1], v[:, 1, :, 0]
-    off = 1j * np.sin(theta) * _parity_signs(hi - lo - 1)
-    t = off * a01
-    a01 *= np.cos(theta)
-    a01 += off * a10
-    a10 *= np.cos(theta)
-    a10 += t
-    return state
-
-
-def apply_diagonal(state: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
-    """Multiply a C-contiguous state, batched or not, in place by a diagonal
-    over its qubits (one entry per basis state)."""
-    if not state.flags.c_contiguous:   # reshape would update a copy
-        raise ValueError("apply_diagonal needs a C-contiguous state")
-    for column in state.reshape(diagonal.size, -1).T:
-        column *= diagonal
-    return state
-
-
 def run_circuit(circuit: Circuit, state: np.ndarray | None = None) -> np.ndarray:
     if circuit.num_qubits > QUBIT_CAP:
         raise ValueError(f"statevector capped at {QUBIT_CAP} qubits")
@@ -270,5 +230,8 @@ def momentum_annihilation(num_qubits: int, k: float) -> np.ndarray:
     n = num_qubits
     out = np.zeros((2 ** n, 2 ** n), dtype=complex)
     for j in range(n):
-        out += np.exp(-1j * j * k) * annihilation_operator(n, j)
-    return out / np.sqrt(n)
+        op = annihilation_operator(n, j)
+        op *= np.exp(-1j * j * k)
+        out += op
+    out /= np.sqrt(n)
+    return out

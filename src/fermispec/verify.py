@@ -13,9 +13,10 @@ from .fft import (InterleaveStrategy, fft_circuit, interleave_circuit,
                   interleave_cz_graph, interleave_permutation,
                   single_particle_transfer)
 from .gaussian import dft_matrix
-from .protocol import (ProtocolConfig, _fused_readout, _fused_steps, _qubit_order,
-                       _readout_circuit, broadening_and_ghosts, nk_exact_free,
-                       nk_gaussian, strong_coupling_leading, trotter_step_circuit)
+from .protocol import (ProtocolConfig, _readout_circuit, _sector_start,
+                       broadening_and_ghosts, nk_exact_free, nk_gaussian,
+                       strong_coupling_leading, trotter_step_circuit)
+from . import sector
 from .statevector import circuit_unitary, run_circuit, unitaries_equal_up_to_phase
 from .tableau import tableau_of
 
@@ -102,21 +103,24 @@ def _check_ghost_formula():
 
 
 def _check_trotter_kernels():
-    """The fused Trotter step and readout against the emitted gate-level circuits."""
+    """The compiled sector programs of the Trotter step and the readout
+    against the emitted gate-level circuits, on the full basis and on the
+    sectors the protocol runs in."""
     rng = np.random.default_rng(5)
     worst = 0.0
-    for n in (3, 4):
-        cfg = ProtocolConfig(n, 0.3, omega=0.7, nu=0.8, interaction=2.3)
-        dt = 0.37
-        shape = (2,) * (2 * n) + (2,)
-        psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        psi /= np.linalg.norm(psi.reshape(-1, 2), axis=0)
-        want = run_circuit(_readout_circuit(n),
-                           run_circuit(trotter_step_circuit(cfg, dt), psi))
-        step, = _fused_steps(cfg, dt, [cfg.omega])
-        got = _qubit_order(_fused_readout(n)(step(psi.copy())), n)
-        worst = max(worst, float(np.max(np.abs(got - want))))
-    return worst < 1e-12, f"N=3,4 V=2.3: max |fused - gates| = {worst:.1e}"
+    for n, nu in ((3, -1.0), (4, 0.8)):
+        cfg = ProtocolConfig(n, 0.3, omega=0.7, nu=nu, interaction=2.3)
+        circuits = (trotter_step_circuit(cfg, 0.37), _readout_circuit(n))
+        for basis in (sector.Basis(2 * n), _sector_start(cfg, ("empty", "full"))[0]):
+            got = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
+            want = np.zeros((2,) * (2 * n), dtype=complex)
+            want.ravel()[basis.bits] = got
+            for c in circuits:
+                want = run_circuit(c, want)
+                sector.run_program(sector.compile_circuit(c, basis), got)
+            worst = max(worst, float(np.max(np.abs(got - want.ravel()[basis.bits]))))
+    return worst < 1e-12, (f"N=3,4 V=2.3, full basis and ground-state sectors: "
+                           f"max |sector - gates| = {worst:.1e}")
 
 
 CHECKS = [

@@ -120,6 +120,23 @@ def test_simulate_spectral_shot_mode_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_simulate_spectral_sidecar_carries_grid_meta(tmp_path):
+    cfg = {"n_sites": 2, "epsilon": 0.4, "t": 2.0, "nu": 1.0,
+           "initial_state": [1, 0], "omegas": [0.5, 1.0], "trotter_steps": 8,
+           "method": "circuit", "shots": 100, "seed": 7}
+    cpath = tmp_path / "cfg.json"
+    cpath.write_text(json.dumps(cfg))
+    out = tmp_path / "shots.csv"
+    assert main(["simulate-spectral", "--config", str(cpath), "--out", str(out)]) == 0
+    side = json.loads((tmp_path / "shots.csv.json").read_text())
+    assert sorted(side) == ["columns", "config", "meta", "method", "omegas"]
+    assert side["method"] == "circuit-protocol"
+    assert side["omegas"] == [0.5, 1.0]
+    assert side["columns"] == ["k", "omega", "value", "method"]
+    assert side["meta"]["shots"] == 100 and side["meta"]["seed"] == 7
+    assert side["meta"]["config"] == side["config"]
+
+
 def test_report(tmp_path):
     out = tmp_path / "report.csv"
     rc = main(["report", "--modes", "9", "--radix", "3", "--out", str(out)])

@@ -264,42 +264,63 @@ def test_emitted_circuits_pinned(n):
     assert (step.hexdigest(), system.hexdigest(), readout.hexdigest()) == CIRCUIT_DIGESTS[n]
 
 
-def _random_batch(n_qubits, batch, seed):
-    """Random state of shape (2,)*n_qubits + (batch,), each column normalized."""
+def _random_full_basis_state(n_qubits, seed):
+    """Normalized random vector over the full basis of n_qubits qubits."""
     rng = np.random.default_rng(seed)
-    shape = (2,) * n_qubits + (batch,)
-    psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    return psi / np.linalg.norm(psi.reshape(-1, batch), axis=0)
+    psi = rng.normal(size=2 ** n_qubits) + 1j * rng.normal(size=2 ** n_qubits)
+    return psi / np.linalg.norm(psi)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 9])
 def test_fused_step_matches_gates(n):
-    """The fused Trotter step equals trotter_step_circuit on the gate-level
-    kernel; N >= 3 includes the wrap bond's JW string over 2N - 3 qubits."""
-    from fermispec import statevector as sv
+    """The Trotter step compiled to a sector program (merged blocks, fused
+    diagonals) equals trotter_step_circuit on the gate-level kernel; N >= 3
+    includes the wrap bond's JW string over 2N - 3 qubits."""
+    from fermispec import sector, statevector as sv
     dt = 0.37
+    basis = sector.Basis(2 * n)
     for V in (0.0, 2.3):
         for omega in (0.0, 0.7):
             cfg = ProtocolConfig(n, 0.3, omega=omega, nu=0.8, interaction=V)
-            for batch in (1, 2):
-                psi = _random_batch(2 * n, batch, seed=n)
-                want = sv.run_circuit(protocol.trotter_step_circuit(cfg, dt), psi)
-                step, = protocol._fused_steps(cfg, dt, [omega])
-                got = step(psi.copy())
-                assert np.max(np.abs(got - want)) < 1e-12, (V, omega, batch)
+            circuit = protocol.trotter_step_circuit(cfg, dt)
+            psi = _random_full_basis_state(2 * n, seed=n)
+            want = sv.run_circuit(circuit, psi.reshape((2,) * (2 * n))).ravel()
+            got = sector.run_program(sector.compile_circuit(circuit, basis), psi.copy())
+            assert np.max(np.abs(got - want)) < 1e-12, (V, omega)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 9])
 def test_fused_readout_matches_gates(n):
-    from fermispec import statevector as sv
-    for batch in (1, 2):
-        psi = _random_batch(2 * n, batch, seed=100 + n)
-        want = sv.run_circuit(protocol._readout_circuit(n), psi)
-        buf = protocol._fused_readout(n)(psi)
-        assert buf.flags.c_contiguous
-        assert np.max(np.abs(protocol._qubit_order(buf, n) - want)) < 1e-12, batch
-        assert np.max(np.abs(sv.occupations(buf, 2 * n, range(n))
-                             - sv.occupations(want, 2 * n)[n:])) < 1e-12
+    """The readout compiled to a sector program, its FSWAP runs fused into
+    signed permutations, equals _readout_circuit on the gate-level kernel."""
+    from fermispec import sector, statevector as sv
+    circuit = protocol._readout_circuit(n)
+    psi = _random_full_basis_state(2 * n, seed=100 + n)
+    want = sv.run_circuit(circuit, psi.reshape((2,) * (2 * n)))
+    got = sector.run_program(sector.compile_circuit(circuit, sector.Basis(2 * n)), psi.copy())
+    assert np.max(np.abs(got - want.ravel())) < 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_sector_hop_terms_match_jw_exponential(n):
+    """Each hopping bond, compiled on every particle-number sector, equals
+    exp(i dt nu (c_a^dag c_b + h.c.)) restricted to that sector.  With one
+    particle the CZ string acts trivially; from two particles on it carries
+    the JW sign, so a wrong string fails only there."""
+    from scipy.linalg import expm
+    from fermispec import sector, statevector as sv
+    from fermispec.circuits import Circuit
+    dt, nu = 0.37, 0.8
+    ops = [sv.annihilation_operator(2 * n, 2 * j) for j in range(n)]
+    for j in protocol._bonds(n):
+        a, b = j, (j + 1) % n
+        want = expm(1j * dt * nu * (ops[a].conj().T @ ops[b] + ops[b].conj().T @ ops[a]))
+        circuit = Circuit(2 * n, tuple(protocol._hopping_bond_gates(n, j, nu * dt, 2)))
+        for k in range(2 * n + 1):
+            basis = sector.Basis(2 * n, [k])
+            program = sector.compile_circuit(circuit, basis)
+            got = sector.run_program(program, np.eye(len(basis), dtype=complex))
+            assert np.max(np.abs(got - want[np.ix_(basis.bits, basis.bits)])) < 1e-12, (j, k)
 
 
 def _jw_system_hamiltonian(config):
@@ -358,18 +379,47 @@ def test_one_eigendecomposition_per_call(monkeypatch):
 
 def test_trotterized_baseline_evolves_each_column_once(monkeypatch):
     """psi0, c(k) psi0 and c^dag(k) psi0 for every k step as one batch: one
-    step circuit per time point off v = 0."""
+    step program per time point off v = 0."""
     batches = []
-    run_circuit = protocol.sv.run_circuit
+    run_program = protocol.sector.run_program
 
-    def counted(circuit, state=None):
+    def counted(program, state):
         batches.append(state.shape[-1])
-        return run_circuit(circuit, state)
+        return run_program(program, state)
 
-    monkeypatch.setattr(protocol.sv, "run_circuit", counted)
+    monkeypatch.setattr(protocol.sector, "run_program", counted)
     cfg = _cfg(n_sites=8, t=2.0, nu=-1.0, interaction=2.3, trotter_steps=3)
     dynamical_correlation_baseline(cfg, [0.0, 1.0])
     assert batches == [2 * 8 + 1] * (2 * 3)
+
+
+def test_dense_operator_memory_fails_fast(monkeypatch):
+    """At N = 12 the dense operators exceed 1 GiB: both dense references
+    raise before building any of them."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense operator built")
+
+    monkeypatch.setattr(protocol, "_system_hamiltonian_dense", forbidden)
+    monkeypatch.setattr(protocol.sv, "momentum_annihilation", forbidden)
+    monkeypatch.setattr(protocol.sv, "annihilation_operator", forbidden)
+    cfg = _cfg(n_sites=12, epsilon=0.1, t=2.0, nu=-1.0, interaction=4.0)
+    for run in (lambda: dynamical_correlation_baseline(cfg, OMEGAS),
+                lambda: dynamical_correlation_baseline(replace(cfg, trotter_steps=2), OMEGAS),
+                lambda: protocol.lehmann_lines(cfg)):
+        with pytest.raises(ValueError, match=r"GiB \(limit 1 GiB\)"):
+            run()
+
+
+def test_start_state_outside_one_sector_raises(monkeypatch):
+    """A start state that is not a particle-number eigenstate cannot run in
+    one sector and raises instead of losing weight."""
+    n = 4
+    mixed = np.zeros((2,) * n, dtype=complex)
+    mixed[(1, 0, 0, 0)] = mixed[(1, 1, 0, 0)] = np.sqrt(0.5)
+    monkeypatch.setattr(protocol, "_system_state", lambda config: mixed)
+    cfg = _cfg(n_sites=n, trotter_steps=1, initial_state=[1, 0, 0, 0])
+    with pytest.raises(ValueError, match="not a particle-number eigenstate"):
+        environment_method_grid(cfg, [0.0])
 
 
 def test_circuit_protocol_positivity_under_coarse_steps():

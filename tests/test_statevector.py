@@ -82,37 +82,6 @@ def test_apply_gate_matches_einsum_oracle(kind):
             assert np.array_equal(sv.gate_matrix(gate), matrix)
 
 
-def test_jw_givens_matches_cz_conjugated_givens():
-    rng = np.random.default_rng(3)
-    n = 6
-    for lo, hi in ((0, 1), (0, 5), (1, 4), (4, 5), (2, 4)):
-        theta = float(rng.uniform(-4, 4))
-        string = tuple(cz(lo, m) for m in range(lo + 1, hi))
-        circuit = Circuit(n, string + (givens(theta, lo, hi),) + string[::-1])
-        for batch in ((), (3,)):
-            shape = (2,) * n + batch
-            psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-            want = sv.run_circuit(circuit, psi)
-            got = sv.apply_jw_givens(psi.copy(), lo, hi, theta)
-            assert np.max(np.abs(got - want)) < 1e-12, (lo, hi, batch)
-    with pytest.raises(ValueError):   # a transposed view cannot be updated in place
-        sv.apply_jw_givens(psi.T, 0, 2, 0.3)
-
-
-def test_apply_diagonal_matches_diagonal_gates():
-    rng = np.random.default_rng(4)
-    n = 4
-    circuit = Circuit(n, (rz(0.3, 0), cz(1, 3), rz(-1.1, 2), z(3)))
-    diagonal = sv.run_circuit(circuit, np.ones((2,) * n)).ravel()
-    for batch in ((), (3,)):
-        shape = (2,) * n + batch
-        psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        want = sv.run_circuit(circuit, psi)
-        assert np.max(np.abs(sv.apply_diagonal(psi.copy(), diagonal) - want)) < 1e-12
-    with pytest.raises(ValueError):
-        sv.apply_diagonal(psi.T, diagonal)
-
-
 def test_norm_preserved_random():
     rng = np.random.default_rng(0)
     psi = rng.normal(size=8) + 1j * rng.normal(size=8)
