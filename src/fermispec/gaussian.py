@@ -90,11 +90,6 @@ def dft_matrix(n: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
 
 
-def is_unitary(t: np.ndarray, tol: float = 1e-10) -> bool:
-    n = t.shape[0]
-    return bool(np.max(np.abs(t.conj().T @ t - np.eye(n))) < tol)
-
-
 # --------------------------------------------------------------------------
 # Gaussian states
 # --------------------------------------------------------------------------

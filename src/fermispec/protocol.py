@@ -508,9 +508,10 @@ def _run_trotter(config: ProtocolConfig, omegas: np.ndarray, environments: Seque
     Every gate after the start state conserves particle number, so the
     fillings evolve as one vector over their sectors (`_sector_start`),
     through `trotter_step_circuit` and `_readout_circuit` compiled by
-    `sector.compile_circuit`.  Returns the environment occupations n(k), shape
-    (N, len(omegas), len(environments)); shots > 0 samples them per omega,
-    then per filling, from one seeded generator.
+    `sector.compile_circuit`: the step at omega = 0 once per call, its
+    environment phase layer once per omega.  Returns the environment
+    occupations n(k), shape (N, len(omegas), len(environments)); shots > 0
+    samples them per omega, then per filling, from one seeded generator.
     """
     n = config.n_sites
     nq = 2 * n
@@ -529,12 +530,16 @@ def _run_trotter(config: ProtocolConfig, omegas: np.ndarray, environments: Seque
     dt = config.t / steps
     rng = np.random.default_rng(seed)
     occ = np.zeros((n, len(omegas), len(environments)))
+    # the environment phase layer is the step's last term and its only omega
+    # dependence: the rest is compiled once
+    step = sector.compile_circuit(trotter_step_circuit(replace(config, omega=0.0), dt), basis)
     for iw, om in enumerate(omegas):
-        step = sector.compile_circuit(trotter_step_circuit(replace(config, omega=float(om)), dt),
-                                      basis)
+        phase = sector.compile_circuit(
+            Circuit(nq, tuple(_env_phase_gates(replace(config, omega=float(om)), dt))), basis)
         state = start.copy()
         for _ in range(steps):
             sector.run_program(step, state)
+            sector.run_program(phase, state)
         probs = np.abs(sector.run_program(readout, state)) ** 2
         for b, (mask, table) in enumerate(zip(masks, tables)):
             p = probs[mask]
@@ -579,37 +584,35 @@ def dynamical_correlation_baseline(config: ProtocolConfig, omegas=None,
     """Classical reference method: measure c(k) correlators on a time grid,
     window with phi(v) = (t - |v|)/4 and Fourier transform to omega.
 
-    trotter_steps = 0 evolves exactly (dense eigendecomposition) on a fine
-    grid; trotter_steps = s uses the same first-order splitting as the
-    circuit protocol with time points v = m*t/s, m = -s..s.  Coarse grids
-    and Trotter error can push samples negative; the count is reported in
-    meta["negative_samples"].
+    trotter_steps = 0 evaluates the exact correlators on a fine grid from the
+    Lehmann lines (`lehmann_lines`); trotter_steps = s uses the same
+    first-order splitting as the circuit protocol with time points
+    v = m*t/s, m = -s..s.  Coarse grids and Trotter error can push samples
+    negative; the count is reported in meta["negative_samples"].
     """
     n = config.n_sites
-    # the N operators c(k), the eigenvectors, and three temporaries: those of
-    # building one c(k), or of c^dag(k) in the eigenbasis
-    _require_dense_memory(n, n + 4, "the dynamical-correlation baseline")
     omegas = _omega_list(config, omegas)
     ks = config.momenta()
 
-    steps = config.trotter_steps
-    if steps == 0:
-        points = 800
-        vgrid = np.linspace(-config.t, config.t, 2 * points + 1)
-        w, vmat = np.linalg.eigh(_system_hamiltonian_dense(config))
-        psi0 = _system_state(config, (w, vmat)).ravel()
-    else:
-        vgrid = np.linspace(-config.t, config.t, 2 * steps + 1)
-        psi0 = _system_state(config).ravel()
-    # built after the state, so that they never coexist with the N dense
-    # operators _system_hamiltonian_dense builds
-    cks = [sv.momentum_annihilation(n, kk) for kk in ks]
-
     # S+(k,v) = <psi(v)| c^dag(k) |[c(k) psi](v)>      (poles at E0 - E_m)
     # S-(k,v) = <[c^dag(k) psi](v)| c^dag(k) |psi(v)>  (poles at E_m - E0)
-    splus = np.zeros((n, len(vgrid)), dtype=complex)
-    sminus = np.zeros((n, len(vgrid)), dtype=complex)
-    if steps:
+    steps = config.trotter_steps
+    if steps == 0:
+        # exactly S+(k,v) = sum_m |<m|c(k)|E0>|^2 e^{iv(E0 - E_m)}, and S- over
+        # |<m|c^dag(k)|E0>|^2 e^{iv(E_m - E0)}: the weights and centers of the lines
+        vgrid = np.linspace(-config.t, config.t, 1601)
+        splus, sminus = (np.stack([weights @ np.exp(1j * np.outer(centers, vgrid))
+                                   for centers, weights in zip(lines.centers, lines.weights)])
+                         for lines in lehmann_lines(config))
+    else:
+        # the N operators c(k), with room for the temporaries of building or
+        # conjugating one
+        _require_dense_memory(n, n + 4, "the dynamical-correlation baseline")
+        vgrid = np.linspace(-config.t, config.t, 2 * steps + 1)
+        psi0 = _system_state(config).ravel()
+        # built after the state, so that they never coexist with the dense
+        # H_sys and eigenvectors of an interacting ground state
+        cks = [sv.momentum_annihilation(n, kk) for kk in ks]
         # step the columns [psi0, c(k) psi0 .., c^dag(k) psi0 ..] as one batch
         # over the full basis, from v = 0 forward to v = t and backward to v = -t
         cols = np.stack([psi0] + [ck @ psi0 for ck in cks]
@@ -622,22 +625,11 @@ def dynamical_correlation_baseline(config: ProtocolConfig, omegas=None,
             for iv in ivs:
                 cur = sector.run_program(step, cur.copy())
                 evolved[iv] = cur
-    for ik, ck in enumerate(cks):
-        if steps == 0:
-            cdag = ck.conj().T
-            cols = np.stack([psi0, ck @ psi0, cdag @ psi0], axis=1)
-            a = vmat.conj().T @ cols          # eigenbasis amplitudes
-            cdag_eig = vmat.conj().T @ cdag @ vmat
-            for iv, v in enumerate(vgrid):
-                ph = np.exp(-1j * v * w)
-                y = cdag_eig @ (ph * a[:, 1])
-                splus[ik, iv] = np.vdot(ph * a[:, 0], y)
-                y0 = cdag_eig @ (ph * a[:, 0])
-                sminus[ik, iv] = np.vdot(ph * a[:, 2], y0)
-        else:
-            for iv, cur in evolved.items():
-                splus[ik, iv] = np.vdot(ck @ cur[:, 0], cur[:, 1 + ik])
-                sminus[ik, iv] = np.vdot(ck @ cur[:, 1 + n + ik], cur[:, 0])
+        states = [evolved[iv] for iv in range(len(vgrid))]
+        splus = np.array([[np.vdot(ck @ cur[:, 0], cur[:, 1 + ik]) for cur in states]
+                          for ik, ck in enumerate(cks)])
+        sminus = np.array([[np.vdot(ck @ cur[:, 1 + n + ik], cur[:, 0]) for cur in states]
+                           for ik, ck in enumerate(cks)])
 
     window = (config.t - np.abs(vgrid)) / 4
     weights = _simpson_weights(vgrid)
@@ -714,8 +706,9 @@ def least_squares_scale(values: np.ndarray, reference: np.ndarray) -> float:
 def environment_method_grid(config: ProtocolConfig, omegas) -> SpectralGrid:
     """A-combined environment readout: empty n(k) plus full 1 - n(k).
 
-    The two fillings share every evolution gate, so they run as one batched
-    statevector of shape (2,)*2N + (2,).
+    The two fillings share every evolution gate and sit in disjoint
+    particle-number sectors, so they run as one vector over the union of
+    their sectors (`_run_trotter`).
     """
     omegas = np.asarray(omegas, dtype=float)
     occ = _run_trotter(config, omegas, ("empty", "full"))

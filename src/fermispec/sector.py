@@ -53,9 +53,13 @@ class Basis:
 
     `particle_numbers` selects the sectors; None is the full 2**num_qubits
     basis.  Per-qubit occupations and per-pair index arrays are cached.
+    A bitstring is an int64, so at most 63 qubits fit.
     """
 
     def __init__(self, num_qubits: int, particle_numbers=None):
+        if num_qubits > 63:
+            raise ValueError(f"{num_qubits} qubits exceed the 63-qubit limit of "
+                             f"int64 bitstrings")
         self.num_qubits = num_qubits
         if particle_numbers is None:
             self.bits = np.arange(2 ** num_qubits, dtype=np.int64)

@@ -33,6 +33,18 @@ def test_basis_rejects_impossible_particle_numbers():
         sector.Basis(3, [4])
 
 
+def test_basis_fits_int64_bitstrings():
+    """Qubit 0 of 63 is bit 62, the top bit of a nonnegative int64; a 64th
+    qubit would need the sign bit and raises."""
+    with pytest.raises(ValueError, match="63-qubit limit"):
+        sector.Basis(64, (0, 1))
+    basis = sector.Basis(63, (0, 1))
+    assert len(basis) == 64 and basis.bits[-1] == 1 << 62
+    assert np.all(np.diff(basis.bits) > 0)
+    i01, i10 = basis.pair(0, 62)
+    assert basis.bits[i01].tolist() == [1] and basis.bits[i10].tolist() == [1 << 62]
+
+
 def test_basis_occupation_and_pairs():
     basis = sector.Basis(4, [2])
     for q in range(4):
