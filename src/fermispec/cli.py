@@ -26,7 +26,6 @@ from . import verify as verify_mod
 
 _STRATEGIES = {s.value: s for s in InterleaveStrategy}
 _STRATEGIES["local"] = InterleaveStrategy.LOCAL_FSWAP
-_STRATEGIES["imported"] = InterleaveStrategy.IMPORTED_SEQUENCE
 
 
 def _sha256(path: str) -> str:

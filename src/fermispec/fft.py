@@ -308,21 +308,17 @@ def single_particle_transfer(circuit: Circuit) -> np.ndarray:
     is the identity on the sector); everything else goes through the sector
     simulator.  The pending software permutation is applied at the end.
     """
-    blocks = circuit.meta.get("interleave_blocks", ())
     n = circuit.num_qubits
-    if blocks:
-        keep: list[Gate] = []
-        cursor = 0
-        for (start, end, edges) in blocks:
-            keep.extend(circuit.gates[cursor:start])
-            sub = Circuit(n, circuit.gates[start:end])
-            if tableau_of(sub) != tableau_of_cz_edges(n, edges):
-                raise ValueError("interleave block does not match its CZ graph")
-            cursor = end
-        keep.extend(circuit.gates[cursor:])
-        transfer = extract_mode_transform(Circuit(n, tuple(keep)))
-    else:
-        transfer = extract_mode_transform(circuit)
+    keep: list[Gate] = []
+    cursor = 0
+    for (start, end, edges) in circuit.meta.get("interleave_blocks", ()):
+        keep.extend(circuit.gates[cursor:start])
+        sub = Circuit(n, circuit.gates[start:end])
+        if tableau_of(sub) != tableau_of_cz_edges(n, edges):
+            raise ValueError("interleave block does not match its CZ graph")
+        cursor = end
+    keep.extend(circuit.gates[cursor:])
+    transfer = extract_mode_transform(Circuit(n, tuple(keep)))
     order = circuit.meta.get("mode_order")
     if order is not None and tuple(order) != tuple(range(n)):
         p = np.zeros((n, n), dtype=complex)
@@ -342,16 +338,13 @@ def ground_state_momenta(num_modes: int, nu: float) -> tuple[int, ...]:
     return tuple(int(j) for j in np.nonzero(2 * nu * np.cos(ks) < 0)[0])
 
 
-def ground_state_prep_circuit(num_modes: int, filled_momenta,
-                              radix: int | None = None) -> Circuit:
+def ground_state_prep_circuit(num_modes: int, filled_momenta) -> Circuit:
     """X layer on the filled momentum-index qubits, then the inverse FFFT.
 
     Built with the physical (LocalFswap) interleave so the prep embeds into
     larger registers without pending relabelings.
     """
-    if radix is None:
-        radix = 3 if num_modes % 3 == 0 else 2
-    fft = fft_circuit(num_modes, radix, InterleaveStrategy.LOCAL_FSWAP)
+    fft = fft_circuit(num_modes, 3 if num_modes % 3 == 0 else 2, InterleaveStrategy.LOCAL_FSWAP)
     gates = [x(int(j)) for j in sorted(filled_momenta)]
     gates.extend(invert(fft).gates)
     return Circuit(num_modes, tuple(gates), {"filled": tuple(sorted(filled_momenta))})

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, Gate, GateKind
+from .circuits import Circuit, GateKind
 from .statevector import gate_matrix
 
 
@@ -44,18 +44,6 @@ def number_parts(u: np.ndarray, what: str) -> tuple:
     return u[0, 0], u[3, 3], u[1:3, 1:3]
 
 
-def _sector_action(gate: Gate, num_modes: int):
-    """(S, vac) with S the single-excitation matrix and vac the |0...0> phase."""
-    empty, full, pair = number_parts(gate_matrix(gate), gate.kind.value)
-    if pair is None:
-        s = np.full(num_modes, empty, dtype=complex)
-        s[gate.qubits[0]] = full
-        return ("diag", s), empty
-    a, b = gate.qubits
-    # |e_a> is the pair's second state (|10>), |e_b> its first (|01>)
-    return ("block", (a, b, empty, pair[::-1, ::-1])), empty
-
-
 def extract_mode_transform(circuit: Circuit) -> np.ndarray:
     """N x N transfer matrix from the single-excitation sector.
 
@@ -65,22 +53,25 @@ def extract_mode_transform(circuit: Circuit) -> np.ndarray:
     numbers (X, CX, CY) are rejected.
     """
     n = circuit.num_qubits
-    s_total = np.eye(n, dtype=complex)
-    vac = 1.0 + 0j
+    s_total = np.eye(n, dtype=complex)   # the single-excitation matrix
+    vac = 1.0 + 0j                       # the |0...0> phase
     for g in circuit.gates:
         if g.kind is GateKind.BARRIER:
             continue
-        action, v = _sector_action(g, n)
-        vac *= v
-        if action[0] == "diag":
-            s_total = action[1][:, None] * s_total
+        empty, full, pair = number_parts(gate_matrix(g), g.kind.value)
+        vac *= empty
+        if pair is None:
+            s = np.full(n, empty, dtype=complex)
+            s[g.qubits[0]] = full
+            s_total = s[:, None] * s_total
         else:
-            a, b, scale, block = action[1]
+            # |e_a> is the pair's second state (|10>), |e_b> its first (|01>)
+            a, b = g.qubits
             row_a = s_total[a].copy()
             row_b = s_total[b].copy()
-            s_total *= scale
-            s_total[a] = block[0, 0] * row_a + block[0, 1] * row_b
-            s_total[b] = block[1, 0] * row_a + block[1, 1] * row_b
+            s_total *= empty
+            s_total[a] = pair[1, 1] * row_a + pair[1, 0] * row_b
+            s_total[b] = pair[0, 1] * row_a + pair[0, 0] * row_b
     return vac * s_total.conj().T
 
 
@@ -130,8 +121,7 @@ def state_from_momentum_occupations(rho: np.ndarray) -> GaussianState:
     k = 2 pi n / N.
     """
     rho = np.asarray(rho, dtype=float)
-    n = rho.shape[0]
-    f = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / np.sqrt(n)
+    f = dft_matrix(rho.shape[0])
     return GaussianState(f.conj() @ np.diag(rho) @ f.T)
 
 
@@ -145,26 +135,30 @@ def evolve_gaussian(state: GaussianState, transform: np.ndarray) -> GaussianStat
 
 def momentum_occupations(state: GaussianState) -> np.ndarray:
     """<c(k)^dag c(k)> on the k = 2 pi n / N grid, same convention as above."""
-    n = state.num_modes
-    w = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / np.sqrt(n)
-    return np.einsum("jk,jl,lk->k", w.conj(), state.corr, w).real
+    f = dft_matrix(state.num_modes)
+    return np.einsum("jk,jl,lk->k", f, state.corr, f.conj()).real
 
 
 # --------------------------------------------------------------------------
 # coupled system-environment single-particle Hamiltonian
 # --------------------------------------------------------------------------
 
+def chain_bonds(n: int) -> range:
+    """Nearest-neighbour bonds (j, j+1 mod n) of the periodic chain; two sites
+    share a single bond."""
+    return range(n if n > 2 else n - 1)
+
+
 def coupled_hamiltonian(num_sites: int, nu: float, epsilon: float,
                         omega: float) -> np.ndarray:
     """2N x 2N single-particle matrix over interleaved modes c_0,d_0,c_1,d_1,...
 
-    System hopping nu with periodic boundary, system-environment coupling
+    System hopping nu on the chain_bonds, system-environment coupling
     epsilon/2 on matching sites, environment on-site energy omega.
     """
     n = num_sites
     h = np.zeros((2 * n, 2 * n))
-    bonds = range(n if n > 2 else n - 1)  # avoid double bond at n == 2
-    for j in bonds:
+    for j in chain_bonds(n):
         a, b = 2 * j, 2 * ((j + 1) % n)
         h[a, b] += nu
         h[b, a] += nu

@@ -38,8 +38,9 @@ from .circuits import Circuit, Gate, cx, cz, givens, remap, rz, x, z
 from .fft import (InterleaveStrategy, fft_circuit, ground_state_momenta,
                   ground_state_prep_circuit, interleave_circuit,
                   interleave_permutation)
-from .gaussian import (GaussianState, coupled_hamiltonian, environment_block,
-                       evolve_gaussian, filled_state, mode_propagator,
+from .gaussian import (GaussianState, chain_bonds, coupled_hamiltonian,
+                       environment_block, evolve_gaussian, filled_state,
+                       mode_propagator, momentum_occupations,
                        state_from_momentum_occupations, vacuum_state)
 from . import sector
 from . import statevector as sv
@@ -224,12 +225,11 @@ def nk_exact_free(config: ProtocolConfig, omegas=None) -> SpectralGrid:
                         {"config": config.snapshot()})
 
 
-def strong_coupling_leading(config: ProtocolConfig, rho_k=None,
-                            omegas=None) -> SpectralGrid:
+def strong_coupling_leading(config: ProtocolConfig, omegas=None) -> SpectralGrid:
     """Leading order in the hopping: sin^2(t*Omega0) eps^2/(w^2+eps^2) rho_k."""
     omegas = _omega_list(config, omegas)
     ks = config.momenta()
-    rho = config.rho() if rho_k is None else np.asarray(rho_k, dtype=float)
+    rho = config.rho()
     omega0 = 0.5 * np.sqrt(omegas ** 2 + config.epsilon ** 2)
     with np.errstate(invalid="ignore", divide="ignore"):
         factor = (config.epsilon ** 2 * np.sin(config.t * omega0) ** 2
@@ -267,15 +267,12 @@ def nk_gaussian(config: ProtocolConfig, omegas=None) -> SpectralGrid:
     n = config.n_sites
     ks = config.momenta()
     corr0 = _initial_correlation(config)
-    # environment momentum readout: n(k_m) = [W^dag E W]_mm, W[j,m]=e^{-ijm}/sqrt(N)
-    w = np.exp(-2j * np.pi * np.outer(np.arange(n), np.arange(n)) / n) / np.sqrt(n)
     vals = np.zeros((n, len(omegas)))
     for iw, om in enumerate(omegas):
         h = coupled_hamiltonian(n, config.nu, config.epsilon, om)
         transfer = mode_propagator(h, config.t)
         corr = evolve_gaussian(GaussianState(corr0), transfer).corr
-        env = environment_block(corr)
-        nk = np.einsum("jm,jl,lm->m", w.conj(), env, w).real
+        nk = momentum_occupations(GaussianState(environment_block(corr)))
         vals[:, iw] = nk if config.environment == "empty" else 1 - nk
     return SpectralGrid(ks, omegas, vals, "gaussian", {"config": config.snapshot()})
 
@@ -284,14 +281,9 @@ def nk_gaussian(config: ProtocolConfig, omegas=None) -> SpectralGrid:
 # Trotterized circuit pipeline (gate-level circuits, run in number sectors)
 # --------------------------------------------------------------------------
 
-def _bonds(n: int) -> range:
-    """Nearest-neighbour bonds (j, j+1 mod n); two sites share a single bond."""
-    return range(n if n > 2 else n - 1)
-
-
 def _hop_order(n: int) -> tuple[int, ...]:
     """Hopping bonds in step order: even bonds, then odd bonds."""
-    bonds = _bonds(n)
+    bonds = chain_bonds(n)
     return (*bonds[0::2], *bonds[1::2])
 
 
@@ -324,7 +316,7 @@ def _interaction_gates(config: ProtocolConfig, dt: float, stride: int) -> list[G
     n = config.n_sites
     if config.interaction == 0:
         return []
-    return [g for j in _bonds(n)
+    return [g for j in chain_bonds(n)
             for g in _interaction_bond_gates(j, n, config.interaction * dt, stride)]
 
 
@@ -375,7 +367,7 @@ def _system_hamiltonian_dense(config: ProtocolConfig) -> np.ndarray:
     occ = (idx[:, None] >> (n - 1 - np.arange(n))) & 1      # occ[s, j] = n_j in s
     h = np.zeros((2 ** n, 2 ** n), dtype=float)
     diag = np.zeros(2 ** n)
-    for j in _bonds(n):
+    for j in chain_bonds(n):
         a, b = j, (j + 1) % n
         lo, hi = min(a, b), max(a, b)
         src = idx[occ[:, a] != occ[:, b]]
@@ -450,17 +442,10 @@ def _fill_environment_circuit(n: int) -> Circuit:
     return Circuit(2 * n, tuple(gates))
 
 
-def _readout_parts(n: int) -> tuple[Circuit, Circuit]:
-    """The readout's 2-way interleave on 2N qubits and the N-mode environment FFFT."""
-    perm = interleave_permutation(2 * n, 2)
-    inter = interleave_circuit(perm, InterleaveStrategy.LOCAL_FSWAP)
-    radix = 3 if n % 3 == 0 else 2
-    return inter, fft_circuit(n, radix, InterleaveStrategy.LOCAL_FSWAP)
-
-
 def _readout_circuit(n: int) -> Circuit:
-    """Physical 2-way interleave followed by the environment FFFT."""
-    inter, env_fft = _readout_parts(n)
+    """Physical 2-way interleave on 2N qubits followed by the N-mode environment FFFT."""
+    inter = interleave_circuit(interleave_permutation(2 * n, 2), InterleaveStrategy.LOCAL_FSWAP)
+    env_fft = fft_circuit(n, 3 if n % 3 == 0 else 2, InterleaveStrategy.LOCAL_FSWAP)
     return Circuit(2 * n, inter.gates + remap(env_fft, range(n, 2 * n), 2 * n).gates)
 
 

@@ -9,19 +9,15 @@ import time
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from fermispec.circuits import Circuit, cz, two_qubit_count
-from fermispec.czgraph import decimate, graph_from_edges, verify_equivalence
+from fermispec import verify
+from fermispec.circuits import two_qubit_count
+from fermispec.czgraph import decimate
 from fermispec.fft import (InterleaveStrategy, fft_circuit,
-                           imported_interleave_sequence, interleave_circuit,
-                           interleave_cz_graph, interleave_permutation,
-                           single_particle_transfer)
-from fermispec.gaussian import dft_matrix
+                           imported_interleave_sequence, interleave_cz_graph,
+                           interleave_permutation)
 from fermispec.protocol import (DeltaLineSpectrum, Kernel, ProtocolConfig,
-                                broadening_and_ghosts, compare_trotter,
-                                convolve_kernel, nk_exact_free, nk_gaussian,
-                                strong_coupling_leading)
-from fermispec.statevector import circuit_unitary, unitaries_equal_up_to_phase
-from fermispec.statevector import unitaries_equal_up_to_phase as transforms_equal_up_to_phase
+                                compare_trotter, convolve_kernel, nk_exact_free,
+                                nk_gaussian)
 from fermispec.tableau import tableau_of
 
 
@@ -31,13 +27,8 @@ def _report(num, text):
 
 def test_criterion_01_fft_dft_equivalence():
     t0 = time.time()
-    for (n, r) in [(2, 2), (3, 3), (4, 2), (8, 2), (9, 3), (27, 3)]:
-        for strat in InterleaveStrategy:
-            if strat is InterleaveStrategy.IMPORTED_SEQUENCE and r != 3:
-                continue
-            c = fft_circuit(n, r, strat)
-            t = single_particle_transfer(c)
-            assert transforms_equal_up_to_phase(t, dft_matrix(n), 1e-9), (n, strat)
+    assert verify.fft_matches_dft(
+        verify.fft_circuits([(2, 2), (3, 3), (4, 2), (8, 2), (9, 3), (27, 3)]), 1e-9)
     elapsed = time.time() - t0
     assert elapsed < 10.0
     _report(1, f"FFFT == DFT_N for N in 2..27, all strategies, <1e-9 "
@@ -45,22 +36,17 @@ def test_criterion_01_fft_dft_equivalence():
 
 
 def test_criterion_02_base_gate_counts():
-    c2 = two_qubit_count(fft_circuit(2, 2))
-    c3 = two_qubit_count(fft_circuit(3, 3))
-    assert c2 == 2 and c3 == 6
-    _report(2, f"F2 uses {c2} and F3 uses {c3} two-qubit gates")
+    assert verify.base_gate_counts(fft_circuit(2, 2), fft_circuit(3, 3))
+    _report(2, "F2 uses 2 and F3 uses 6 two-qubit gates")
 
 
 def test_criterion_03_interleave_equivalence_27():
     t0 = time.time()
-    perm = interleave_permutation(27, 3)
     parsed = imported_interleave_sequence(27)
     kinds = [g.kind.value for g in parsed.gates if g.kind.value in ("CX", "CZ")]
     assert kinds.count("CX") == 26 and kinds.count("CZ") == 34
-    t_parsed = tableau_of(parsed)
-    t_ladder = tableau_of(interleave_circuit(perm, InterleaveStrategy.CX_LADDER))
-    t_graph = interleave_cz_graph(perm).tableau()
-    assert t_parsed == t_ladder == t_graph
+    assert verify.interleave_matches_graph(
+        [(27, 3)], (InterleaveStrategy.IMPORTED_SEQUENCE, InterleaveStrategy.CX_LADDER))
     elapsed = time.time() - t0
     assert elapsed < 1.0
     _report(3, f"27-qubit listing (26 CX + 34 CZ), CX ladder and inversion "
@@ -73,19 +59,8 @@ def test_criterion_04_graph_decimation():
     assert two_qubit_count(c9) <= 9
     assert tableau_of(c9) == tableau_of(imported_interleave_sequence(9))
 
-    rng = np.random.default_rng(20240607)
-    for trial in range(50):
-        n = int(rng.integers(2, 11))
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        m = int(rng.integers(0, min(20, len(pairs)) + 1))
-        sel = rng.choice(len(pairs), size=m, replace=False) if m else []
-        g = graph_from_edges(n, [pairs[i] for i in sel])
-        c = decimate(g)
-        assert two_qubit_count(c) <= g.num_edges, trial
-        assert verify_equivalence(c, g), trial
-        u = circuit_unitary(c)
-        ug = circuit_unitary(Circuit(n, tuple(cz(a, b) for (a, b) in sorted(g.edges))))
-        assert unitaries_equal_up_to_phase(u, ug, 1e-9), trial
+    graphs = verify.random_cz_graphs(20240607, 50, 10, 20)
+    assert verify.decimation_sound([(g, decimate(g)) for g in graphs], dense_tol=1e-9)
     _report(4, f"9-qubit interleave decimates to {two_qubit_count(c9)} <= 9 gates, "
                f"tableau-equal to the shipped sequence; 50 random graphs match "
                f"the dense oracle within the edge-count bound")
@@ -93,14 +68,10 @@ def test_criterion_04_graph_decimation():
 
 def test_criterion_05_free_fermion_oracle_triangle():
     t0 = time.time()
-    omegas = np.linspace(-3, 3, 50)
-    worst = 0.0
-    for env in ("empty", "full"):
-        cfg = ProtocolConfig(50, epsilon=0.35, t=5.0, nu=1.0, environment=env)
-        d = np.max(np.abs(nk_exact_free(cfg, omegas).values
-                          - nk_gaussian(cfg, omegas).values))
-        worst = max(worst, d)
-    assert worst < 1e-10
+    configs = [ProtocolConfig(50, epsilon=0.35, t=5.0, nu=1.0, environment=env)
+               for env in ("empty", "full")]
+    triangle = verify.gaussian_matches_closed_form(configs, np.linspace(-3, 3, 50), 1e-10)
+    assert triangle
 
     # Fig.-2 style panels regenerate from the same code path at N = 200
     panel_peaks = []
@@ -110,13 +81,10 @@ def test_criterion_05_free_fermion_oracle_triangle():
         assert grid.in_unit_interval()
         panel_peaks.append(grid.values.max())
     cfg = ProtocolConfig(200, epsilon=np.pi / 5, t=5.0, nu=1.0)
-    sub = np.linspace(-3, 3, 9)
-    d200 = np.max(np.abs(nk_exact_free(cfg, sub).values
-                         - nk_gaussian(cfg, sub).values))
-    assert d200 < 1e-10
+    assert verify.gaussian_matches_closed_form([cfg], np.linspace(-3, 3, 9), 1e-10)
     elapsed = time.time() - t0
     assert elapsed < 60.0
-    _report(5, f"Gaussian == closed form to {worst:.1e} on the 50x50 grid "
+    _report(5, f"{triangle.detail} on the 50x50 grid "
                f"(both fillings); N=200 panels regenerate (peaks "
                f"{', '.join(f'{p:.3f}' for p in panel_peaks)}) ({elapsed:.1f}s)")
 
@@ -143,8 +111,7 @@ def test_criterion_06_perturbative_scaling():
 
 def test_criterion_07_ghost_band_bound():
     t, eps = 5.0, np.pi / 5.0
-    out = broadening_and_ghosts(eps, t)
-    assert abs(out["ratio_r"] - 1 / 9) < 1e-12
+    assert verify.ghost_ratio_matches(eps, t, 1 / 9, 1e-12)
 
     def f(delta):
         om = 0.5 * np.sqrt(eps ** 2 + delta ** 2)
@@ -164,10 +131,9 @@ def test_criterion_08_strong_coupling_exactness():
     rho = rng.random(12)
     omegas = np.linspace(-2.5, 2.5, 21)
     cfg = ProtocolConfig(12, epsilon=0.7, t=4.5, nu=0.0, initial_state=rho)
-    d = np.max(np.abs(nk_gaussian(cfg, omegas).values
-                      - strong_coupling_leading(cfg, omegas=omegas).values))
-    assert d < 1e-12
-    _report(8, f"nu = 0 Gaussian equals the strong-coupling formula to {d:.1e}")
+    exact = verify.strong_coupling_exact([cfg], omegas, 1e-12)
+    assert exact
+    _report(8, f"Gaussian equals the strong-coupling formula: {exact.detail}")
 
 
 def test_criterion_09_trotter_comparison():

@@ -1,4 +1,7 @@
 import json
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,6 +97,20 @@ def test_simulate_spectral_matches_exact(tmp_path):
                          [0.0, 0.8])
     got = np.array([float(r.split(",")[2]) for r in rows]).reshape(6, 2)
     assert np.max(np.abs(got - grid.values)) < 1e-15
+
+
+def test_shipped_sample_configs_and_panel_script(tmp_path, monkeypatch):
+    """What the README points users at: each sample config, and the panel script."""
+    scripts = Path(__file__).resolve().parent.parent / "scripts"
+    for config in sorted((scripts / "sample_configs").glob("*.json")):
+        out, raw = tmp_path / f"{config.stem}.csv", json.loads(config.read_text())
+        assert main(["simulate-spectral", "--config", str(config), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1 + raw["n_sites"] * len(raw["omegas"])
+    monkeypatch.setattr(sys, "argv", ["fig_spectral_panels.py", "--sites", "20",
+                                      "--omega-points", "11", "--out-dir", str(tmp_path)])
+    runpy.run_path(str(scripts / "fig_spectral_panels.py"), run_name="__main__")
+    panels = sorted(tmp_path.glob("panel_*.csv"))
+    assert [len(p.read_text().splitlines()) for p in panels] == [1 + 20 * 11] * 3
 
 
 def test_simulate_spectral_bad_key(tmp_path, capsys):

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermispec.circuits import (Circuit, GateKind, cx, cz, format_circuit,
-                                two_qubit_count)
+from fermispec import verify
+from fermispec.circuits import Circuit, GateKind, cx, cz, format_circuit
 from fermispec.czgraph import (CZGraph, DecimationRule, DecimationStep,
                                _adjacency, _move_gates, apply_rule, decimate,
                                format_edge_list, graph_from_edges,
                                parse_edge_list, verify_equivalence)
 from fermispec.fft import interleave_cz_graph, interleave_permutation, \
     imported_interleave_sequence
-from fermispec.statevector import circuit_unitary, unitaries_equal_up_to_phase
+from fermispec.statevector import circuit_unitary
 from fermispec.tableau import tableau_of
 
 
@@ -105,8 +105,10 @@ def test_decimate_single_edge():
 def test_decimate_nine_qubit_interleave():
     g = interleave_cz_graph(interleave_permutation(9, 3))
     c = decimate(g)
-    assert two_qubit_count(c) <= 9
-    assert verify_equivalence(c, g)
+    assert verify.decimation_sound([(g, c)], dense_tol=None)  # 9 edges: <= 9 gates
+    wrong = verify.decimation_sound([(g, c), (g, Circuit(9, c.gates[:-1], c.meta))],
+                                    dense_tol=None)
+    assert not wrong and "trial 1 (9 qubits, 9 edges): tableau" in wrong.detail
     assert tableau_of(c) == tableau_of(imported_interleave_sequence(9))
 
 
@@ -121,17 +123,13 @@ def test_decimate_soundness(n, data):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     edges = data.draw(st.lists(st.sampled_from(pairs), max_size=12, unique=True))
     g = graph_from_edges(n, edges)
-    c = decimate(g)
-    assert two_qubit_count(c) <= g.num_edges
-    assert verify_equivalence(c, g)
-    assert unitaries_equal_up_to_phase(su(c), cz_unitary(g), 1e-10)
+    assert verify.decimation_sound([(g, decimate(g))], dense_tol=1e-10)
 
 
 def test_depth_penalty_variants_stay_sound():
     g = graph_from_edges(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
-    for penalty in (0.0, 0.5, 2.0):
-        c = decimate(g, penalty)
-        assert verify_equivalence(c, g)
+    assert verify.decimation_sound(
+        [(g, decimate(g, penalty)) for penalty in (0.0, 0.5, 2.0)], dense_tol=None)
 
 
 def _seeded_graphs(n):
@@ -145,12 +143,10 @@ def _seeded_graphs(n):
 def test_large_penalty_terminates_sound():
     """Above penalty 2 a non-shrinking move can outscore every removal; only
     shrinking moves are candidates, so each step still removes an edge."""
-    for n in range(2, 12):
-        for g in _seeded_graphs(n):
-            for penalty in (3.0, 5.0):
-                c = decimate(g, penalty)
-                assert c.meta["steps"] <= g.num_edges
-                assert verify_equivalence(c, g), (n, penalty)
+    # each step emits at most two two-qubit gates
+    syntheses = [(g, decimate(g, penalty)) for n in range(2, 12)
+                 for g in _seeded_graphs(n) for penalty in (3.0, 5.0)]
+    assert verify.decimation_sound(syntheses, dense_tol=None, gates_per_edge=2)
 
 
 # sha256 of format_circuit(decimate(g, p)): per n, the four _seeded_graphs(n)

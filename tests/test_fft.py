@@ -1,18 +1,15 @@
 import numpy as np
 import pytest
 
+from fermispec import verify
 from fermispec.circuits import Circuit, Gate, GateKind, invert, two_qubit_count
 from fermispec.fft import (FFTPlan, InterleaveStrategy, base_fft,
-                           fft_circuit, ground_state_momenta,
-                           ground_state_prep_circuit, imported_interleave_sequence,
+                           fft_circuit, ground_state_momenta, ground_state_prep_circuit,
                            interleave_circuit, interleave_cz_graph,
                            interleave_permutation, single_particle_transfer)
-from fermispec.gaussian import (GaussianState, dft_matrix, evolve_gaussian,
-                                extract_mode_transform)
+from fermispec.gaussian import GaussianState, evolve_gaussian, extract_mode_transform
 from fermispec.statevector import circuit_unitary, occupations, run_circuit, \
     unitaries_equal_up_to_phase
-from fermispec.statevector import unitaries_equal_up_to_phase as transforms_equal_up_to_phase
-from fermispec.tableau import tableau_of
 
 SOFTWARE = (InterleaveStrategy.CX_LADDER, InterleaveStrategy.GRAPH_DECIMATED,
             InterleaveStrategy.IMPORTED_SEQUENCE)
@@ -21,15 +18,13 @@ SOFTWARE = (InterleaveStrategy.CX_LADDER, InterleaveStrategy.GRAPH_DECIMATED,
 # ---------------------------------------------------------------- base cases
 
 def test_base_fft_transfers():
-    assert transforms_equal_up_to_phase(
-        extract_mode_transform(base_fft(2)), dft_matrix(2), 1e-12)
-    assert transforms_equal_up_to_phase(
-        extract_mode_transform(base_fft(3)), dft_matrix(3), 1e-12)
+    assert verify.fft_matches_dft([base_fft(2), base_fft(3)], 1e-12)
 
 
 def test_base_fft_counts():
-    assert two_qubit_count(base_fft(2)) == 2
-    assert two_qubit_count(base_fft(3)) == 6
+    assert verify.base_gate_counts(base_fft(2), base_fft(3))
+    wrong = verify.base_gate_counts(base_fft(2), fft_circuit(9, 3))
+    assert not wrong and "F3 count=" in wrong.detail
 
 
 def test_base_fft_unsupported_radix():
@@ -70,9 +65,8 @@ def test_interleave_cz_graph_examples():
 
 
 def test_interleave_graph_matches_imported_sequences():
-    for n in (9, 27):
-        g = interleave_cz_graph(interleave_permutation(n, 3))
-        assert tableau_of(imported_interleave_sequence(n)) == g.tableau()
+    assert verify.interleave_matches_graph(
+        [(9, 3), (27, 3)], [InterleaveStrategy.IMPORTED_SEQUENCE])
 
 
 def test_interleave_graph_convention_dense():
@@ -116,13 +110,12 @@ def test_local_fswap_smallest_case():
 
 
 def test_strategies_tableau_equivalent_to_graph():
-    for (n, r) in [(4, 2), (8, 2), (9, 3), (27, 3)]:
-        g = interleave_cz_graph(interleave_permutation(n, r))
-        for strat in SOFTWARE:
-            if strat is InterleaveStrategy.IMPORTED_SEQUENCE and n not in (9, 27):
-                continue
-            c = interleave_circuit(interleave_permutation(n, r), strat)
-            assert tableau_of(c) == g.tableau(), (n, strat)
+    # the imported listings exist for 9 and 27 qubits only
+    for sizes, strategies in (([(4, 2), (8, 2)], SOFTWARE[:2]), ([(9, 3), (27, 3)], SOFTWARE)):
+        assert verify.interleave_matches_graph(sizes, strategies)
+    # the physical network is the graph's CZs after a qubit permutation
+    wrong = verify.interleave_matches_graph([(9, 3)], [InterleaveStrategy.LOCAL_FSWAP])
+    assert not wrong and "N=9 local-fswap" in wrong.detail
 
 
 def test_imported_only_for_shipped_sizes():
@@ -149,13 +142,15 @@ def test_compile_floor():
 
 
 def test_dft_equivalence_all_sizes_and_strategies():
-    for (n, r) in [(2, 2), (3, 3), (4, 2), (8, 2), (9, 3), (27, 3)]:
-        for strat in InterleaveStrategy:
-            if strat is InterleaveStrategy.IMPORTED_SEQUENCE and r != 3:
-                continue
-            c = fft_circuit(n, r, strat)
-            t = single_particle_transfer(c)
-            assert transforms_equal_up_to_phase(t, dft_matrix(n), 1e-9), (n, strat)
+    assert verify.fft_matches_dft(
+        verify.fft_circuits([(2, 2), (3, 3), (4, 2), (8, 2), (9, 3), (27, 3)]), 1e-9)
+    # the N = 8 transform with its first twiddle negated
+    c = fft_circuit(8, 2)
+    i = next(i for i, g in enumerate(c.gates) if g.kind is GateKind.RZ)
+    twisted = Gate(GateKind.RZ, c.gates[i].qubits, -c.gates[i].angle)
+    wrong = verify.fft_matches_dft(
+        [Circuit(8, c.gates[:i] + (twisted,) + c.gates[i + 1:], c.meta)], 1e-9)
+    assert not wrong and "N=8 strategy=local-fswap" in wrong.detail
 
 
 def test_software_and_physical_agree_on_full_space():

@@ -4,9 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fermispec import protocol
+from fermispec import protocol, sector, verify
 from fermispec.circuits import format_circuit
-from fermispec.protocol import (DeltaLineSpectrum, Kernel, ProtocolConfig,
+from fermispec.protocol import (DeltaLineSpectrum, Kernel, ProtocolConfig, SpectralGrid,
                                 broadening_and_ghosts, compare_trotter, convolve_kernel,
                                 dynamical_correlation_baseline,
                                 environment_method_grid, least_squares_scale,
@@ -48,12 +48,13 @@ def test_exact_free_rejects_interacting():
 
 def test_gaussian_matches_exact_both_fills():
     rho = RNG.random(10)
-    for env in ("empty", "full"):
-        cfg = _cfg(n_sites=10, epsilon=0.45, t=4.2, nu=0.8, environment=env,
-                   initial_state=rho)
-        a = nk_exact_free(cfg, OMEGAS)
-        b = nk_gaussian(cfg, OMEGAS)
-        assert np.max(np.abs(a.values - b.values)) < 1e-12
+    configs = [_cfg(n_sites=10, epsilon=0.45, t=4.2, nu=0.8, environment=env,
+                    initial_state=rho) for env in ("empty", "full")]
+    assert verify.gaussian_matches_closed_form(configs, OMEGAS, 1e-12)
+    wrong = verify.grids_match(  # the Gaussian grid of the other filling
+        nk_exact_free, lambda c, w: nk_gaussian(replace(c, environment="full"), w),
+        configs[:1], OMEGAS, 1e-12, "max |closed form - Gaussian|")
+    assert not wrong and "N=10, nu=0.8, empty environment" in wrong.detail
 
 
 def test_gaussian_t_zero():
@@ -120,9 +121,10 @@ def test_perturbative_kernel_match():
 # ------------------------------------------------------------ broadening
 
 def test_ghost_ratio_at_pi():
-    out = broadening_and_ghosts(np.pi / 5, 5.0)
-    assert out["n"] == 1
-    assert abs(out["ratio_r"] - 1 / 9) < 1e-14
+    assert broadening_and_ghosts(np.pi / 5, 5.0)["n"] == 1
+    assert verify.ghost_ratio_matches(np.pi / 5, 5.0, 1 / 9, 1e-14)
+    wrong = verify.ghost_ratio_matches(np.pi / 10, 5.0, 1 / 9, 1e-14)
+    assert not wrong and "eps=0.314159, t=5" in wrong.detail
 
 
 def test_broadening_eps_zero():
@@ -147,9 +149,9 @@ def test_first_zero_matches_formula():
 def test_strong_coupling_exact_at_nu_zero():
     rho = RNG.random(9)
     cfg = ProtocolConfig(9, epsilon=0.8, t=3.7, nu=0.0, initial_state=rho)
-    a = nk_gaussian(cfg, OMEGAS)
-    b = strong_coupling_leading(cfg, omegas=OMEGAS)
-    assert np.max(np.abs(a.values - b.values)) < 1e-12
+    assert verify.strong_coupling_exact([cfg], OMEGAS, 1e-12)
+    wrong = verify.strong_coupling_exact([replace(cfg, nu=1.0)], OMEGAS, 1e-12)
+    assert not wrong and "N=9, nu=1" in wrong.detail
 
 
 def test_strong_coupling_full_rabi():
@@ -276,29 +278,27 @@ def test_fused_step_matches_gates(n):
     """The Trotter step compiled to a sector program (merged blocks, fused
     diagonals) equals trotter_step_circuit on the gate-level kernel; N >= 3
     includes the wrap bond's JW string over 2N - 3 qubits."""
-    from fermispec import sector, statevector as sv
-    dt = 0.37
     basis = sector.Basis(2 * n)
-    for V in (0.0, 2.3):
-        for omega in (0.0, 0.7):
-            cfg = ProtocolConfig(n, 0.3, omega=omega, nu=0.8, interaction=V)
-            circuit = protocol.trotter_step_circuit(cfg, dt)
-            psi = _random_full_basis_state(2 * n, seed=n)
-            want = sv.run_circuit(circuit, psi.reshape((2,) * (2 * n))).ravel()
-            got = sector.run_program(sector.compile_circuit(circuit, basis), psi.copy())
-            assert np.max(np.abs(got - want)) < 1e-12, (V, omega)
+    psi = _random_full_basis_state(2 * n, seed=n)
+    cases = [((protocol.trotter_step_circuit(
+        ProtocolConfig(n, 0.3, omega=omega, nu=0.8, interaction=V), 0.37),), basis, psi)
+        for V in (0.0, 2.3) for omega in (0.0, 0.7)]
+    assert verify.sector_matches_gates(cases, 1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 9])
-def test_fused_readout_matches_gates(n):
+def test_fused_readout_matches_gates(n, monkeypatch):
     """The readout compiled to a sector program, its FSWAP runs fused into
-    signed permutations, equals _readout_circuit on the gate-level kernel."""
-    from fermispec import sector, statevector as sv
-    circuit = protocol._readout_circuit(n)
+    signed permutations, equals _readout_circuit on the gate-level kernel;
+    a program compiled without the readout's last gate does not."""
     psi = _random_full_basis_state(2 * n, seed=100 + n)
-    want = sv.run_circuit(circuit, psi.reshape((2,) * (2 * n)))
-    got = sector.run_program(sector.compile_circuit(circuit, sector.Basis(2 * n)), psi.copy())
-    assert np.max(np.abs(got - want.ravel())) < 1e-12
+    cases = [((protocol._readout_circuit(n),), sector.Basis(2 * n), psi)]
+    assert verify.sector_matches_gates(cases, 1e-12)
+    compile_circuit = sector.compile_circuit
+    monkeypatch.setattr(sector, "compile_circuit",
+                        lambda c, basis: compile_circuit(replace(c, gates=c.gates[:-1]), basis))
+    wrong = verify.sector_matches_gates(cases, 1e-12)
+    assert not wrong and f"case 0 ({4 ** n} of {4 ** n} states)" in wrong.detail
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -312,7 +312,7 @@ def test_sector_hop_terms_match_jw_exponential(n):
     from fermispec.circuits import Circuit
     dt, nu = 0.37, 0.8
     ops = [sv.annihilation_operator(2 * n, 2 * j) for j in range(n)]
-    for j in protocol._bonds(n):
+    for j in protocol.chain_bonds(n):
         a, b = j, (j + 1) % n
         want = expm(1j * dt * nu * (ops[a].conj().T @ ops[b] + ops[b].conj().T @ ops[a]))
         circuit = Circuit(2 * n, tuple(protocol._hopping_bond_gates(n, j, nu * dt, 2)))
@@ -329,7 +329,7 @@ def _jw_system_hamiltonian(config):
     n = config.n_sites
     ops = [sv.annihilation_operator(n, j) for j in range(n)]
     h = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    for j in protocol._bonds(n):
+    for j in protocol.chain_bonds(n):
         a, b = j, (j + 1) % n
         h += config.nu * (ops[a].conj().T @ ops[b] + ops[b].conj().T @ ops[a])
         if config.interaction != 0:
@@ -570,20 +570,18 @@ def _gate_level_environment_grid(config, omegas):
                 state = sv.run_circuit(step, state)
             occ = sv.occupations(sv.run_circuit(readout, state), qubits=range(n, 2 * n))
             vals[:, iw] += occ if filling == "empty" else 1 - occ
-    return vals
+    return SpectralGrid(config.momenta(), omegas, vals, "gate-level")
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_environment_grid_matches_gate_level_pipeline(n):
     """The sector runner, with the step compiled once and the environment
     phase layer per omega, reproduces the emitted circuits gate by gate."""
-    omegas = [0.0, 0.7, -1.3]
-    for V in (0.0, 2.3):
-        # odd interacting chains are degenerate at nu = 1
-        nu = -1.0 if V and n % 2 else 1.0
-        cfg = _cfg(n_sites=n, t=2.0, nu=nu, interaction=V, trotter_steps=3)
-        got = environment_method_grid(cfg, omegas).values
-        assert np.max(np.abs(got - _gate_level_environment_grid(cfg, omegas))) < 1e-12, V
+    # odd interacting chains are degenerate at nu = 1
+    configs = [_cfg(n_sites=n, t=2.0, nu=-1.0 if V and n % 2 else 1.0, interaction=V,
+                    trotter_steps=3) for V in (0.0, 2.3)]
+    assert verify.grids_match(_gate_level_environment_grid, environment_method_grid,
+                              configs, [0.0, 0.7, -1.3], 1e-12, "max |gates - sectors|")
 
 
 def test_least_squares_scale():

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from fermispec import sector
-from fermispec import statevector as sv
+from fermispec import sector, verify
 from fermispec.circuits import Circuit, cx, cz, givens, rz, x
 from fermispec.gaussian import ParticleConservationError
 
@@ -55,27 +54,17 @@ def test_basis_occupation_and_pairs():
     assert not basis.occupied(0)[i01].any() and basis.occupied(2)[i01].all()
 
 
-def _restricted(circuit, basis, psi):
-    """sv.run_circuit on psi placed in its sector, read back on the sector."""
-    dense = np.zeros((2 ** circuit.num_qubits,) + psi.shape[1:], dtype=complex)
-    dense[basis.bits] = psi
-    shape = (2,) * circuit.num_qubits + psi.shape[1:]
-    return sv.run_circuit(circuit, dense.reshape(shape)).reshape(dense.shape)[basis.bits]
-
-
 @given(pc_circuits)
 def test_program_equals_gates_on_every_sector(circuit):
     rng = np.random.default_rng(len(circuit.gates))
     n = circuit.num_qubits
+    cases = []
     for ks in [[k] for k in range(n + 1)] + [None]:
         basis = sector.Basis(n, ks)
-        program = sector.compile_circuit(circuit, basis)
         for batch in ((), (3,)):
             shape = (len(basis),) + batch
-            psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-            want = _restricted(circuit, basis, psi)
-            got = sector.run_program(program, psi.copy())
-            assert np.max(np.abs(got - want)) < 1e-12, (ks, batch)
+            cases.append(((circuit,), basis, rng.normal(size=shape) + 1j * rng.normal(size=shape)))
+    assert verify.sector_matches_gates(cases, 1e-12)
 
 
 def test_merged_interaction_bond_is_one_diagonal():
