@@ -19,7 +19,8 @@ from . import __version__
 from .circuits import two_qubit_count, two_qubit_depth, write_circuit
 from .czgraph import decimate, parse_edge_list, verify_equivalence
 from .fft import (FFTPlan, InterleaveStrategy, compile_fft, fft_circuit,
-                  interleave_circuit, interleave_cz_graph, interleave_permutation)
+                  has_shipped_listing, interleave_circuit, interleave_cz_graph,
+                  interleave_permutation)
 from .protocol import (ProtocolConfig, compare_trotter, nk_exact_free,
                        nk_gaussian, run_circuit_protocol)
 from . import verify as verify_mod
@@ -69,6 +70,14 @@ def _load_protocol_config(path: str) -> tuple[ProtocolConfig, dict] | None:
         for key in raw:
             if key not in known | extra:
                 raise KeyError(key)
+        # JSON numbers load as int or float (a bool is neither type)
+        omegas = raw.get("omegas", [0.0])
+        if type(omegas) is not list or not omegas or any(
+                type(w) not in (int, float) for w in omegas):
+            raise ValueError(f"omegas must be a non-empty list of numbers, got {omegas!r}")
+        for key in ("shots", "seed"):
+            if type(raw.get(key, 0)) is not int or raw.get(key, 0) < 0:
+                raise ValueError(f"{key} must be a non-negative integer, got {raw[key]!r}")
         return ProtocolConfig(**{k: raw[k] for k in known if k in raw}), raw
     except KeyError as exc:
         print(f"bad config: unknown or invalid key {exc}", file=sys.stderr)
@@ -134,8 +143,8 @@ def _cmd_simulate_spectral(args) -> int:
         return 2
     cfg, raw = loaded
     omegas = raw.get("omegas", [cfg.omega])
-    shots = int(raw.get("shots", 0))
-    seed = int(raw.get("seed", 0))
+    shots = raw.get("shots", 0)
+    seed = raw.get("seed", 0)
     method = raw.get("method", "auto")
     if method == "auto":
         method = "circuit" if cfg.trotter_steps > 0 else "gaussian"
@@ -219,8 +228,7 @@ def _cmd_report(args) -> int:
     perm = interleave_permutation(n, radix)
     graph = interleave_cz_graph(perm)
     for strat in InterleaveStrategy:
-        if strat is InterleaveStrategy.IMPORTED_SEQUENCE and (
-                radix != 3 or n not in (9, 27)):
+        if strat is InterleaveStrategy.IMPORTED_SEQUENCE and not has_shipped_listing(n, radix):
             continue
         inter = interleave_circuit(perm, strat)
         fft = fft_circuit(n, radix, strat)
@@ -301,6 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if "radix" in args:    # compile-fft and report: check the size first
+        try:
+            FFTPlan(args.modes, args.radix)
+        except ValueError as exc:
+            print(f"bad plan: {exc}", file=sys.stderr)
+            return 2
     return args.func(args)
 
 

@@ -53,14 +53,25 @@ class FFTPlan:
     depth_penalty: float = 0.5
 
     def __post_init__(self):
-        if self.radix not in (2, 3):
-            raise ValueError(f"unsupported radix {self.radix}; supported: 2, 3")
-        m = self.num_modes
-        while m > 1 and m % self.radix == 0:
-            m //= self.radix
-        if m != 1 or self.num_modes < self.radix:
-            raise ValueError(
-                f"num_modes {self.num_modes} is not a power of radix {self.radix}")
+        if fft_radix(self.num_modes) != self.radix:
+            raise ValueError(f"num_modes {self.num_modes} is not a power of radix "
+                             f"{self.radix} (supported radices: 2, 3)")
+
+
+def fft_radix(num_modes: int) -> int | None:
+    """The FFFT radix of num_modes = 2**k or 3**k (k >= 1); None otherwise."""
+    for radix in (2, 3):
+        power = radix
+        while power < num_modes:
+            power *= radix
+        if power == num_modes:
+            return radix
+    return None
+
+
+def has_shipped_listing(num_modes: int, radix: int) -> bool:
+    """True for the interleaves with a shipped listing: radix 3, 9 or 27 qubits."""
+    return radix == 3 and num_modes in (9, 27)
 
 
 @dataclass(frozen=True)
@@ -159,10 +170,10 @@ def _cx_ladder_gates(perm: InterleavePermutation) -> list[Gate]:
     return gates
 
 
-def imported_interleave_sequence(num_modes: int) -> Circuit:
-    """Shipped 3-way interleave listings (9 and 27 qubits), parsed."""
-    if num_modes not in (9, 27):
-        raise ValueError("imported interleave sequences exist only for 9 and 27 qubits")
+def imported_interleave_sequence(num_modes: int, radix: int = 3) -> Circuit:
+    """Shipped interleave listings (radix 3 on 9 and 27 qubits), parsed."""
+    if not has_shipped_listing(num_modes, radix):
+        raise ValueError(f"no shipped interleave listing for radix {radix} on {num_modes} qubits")
     name = f"interleave{num_modes}.txt"
     text = resources.files("fermispec.data").joinpath(name).read_text()
     return parse_circuit(text, num_qubits=num_modes)
@@ -182,9 +193,7 @@ def interleave_circuit(perm: InterleavePermutation,
     elif strategy is InterleaveStrategy.GRAPH_DECIMATED:
         c = decimate(interleave_cz_graph(perm), depth_penalty)
     elif strategy is InterleaveStrategy.IMPORTED_SEQUENCE:
-        if perm.radix != 3:
-            raise ValueError("imported sequences are radix-3 only")
-        c = imported_interleave_sequence(n)
+        c = imported_interleave_sequence(n, perm.radix)
     else:
         raise ValueError(f"unknown strategy {strategy}")
     return c.with_meta(convention="software-swap", mode_order=perm.mode_order)
@@ -233,8 +242,8 @@ class _Emitter:
                              base_slot)
             return
         strategy = self.plan.interleave_strategy
-        if strategy is InterleaveStrategy.IMPORTED_SEQUENCE and (
-                perm.radix != 3 or perm.num_modes not in (9, 27)):
+        if strategy is InterleaveStrategy.IMPORTED_SEQUENCE and not has_shipped_listing(
+                perm.num_modes, perm.radix):
             # no shipped listing for this step; CX ladder covers it
             strategy = InterleaveStrategy.CX_LADDER
         sub = interleave_circuit(perm, strategy, self.plan.depth_penalty)
@@ -309,23 +318,16 @@ def single_particle_transfer(circuit: Circuit) -> np.ndarray:
     simulator.  The pending software permutation is applied at the end.
     """
     n = circuit.num_qubits
-    keep: list[Gate] = []
-    cursor = 0
-    for (start, end, edges) in circuit.meta.get("interleave_blocks", ()):
-        keep.extend(circuit.gates[cursor:start])
-        sub = Circuit(n, circuit.gates[start:end])
-        if tableau_of(sub) != tableau_of_cz_edges(n, edges):
+    keep = list(circuit.gates)
+    # the last block first, so the spans of the earlier ones stay valid
+    for (start, end, edges) in reversed(circuit.meta.get("interleave_blocks", ())):
+        if tableau_of(Circuit(n, keep[start:end])) != tableau_of_cz_edges(n, edges):
             raise ValueError("interleave block does not match its CZ graph")
-        cursor = end
-    keep.extend(circuit.gates[cursor:])
+        del keep[start:end]
     transfer = extract_mode_transform(Circuit(n, tuple(keep)))
     order = circuit.meta.get("mode_order")
-    if order is not None and tuple(order) != tuple(range(n)):
-        p = np.zeros((n, n), dtype=complex)
-        for qubit, mode in enumerate(order):
-            p[qubit, mode] = 1
-        transfer = transfer @ p
-    return transfer
+    # column `mode` is the column of the qubit holding it
+    return transfer if order is None else transfer[:, np.argsort(order)]
 
 
 # --------------------------------------------------------------------------
@@ -344,7 +346,7 @@ def ground_state_prep_circuit(num_modes: int, filled_momenta) -> Circuit:
     Built with the physical (LocalFswap) interleave so the prep embeds into
     larger registers without pending relabelings.
     """
-    fft = fft_circuit(num_modes, 3 if num_modes % 3 == 0 else 2, InterleaveStrategy.LOCAL_FSWAP)
+    fft = fft_circuit(num_modes, fft_radix(num_modes), InterleaveStrategy.LOCAL_FSWAP)
     gates = [x(int(j)) for j in sorted(filled_momenta)]
     gates.extend(invert(fft).gates)
     return Circuit(num_modes, tuple(gates), {"filled": tuple(sorted(filled_momenta))})

@@ -1,5 +1,8 @@
 """Single-particle (mode) transfer matrices and free-fermion Gaussian states.
 
+The transfer of a gate-level circuit is read off its zero- and one-particle
+sectors, run by the `sector` engine (`extract_mode_transform`).
+
 Conventions, fixed once and validated by the oracle tests:
 
  * The mode transform T of a particle-conserving circuit U satisfies
@@ -15,64 +18,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, GateKind
-from .statevector import gate_matrix
-
-
-class ParticleConservationError(ValueError):
-    pass
-
-
-_BLOCK_MIXING_2Q = [(1, 0), (2, 0), (3, 0), (0, 1), (0, 2), (0, 3), (3, 1),
-                    (3, 2), (1, 3), (2, 3)]
-# (rows, columns) of the entries that change particle number, by matrix size
-_MIXING = {2: ([0, 1], [1, 0]), 4: tuple(map(list, zip(*_BLOCK_MIXING_2Q)))}
-
-
-def number_parts(u: np.ndarray, what: str) -> tuple:
-    """Split a 2x2 or 4x4 gate matrix by particle number: (empty, full, pair).
-
-    `empty` and `full` are the phases on |0> and |1> (|00> and |11>); `pair`
-    is None for 2x2 and, for 4x4, the 2x2 map on the one-particle pair
-    (|01>, |10>) in the two-qubit basis index 2*bit_a + bit_b.  A matrix that
-    mixes particle numbers raises ParticleConservationError naming `what`.
-    """
-    if np.abs(u[_MIXING[len(u)]]).max() > 1e-14:
-        raise ParticleConservationError(f"{what} does not conserve particle number")
-    if len(u) == 2:
-        return u[0, 0], u[1, 1], None
-    return u[0, 0], u[3, 3], u[1:3, 1:3]
+from .circuits import Circuit
+from . import sector
 
 
 def extract_mode_transform(circuit: Circuit) -> np.ndarray:
-    """N x N transfer matrix from the single-excitation sector.
+    """N x N transfer matrix of a number-conserving circuit.
 
-    CZ acts as identity in this sector, so the result certifies only the
-    single-particle action; multi-particle correctness of CZ-carrying
-    circuits is checked by the dense oracles.  Gates that mix particle
-    numbers (X, CX, CY) are rejected.
+    One `sector` program over Basis(N, (0, 1)) runs on the (N+1) x (N+1)
+    identity batch.  Amplitude [0, 0] is the vacuum phase vac; the rest, in
+    reversed rank order (rank N - q holds qubit q), is the one-particle block
+    S, and T = vac * S^dag.  CZ is the identity on these sectors; the dense
+    oracles check CZ-carrying circuits.  A lone X, CX or CY raises
+    `sector.ParticleConservationError`.
     """
     n = circuit.num_qubits
-    s_total = np.eye(n, dtype=complex)   # the single-excitation matrix
-    vac = 1.0 + 0j                       # the |0...0> phase
-    for g in circuit.gates:
-        if g.kind is GateKind.BARRIER:
-            continue
-        empty, full, pair = number_parts(gate_matrix(g), g.kind.value)
-        vac *= empty
-        if pair is None:
-            s = np.full(n, empty, dtype=complex)
-            s[g.qubits[0]] = full
-            s_total = s[:, None] * s_total
-        else:
-            # |e_a> is the pair's second state (|10>), |e_b> its first (|01>)
-            a, b = g.qubits
-            row_a = s_total[a].copy()
-            row_b = s_total[b].copy()
-            s_total *= empty
-            s_total[a] = pair[1, 1] * row_a + pair[1, 0] * row_b
-            s_total[b] = pair[0, 1] * row_a + pair[0, 0] * row_b
-    return vac * s_total.conj().T
+    basis = sector.Basis(n, (0, 1))
+    out = sector.run_program(sector.compile_circuit(circuit, basis),
+                             np.eye(n + 1, dtype=complex))
+    return out[0, 0] * out[:0:-1, :0:-1].conj().T
 
 
 def dft_matrix(n: int) -> np.ndarray:

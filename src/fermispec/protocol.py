@@ -30,12 +30,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
 
 from .circuits import Circuit, Gate, cx, cz, givens, remap, rz, x, z
-from .fft import (InterleaveStrategy, fft_circuit, ground_state_momenta,
+from .fft import (InterleaveStrategy, fft_circuit, fft_radix, ground_state_momenta,
                   ground_state_prep_circuit, interleave_circuit,
                   interleave_permutation)
 from .gaussian import (GaussianState, chain_bonds, coupled_hamiltonian,
@@ -63,6 +64,10 @@ class ProtocolConfig:
     initial_state: object = "ground"  # "ground" | sequence of rho_k in [0,1]
 
     def __post_init__(self):
+        for name in ("n_sites", "trotter_steps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_sites < 2:
             raise ValueError("n_sites must be >= 2")
         if self.t < 0:
@@ -379,14 +384,6 @@ def _system_hamiltonian_dense(config: ProtocolConfig) -> np.ndarray:
     return h
 
 
-def _has_fft(n: int) -> bool:
-    """True when the FFFT compiler supports n modes: n = 2**k or 3**k."""
-    radix = 3 if n % 3 == 0 else 2
-    while n % radix == 0:
-        n //= radix
-    return n == 1
-
-
 def _state_from_filled(n: int, rho: np.ndarray) -> np.ndarray:
     """prod_k c^dag(k) |0> over the filled momenta, from dense JW operators."""
     psi = sv.zero_state(n).ravel()
@@ -417,7 +414,7 @@ def _system_state(config: ProtocolConfig, eig: tuple | None = None) -> np.ndarra
             raise ValueError(f"degenerate interacting ground state: gap E1 - E0 = "
                              f"{w[1] - w[0]:.3g} < 1e-9")
         return vmat[:, 0].reshape((2,) * n)
-    if _has_fft(n):
+    if fft_radix(n):
         return sv.run_circuit(ground_state_prep_circuit(n, np.flatnonzero(rho > 0.5)))
     return _state_from_filled(n, rho)
 
@@ -445,7 +442,7 @@ def _fill_environment_circuit(n: int) -> Circuit:
 def _readout_circuit(n: int) -> Circuit:
     """Physical 2-way interleave on 2N qubits followed by the N-mode environment FFFT."""
     inter = interleave_circuit(interleave_permutation(2 * n, 2), InterleaveStrategy.LOCAL_FSWAP)
-    env_fft = fft_circuit(n, 3 if n % 3 == 0 else 2, InterleaveStrategy.LOCAL_FSWAP)
+    env_fft = fft_circuit(n, fft_radix(n), InterleaveStrategy.LOCAL_FSWAP)
     return Circuit(2 * n, inter.gates + remap(env_fft, range(n, 2 * n), 2 * n).gates)
 
 
@@ -504,7 +501,7 @@ def _run_trotter(config: ProtocolConfig, omegas: np.ndarray, environments: Seque
         raise ValueError(f"2*{n} qubits exceeds the statevector cap {sv.QUBIT_CAP}")
     if config.trotter_steps < 1:
         raise ValueError("the circuit protocol needs trotter_steps >= 1")
-    if not _has_fft(n):
+    if fft_radix(n) is None:
         raise ValueError("environment FFT readout needs n_sites = 2**k or 3**k")
     basis, start, masks = _sector_start(config, environments)
     readout = sector.compile_circuit(_readout_circuit(n), basis)

@@ -12,13 +12,15 @@ without a trailing batch axis.  Compilation first merges consecutive gates
 confined to the same one or two qubits into one matrix: the interaction bond
 rz, rz, cx, rz, cx becomes a diagonal although its CX alone does not
 conserve particle number.  Each merged block splits by particle number
-(`gaussian.number_parts`) into phases on |00> and |11> and a 2x2 map on the
-pair |01>, |10>.  A block whose pair map is diagonal is a diagonal over the
+(`number_parts`) into phases on |00> and |11> and a 2x2 map on the pair
+|01>, |10>.  A block whose pair map is diagonal is a diagonal over the
 basis, and one whose pair map is a signed swap (FSWAP) a signed permutation
 of the basis; runs of these compose into one op.  Any other pair map is a
 "pair" op on the ranks of the partner states, cached per qubit pair.  A block
-that mixes particle numbers raises `gaussian.ParticleConservationError`.
+that mixes particle numbers raises `ParticleConservationError`.
 
+The Trotterized protocol runs its fillings' sectors here, and
+`gaussian.extract_mode_transform` runs the zero- and one-particle sectors.
 This is the number-sector approach of the Fermionic Quantum Emulator (Rubin
 et al., Quantum 5, 568, 2021), on qubit-level gates.
 """
@@ -27,39 +29,58 @@ from __future__ import annotations
 import numpy as np
 
 from .circuits import Circuit, GateKind
-from .gaussian import number_parts
 from .statevector import gate_matrix
 
 _SWAPPED = [0, 2, 1, 3]    # two-qubit basis order with the qubits exchanged
 
 
-def _bitstrings(num_qubits: int, k: int) -> np.ndarray:
-    """Sorted bitstrings of num_qubits bits with k of them set.
+class ParticleConservationError(ValueError):
+    pass
+
+
+# entries between basis states of different particle numbers, by matrix size
+_MIXING = {len(c): np.not_equal.outer(c, c) for c in ([0, 1], [0, 1, 1, 2])}
+
+
+def number_parts(u: np.ndarray, what: str) -> tuple:
+    """Split a 2x2 or 4x4 gate matrix by particle number: (empty, full, pair).
+
+    `empty` and `full` are the phases on |0> and |1> (|00> and |11>); `pair`
+    is None for 2x2 and, for 4x4, the 2x2 map on the one-particle pair
+    (|01>, |10>) in the two-qubit basis index 2*bit_a + bit_b.  A matrix that
+    mixes particle numbers raises ParticleConservationError naming `what`.
+    """
+    if np.abs(u[_MIXING[len(u)]]).max() > 1e-14:
+        raise ParticleConservationError(f"{what} does not conserve particle number")
+    if len(u) == 2:
+        return u[0, 0], u[1, 1], None
+    return u[0, 0], u[3, 3], u[1:3, 1:3]
+
+
+def _bitstrings(num_qubits: int, k: int, dtype: np.dtype) -> np.ndarray:
+    """Sorted bitstrings of num_qubits bits with k of them set, as `dtype`.
 
     Built from combinations, one bit at a time: the strings of the lowest m
     bits with j set are those of m - 1 bits with j set, then bit m - 1 joined
     to those with j - 1 set, which keeps them sorted.
     """
-    level = [np.zeros(1, dtype=np.int64)] + [np.zeros(0, dtype=np.int64)] * k
+    level = [np.zeros(1, dtype)] + [np.zeros(0, dtype)] * k
     for m in range(num_qubits):
-        top = np.int64(1) << m
+        top = dtype.type(1) << m
         level = [level[0]] + [np.concatenate([level[j], level[j - 1] | top])
                               for j in range(1, k + 1)]
     return level[k]
 
 
 class Basis:
-    """Sorted int64 occupation bitstrings of `num_qubits` qubits.
+    """Sorted occupation bitstrings of `num_qubits` qubits.
 
     `particle_numbers` selects the sectors; None is the full 2**num_qubits
-    basis.  Per-qubit occupations and per-pair index arrays are cached.
-    A bitstring is an int64, so at most 63 qubits fit.
+    basis.  A bitstring is an int64 up to 63 qubits and a Python int (object
+    array) beyond.  Per-qubit occupations and per-pair index arrays are cached.
     """
 
     def __init__(self, num_qubits: int, particle_numbers=None):
-        if num_qubits > 63:
-            raise ValueError(f"{num_qubits} qubits exceed the 63-qubit limit of "
-                             f"int64 bitstrings")
         self.num_qubits = num_qubits
         if particle_numbers is None:
             self.bits = np.arange(2 ** num_qubits, dtype=np.int64)
@@ -67,8 +88,9 @@ class Basis:
             ks = sorted(set(int(k) for k in particle_numbers))
             if ks and (ks[0] < 0 or ks[-1] > num_qubits):
                 raise ValueError(f"particle numbers {ks} outside 0..{num_qubits}")
+            dtype = np.dtype(np.int64 if num_qubits <= 63 else object)
             self.bits = np.sort(np.concatenate(
-                [_bitstrings(num_qubits, k) for k in ks] or [np.zeros(0, np.int64)]))
+                [_bitstrings(num_qubits, k, dtype) for k in ks] or [np.zeros(0, dtype)]))
         self._occupied: dict = {}
         self._pairs: dict = {}
 

@@ -82,6 +82,27 @@ def test_missing_input_file(tmp_path, capsys, subcommand, flag, prefix):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv, config, prefix", [
+    (["simulate-spectral"], {"omegas": 0.5}, "bad config: omegas"),
+    (["simulate-spectral"], {"shots": "abc"}, "bad config: shots"),
+    (["simulate-spectral"], {"n_sites": 4.5}, "bad config: n_sites"),
+    (["simulate-spectral"], {"trotter_steps": 2.5}, "bad config: trotter_steps"),
+    (["compare-trotter"], {"omegas": 0.5}, "bad config: omegas"),
+    (["compile-fft", "--modes", "6", "--radix", "3"], None, "bad plan: num_modes 6"),
+    (["compile-fft", "--modes", "9", "--radix", "5"], None, "bad plan: num_modes 9 is not a power of radix 5"),
+    (["report", "--modes", "6"], None, "bad plan: num_modes 6"),
+])
+def test_malformed_input(tmp_path, capsys, argv, config, prefix):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict({"n_sites": 4, "epsilon": 0.3, "t": 2.0}, **config)))
+        argv = argv + ["--config", str(path)]
+    rc = main(argv + ["--out", str(tmp_path / "x.out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and len(err.splitlines()) == 1
+
+
 def test_simulate_spectral_matches_exact(tmp_path):
     cfg = {"n_sites": 6, "epsilon": 0.3, "t": 4.0, "nu": 1.0,
            "initial_state": [1, 0, 1, 0, 0, 1], "omegas": [0.0, 0.8],

@@ -4,7 +4,7 @@ import pytest
 from fermispec import verify
 from fermispec.circuits import Circuit, Gate, GateKind, invert, two_qubit_count
 from fermispec.fft import (FFTPlan, InterleaveStrategy, base_fft,
-                           fft_circuit, ground_state_momenta, ground_state_prep_circuit,
+                           fft_circuit, fft_radix, ground_state_momenta, ground_state_prep_circuit,
                            interleave_circuit, interleave_cz_graph,
                            interleave_permutation, single_particle_transfer)
 from fermispec.gaussian import GaussianState, evolve_gaussian, extract_mode_transform
@@ -30,6 +30,11 @@ def test_base_fft_counts():
 def test_base_fft_unsupported_radix():
     with pytest.raises(ValueError, match="radix"):
         base_fft(5)
+
+
+def test_fft_radix():
+    assert [fft_radix(n) for n in (1, 2, 3, 4, 6, 8, 9, 12, 27, 64, 81, 243)] == \
+        [None, 2, 3, 2, None, 2, 3, None, 3, 2, 3, 3]
 
 
 def test_plan_validation():
@@ -145,12 +150,23 @@ def test_dft_equivalence_all_sizes_and_strategies():
     assert verify.fft_matches_dft(
         verify.fft_circuits([(2, 2), (3, 3), (4, 2), (8, 2), (9, 3), (27, 3)]), 1e-9)
     # the N = 8 transform with its first twiddle negated
-    c = fft_circuit(8, 2)
+    wrong = verify.fft_matches_dft([_negate_first_twiddle(fft_circuit(8, 2))], 1e-9)
+    assert not wrong and "N=8 strategy=local-fswap" in wrong.detail
+
+
+def _negate_first_twiddle(c: Circuit) -> Circuit:
     i = next(i for i, g in enumerate(c.gates) if g.kind is GateKind.RZ)
     twisted = Gate(GateKind.RZ, c.gates[i].qubits, -c.gates[i].angle)
-    wrong = verify.fft_matches_dft(
-        [Circuit(8, c.gates[:i] + (twisted,) + c.gates[i + 1:], c.meta)], 1e-9)
-    assert not wrong and "N=8 strategy=local-fswap" in wrong.detail
+    return Circuit(c.num_qubits, c.gates[:i] + (twisted,) + c.gates[i + 1:], c.meta)
+
+
+def test_dft_equivalence_beyond_int64_bitstrings():
+    """N = 64 and 81 run on the wide (Python-int) sector basis."""
+    strategies = (InterleaveStrategy.LOCAL_FSWAP, InterleaveStrategy.CX_LADDER)
+    circuits = [fft_circuit(n, r, s) for n, r in ((64, 2), (81, 3)) for s in strategies]
+    assert verify.fft_matches_dft(circuits, 1e-9)
+    wrong = verify.fft_matches_dft([_negate_first_twiddle(circuits[2])], 1e-9)
+    assert not wrong and "N=81 strategy=local-fswap" in wrong.detail
 
 
 def test_software_and_physical_agree_on_full_space():

@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 from fermispec import verify
 from fermispec.circuits import Circuit, cx, x
 from fermispec.fft import base_fft, fft_circuit
-from fermispec.gaussian import (GaussianState, ParticleConservationError,
-                                coupled_hamiltonian, dft_matrix,
+from fermispec.gaussian import (GaussianState, coupled_hamiltonian, dft_matrix,
                                 evolve_gaussian, extract_mode_transform,
                                 mode_propagator, momentum_occupations,
                                 state_from_momentum_occupations, system_block,
                                 vacuum_state)
 from fermispec import statevector as sv
+from fermispec.sector import ParticleConservationError
 
 from strategies import pc_circuits
 
@@ -36,6 +36,11 @@ def test_extract_rejects_non_conserving():
         extract_mode_transform(Circuit(2, (cx(0, 1),)))
     with pytest.raises(ParticleConservationError):
         extract_mode_transform(Circuit(1, (x(0),)))
+
+
+def test_extract_merges_conserving_runs():
+    """Consecutive gates on the same qubits merge before the conservation check."""
+    assert np.allclose(extract_mode_transform(Circuit(2, (cx(0, 1), cx(0, 1)))), np.eye(2))
 
 
 @given(pc_circuits)

@@ -611,6 +611,11 @@ def test_config_validation():
         ProtocolConfig(4, 0.1, initial_state="excited")
     with pytest.raises(ValueError, match="interaction = 0"):
         ProtocolConfig(4, 0.1, interaction=2.0, initial_state=[1, 0, 0, 1])
+    for name, value in (("n_sites", 4.5), ("n_sites", True), ("trotter_steps", 2.5),
+                        ("trotter_steps", False)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ProtocolConfig(**{"n_sites": 4, "epsilon": 0.1, name: value})
+    assert ProtocolConfig(np.int64(4), 0.1, trotter_steps=np.int64(2)).n_sites == 4
 
 
 def test_degenerate_ground_state_raises():

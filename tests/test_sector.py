@@ -7,7 +7,7 @@ from hypothesis import given
 
 from fermispec import sector, verify
 from fermispec.circuits import Circuit, cx, cz, givens, rz, x
-from fermispec.gaussian import ParticleConservationError
+from fermispec.sector import ParticleConservationError
 
 from strategies import pc_circuits
 
@@ -32,16 +32,25 @@ def test_basis_rejects_impossible_particle_numbers():
         sector.Basis(3, [4])
 
 
-def test_basis_fits_int64_bitstrings():
-    """Qubit 0 of 63 is bit 62, the top bit of a nonnegative int64; a 64th
-    qubit would need the sign bit and raises."""
-    with pytest.raises(ValueError, match="63-qubit limit"):
-        sector.Basis(64, (0, 1))
-    basis = sector.Basis(63, (0, 1))
-    assert len(basis) == 64 and basis.bits[-1] == 1 << 62
-    assert np.all(np.diff(basis.bits) > 0)
-    i01, i10 = basis.pair(0, 62)
-    assert basis.bits[i01].tolist() == [1] and basis.bits[i10].tolist() == [1 << 62]
+def test_basis_of_any_width():
+    """Up to 63 qubits the bitstrings are int64 (qubit 0 of 63 is bit 62, the
+    top bit of a nonnegative int64); wider registers hold Python ints."""
+    for n in (63, 64, 243):
+        for ks in ((0, 1), (2,), (0, 1, 2)):
+            basis = sector.Basis(n, ks)
+            want = sorted(sum(1 << (n - 1 - q) for q in qubits)
+                          for k in ks for qubits in combinations(range(n), k))
+            assert basis.bits.dtype == (np.int64 if n <= 63 else object)
+            assert [int(b) for b in basis.bits] == want
+            assert [int(k) for k in basis.particle_numbers()] == [b.bit_count() for b in want]
+            for q in (0, n // 2, n - 1):
+                assert basis.occupied(q).tolist() == [bool(b >> (n - 1 - q) & 1) for b in want]
+            for a, b in ((0, n - 1), (n - 1, 1)):
+                i01, i10 = basis.pair(a, b)
+                flip = (1 << (n - 1 - a)) | (1 << (n - 1 - b))
+                assert [want[i] for i in i01] == [w for w in want if
+                                                  not w >> (n - 1 - a) & 1 and w >> (n - 1 - b) & 1]
+                assert [want[i] for i in i10] == [want[i] ^ flip for i in i01]
 
 
 def test_basis_occupation_and_pairs():
