@@ -8,6 +8,7 @@ reproduce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -61,8 +62,7 @@ def _write_manifest(path: str, subcommand: str, config: dict, outputs: list[str]
 
 def _load_protocol_config(path: str) -> tuple[ProtocolConfig, dict] | None:
     """Parse a protocol config file; on a bad file, say why and return None."""
-    known = {"n_sites", "epsilon", "omega", "t", "nu", "interaction",
-             "trotter_steps", "environment", "initial_state"}
+    known = {f.name for f in dataclasses.fields(ProtocolConfig)}
     extra = {"omegas", "method", "step_counts", "shots", "seed"}
     try:
         with open(path) as fh:
@@ -71,10 +71,12 @@ def _load_protocol_config(path: str) -> tuple[ProtocolConfig, dict] | None:
             if key not in known | extra:
                 raise KeyError(key)
         # JSON numbers load as int or float (a bool is neither type)
-        omegas = raw.get("omegas", [0.0])
-        if type(omegas) is not list or not omegas or any(
-                type(w) not in (int, float) for w in omegas):
-            raise ValueError(f"omegas must be a non-empty list of numbers, got {omegas!r}")
+        for key, types, what in (("omegas", (int, float), "numbers"),
+                                 ("step_counts", (int,), "integers")):
+            values = raw.get(key, [0])
+            if type(values) is not list or not values or any(
+                    type(v) not in types for v in values):
+                raise ValueError(f"{key} must be a non-empty list of {what}, got {values!r}")
         for key in ("shots", "seed"):
             if type(raw.get(key, 0)) is not int or raw.get(key, 0) < 0:
                 raise ValueError(f"{key} must be a non-negative integer, got {raw[key]!r}")
@@ -205,7 +207,7 @@ def _cmd_compare_trotter(args) -> int:
     _write_json(meta_path, table)
     if args.manifest:
         inputs = dict(cfg.snapshot(), omegas=list(map(float, omegas)),
-                      step_counts=[int(s) for s in step_counts])
+                      step_counts=step_counts)
         _write_manifest(args.manifest, "compare-trotter", inputs, [args.out, meta_path])
     for row in table["rows"]:
         print(f"steps={row['steps']:4d}  env_avg={row['env_avg_error']:.4e}  "

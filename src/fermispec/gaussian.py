@@ -1,5 +1,8 @@
 """Single-particle (mode) transfer matrices and free-fermion Gaussian states.
 
+A Gaussian state is its correlation matrix C[i, j] = <c_i^dag c_j>, held as
+a plain complex array.
+
 The transfer of a gate-level circuit is read off its zero- and one-particle
 sectors, run by the `sector` engine (`extract_mode_transform`).
 
@@ -7,14 +10,12 @@ Conventions, fixed once and validated by the oracle tests:
 
  * The mode transform T of a particle-conserving circuit U satisfies
    U c_j U^dag = sum_l T[j, l] c_l   (Heisenberg picture).
- * A state evolved as |psi> -> U|psi> has its correlation matrix
-   C[i, j] = <c_i^dag c_j> mapped to  C -> T^T C conj(T).
+ * A state evolved as |psi> -> U|psi> has its correlation matrix mapped
+   to  C -> T^T C conj(T).
  * Many-body evolution by exp(+i H t) with single-particle matrix h
    (H = sum h[i,j] c_i^dag c_j) has transfer T = exp(-i t h).
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,39 +47,10 @@ def dft_matrix(n: int) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# Gaussian states
+# Gaussian states: a state is its correlation matrix C[i, j] = <c_i^dag c_j>
 # --------------------------------------------------------------------------
 
-@dataclass
-class GaussianState:
-    """Free-fermion state characterized by C[i, j] = <c_i^dag c_j>."""
-    corr: np.ndarray
-
-    @property
-    def num_modes(self) -> int:
-        return self.corr.shape[0]
-
-    def check(self, tol: float = 1e-10) -> None:
-        c = self.corr
-        if np.max(np.abs(c - c.conj().T)) > tol:
-            raise ValueError("correlation matrix not Hermitian")
-        w = np.linalg.eigvalsh(c)
-        if w.min() < -tol or w.max() > 1 + tol:
-            raise ValueError("correlation eigenvalues outside [0, 1]")
-
-    def occupations(self) -> np.ndarray:
-        return self.corr.diagonal().real.copy()
-
-
-def vacuum_state(num_modes: int) -> GaussianState:
-    return GaussianState(np.zeros((num_modes, num_modes), dtype=complex))
-
-
-def filled_state(num_modes: int) -> GaussianState:
-    return GaussianState(np.eye(num_modes, dtype=complex))
-
-
-def state_from_momentum_occupations(rho: np.ndarray) -> GaussianState:
+def state_from_momentum_occupations(rho: np.ndarray) -> np.ndarray:
     """Diagonal momentum ensemble: C[j, j'] = (1/N) sum_k rho_k e^{i k (j'-j)}.
 
     Momentum labels follow c(k) = N^(-1/2) sum_j e^{-i j k} c_j with
@@ -86,21 +58,21 @@ def state_from_momentum_occupations(rho: np.ndarray) -> GaussianState:
     """
     rho = np.asarray(rho, dtype=float)
     f = dft_matrix(rho.shape[0])
-    return GaussianState(f.conj() @ np.diag(rho) @ f.T)
+    return f.conj() @ np.diag(rho) @ f.T
 
 
-def evolve_gaussian(state: GaussianState, transform: np.ndarray) -> GaussianState:
+def evolve_gaussian(corr: np.ndarray, transform: np.ndarray) -> np.ndarray:
     """Apply a circuit/propagator with mode transform T: C -> T^T C conj(T)."""
     t = np.asarray(transform)
-    if t.shape != state.corr.shape:
+    if t.shape != corr.shape:
         raise ValueError("dimension mismatch")
-    return GaussianState(t.T @ state.corr @ t.conj())
+    return t.T @ corr @ t.conj()
 
 
-def momentum_occupations(state: GaussianState) -> np.ndarray:
+def momentum_occupations(corr: np.ndarray) -> np.ndarray:
     """<c(k)^dag c(k)> on the k = 2 pi n / N grid, same convention as above."""
-    f = dft_matrix(state.num_modes)
-    return np.einsum("jk,jl,lk->k", f, state.corr, f.conj()).real
+    f = dft_matrix(corr.shape[0])
+    return np.einsum("jk,jl,lk->k", f, corr, f.conj()).real
 
 
 # --------------------------------------------------------------------------

@@ -39,10 +39,9 @@ from .circuits import Circuit, Gate, cx, cz, givens, remap, rz, x, z
 from .fft import (InterleaveStrategy, fft_circuit, fft_radix, ground_state_momenta,
                   ground_state_prep_circuit, interleave_circuit,
                   interleave_permutation)
-from .gaussian import (GaussianState, chain_bonds, coupled_hamiltonian,
-                       environment_block, evolve_gaussian, filled_state,
-                       mode_propagator, momentum_occupations,
-                       state_from_momentum_occupations, vacuum_state)
+from .gaussian import (chain_bonds, coupled_hamiltonian, environment_block,
+                       evolve_gaussian, mode_propagator, momentum_occupations,
+                       state_from_momentum_occupations)
 from . import sector
 from . import statevector as sv
 
@@ -251,11 +250,10 @@ def strong_coupling_leading(config: ProtocolConfig, omegas=None) -> SpectralGrid
 
 def _initial_correlation(config: ProtocolConfig) -> np.ndarray:
     n = config.n_sites
-    sys_state = state_from_momentum_occupations(config.rho())
-    env = (vacuum_state(n) if config.environment == "empty" else filled_state(n))
     corr = np.zeros((2 * n, 2 * n), dtype=complex)
-    corr[0::2, 0::2] = sys_state.corr
-    corr[1::2, 1::2] = env.corr
+    corr[0::2, 0::2] = state_from_momentum_occupations(config.rho())
+    if config.environment == "full":
+        corr[1::2, 1::2] = np.eye(n)
     return corr
 
 
@@ -276,8 +274,8 @@ def nk_gaussian(config: ProtocolConfig, omegas=None) -> SpectralGrid:
     for iw, om in enumerate(omegas):
         h = coupled_hamiltonian(n, config.nu, config.epsilon, om)
         transfer = mode_propagator(h, config.t)
-        corr = evolve_gaussian(GaussianState(corr0), transfer).corr
-        nk = momentum_occupations(GaussianState(environment_block(corr)))
+        corr = evolve_gaussian(corr0, transfer)
+        nk = momentum_occupations(environment_block(corr))
         vals[:, iw] = nk if config.environment == "empty" else 1 - nk
     return SpectralGrid(ks, omegas, vals, "gaussian", {"config": config.snapshot()})
 
@@ -710,7 +708,7 @@ def compare_trotter(config: ProtocolConfig, omegas, step_counts) -> dict:
     ref = reference_windowed_spectral(config, omegas).values
     rows = []
     for steps in step_counts:
-        cfg = replace(config, trotter_steps=int(steps))
+        cfg = replace(config, trotter_steps=steps)
         env = environment_method_grid(cfg, omegas)
         base = dynamical_correlation_baseline(cfg, omegas)
         s_env = least_squares_scale(env.values, ref)

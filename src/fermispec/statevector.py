@@ -179,14 +179,12 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     return state.reshape(dim, dim)
 
 
-def occupations(state: np.ndarray, num_qubits: int | None = None,
-                qubits=None) -> np.ndarray:
-    """<n_q> for each of `qubits` (default: every qubit); batched states
-    return shape (len(qubits), batch)."""
+def occupations(state: np.ndarray, num_qubits: int | None = None) -> np.ndarray:
+    """<n_q> for every qubit q; batched states return shape (n, batch)."""
     n = _resolve_qubits(state, num_qubits)
     p = np.abs(state) ** 2
     out = []
-    for q in range(n) if qubits is None else qubits:
+    for q in range(n):
         taken = np.take(p, 1, axis=q)
         axes = tuple(range(n - 1))  # remaining qubit axes; batch axis survives
         out.append(taken.sum(axis=axes))

@@ -104,14 +104,6 @@ class CliffordTableau:
             self.x[i, i] = 1
             self.z[n + i, i] = 1
 
-    def copy(self) -> "CliffordTableau":
-        t = CliffordTableau.__new__(CliffordTableau)
-        t.num_qubits = self.num_qubits
-        t.x = self.x.copy()
-        t.z = self.z.copy()
-        t.sign = self.sign.copy()
-        return t
-
     def apply_gate(self, gate: Gate) -> "CliffordTableau":
         if gate.kind is GateKind.BARRIER:
             return self

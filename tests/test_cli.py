@@ -91,6 +91,10 @@ def test_missing_input_file(tmp_path, capsys, subcommand, flag, prefix):
     (["compile-fft", "--modes", "6", "--radix", "3"], None, "bad plan: num_modes 6"),
     (["compile-fft", "--modes", "9", "--radix", "5"], None, "bad plan: num_modes 9 is not a power of radix 5"),
     (["report", "--modes", "6"], None, "bad plan: num_modes 6"),
+    (["compare-trotter"], {"step_counts": 3}, "bad config: step_counts"),
+    (["compare-trotter"], {"step_counts": [2.5]}, "bad config: step_counts"),
+    (["compare-trotter"], {"step_counts": []}, "bad config: step_counts"),
+    (["compare-trotter"], {"step_counts": ["2"]}, "bad config: step_counts"),
 ])
 def test_malformed_input(tmp_path, capsys, argv, config, prefix):
     if config is not None:

@@ -568,7 +568,7 @@ def _gate_level_environment_grid(config, omegas):
         for filling, state in (("empty", empty), ("full", full)):
             for _ in range(config.trotter_steps):
                 state = sv.run_circuit(step, state)
-            occ = sv.occupations(sv.run_circuit(readout, state), qubits=range(n, 2 * n))
+            occ = sv.occupations(sv.run_circuit(readout, state))[n:]
             vals[:, iw] += occ if filling == "empty" else 1 - occ
     return SpectralGrid(config.momenta(), omegas, vals, "gate-level")
 
