@@ -77,6 +77,8 @@ def _load_protocol_config(path: str) -> tuple[ProtocolConfig, dict] | None:
             if type(values) is not list or not values or any(
                     type(v) not in types for v in values):
                 raise ValueError(f"{key} must be a non-empty list of {what}, got {values!r}")
+        if min(raw.get("step_counts", [0])) < 0:
+            raise ValueError(f"step_counts must be non-negative, got {raw['step_counts']!r}")
         for key in ("shots", "seed"):
             if type(raw.get(key, 0)) is not int or raw.get(key, 0) < 0:
                 raise ValueError(f"{key} must be a non-negative integer, got {raw[key]!r}")

@@ -1,7 +1,8 @@
 """Single-particle (mode) transfer matrices and free-fermion Gaussian states.
 
 A Gaussian state is its correlation matrix C[i, j] = <c_i^dag c_j>, held as
-a plain complex array.
+a plain complex array.  Evolution may take a block of columns of the
+transfer T, and then returns only the correlation block on those modes.
 
 The transfer of a gate-level circuit is read off its zero- and one-particle
 sectors, run by the `sector` engine (`extract_mode_transform`).
@@ -58,13 +59,17 @@ def state_from_momentum_occupations(rho: np.ndarray) -> np.ndarray:
     """
     rho = np.asarray(rho, dtype=float)
     f = dft_matrix(rho.shape[0])
-    return f.conj() @ np.diag(rho) @ f.T
+    return (f.conj() * rho) @ f.T
 
 
 def evolve_gaussian(corr: np.ndarray, transform: np.ndarray) -> np.ndarray:
-    """Apply a circuit/propagator with mode transform T: C -> T^T C conj(T)."""
+    """Apply a circuit/propagator with mode transform T: C -> T^T C conj(T).
+
+    T may be a modes x m block of the transfer's columns, T[:, S]; the result
+    is then the m x m block of the evolved C on the modes S.
+    """
     t = np.asarray(transform)
-    if t.shape != corr.shape:
+    if t.ndim != 2 or corr.shape != (t.shape[0], t.shape[0]):
         raise ValueError("dimension mismatch")
     return t.T @ corr @ t.conj()
 
@@ -72,7 +77,7 @@ def evolve_gaussian(corr: np.ndarray, transform: np.ndarray) -> np.ndarray:
 def momentum_occupations(corr: np.ndarray) -> np.ndarray:
     """<c(k)^dag c(k)> on the k = 2 pi n / N grid, same convention as above."""
     f = dft_matrix(corr.shape[0])
-    return np.einsum("jk,jl,lk->k", f, corr, f.conj()).real
+    return np.einsum("jk,jk->k", f, corr @ f.conj()).real
 
 
 # --------------------------------------------------------------------------
@@ -113,7 +118,3 @@ def mode_propagator(h: np.ndarray, t: float) -> np.ndarray:
 
 def system_block(h: np.ndarray) -> np.ndarray:
     return h[0::2, 0::2]
-
-
-def environment_block(corr: np.ndarray) -> np.ndarray:
-    return corr[1::2, 1::2]

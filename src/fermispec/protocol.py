@@ -39,8 +39,8 @@ from .circuits import Circuit, Gate, cx, cz, givens, remap, rz, x, z
 from .fft import (InterleaveStrategy, fft_circuit, fft_radix, ground_state_momenta,
                   ground_state_prep_circuit, interleave_circuit,
                   interleave_permutation)
-from .gaussian import (chain_bonds, coupled_hamiltonian, environment_block,
-                       evolve_gaussian, mode_propagator, momentum_occupations,
+from .gaussian import (chain_bonds, coupled_hamiltonian, evolve_gaussian,
+                       mode_propagator, momentum_occupations,
                        state_from_momentum_occupations)
 from . import sector
 from . import statevector as sv
@@ -261,9 +261,10 @@ def nk_gaussian(config: ProtocolConfig, omegas=None) -> SpectralGrid:
     """Continuous-time protocol on the 2N x 2N correlation matrix.
 
     Builds the initial correlation (momentum-diagonal system, empty or full
-    environment), evolves with the coupled single-particle Hamiltonian,
-    rotates the environment block by the DFT and reads the diagonal; the
-    filled environment reports 1 - n(k).
+    environment), evolves it with the coupled single-particle Hamiltonian
+    through the transfer's environment (odd) columns, which yields only the
+    environment block, rotates that block by the DFT and reads the diagonal;
+    the filled environment reports 1 - n(k).
     """
     _require_free(config, "nk_gaussian")
     omegas = _omega_list(config, omegas)
@@ -273,9 +274,8 @@ def nk_gaussian(config: ProtocolConfig, omegas=None) -> SpectralGrid:
     vals = np.zeros((n, len(omegas)))
     for iw, om in enumerate(omegas):
         h = coupled_hamiltonian(n, config.nu, config.epsilon, om)
-        transfer = mode_propagator(h, config.t)
-        corr = evolve_gaussian(corr0, transfer)
-        nk = momentum_occupations(environment_block(corr))
+        env_corr = evolve_gaussian(corr0, mode_propagator(h, config.t)[:, 1::2])
+        nk = momentum_occupations(env_corr)
         vals[:, iw] = nk if config.environment == "empty" else 1 - nk
     return SpectralGrid(ks, omegas, vals, "gaussian", {"config": config.snapshot()})
 

@@ -95,6 +95,7 @@ def test_missing_input_file(tmp_path, capsys, subcommand, flag, prefix):
     (["compare-trotter"], {"step_counts": [2.5]}, "bad config: step_counts"),
     (["compare-trotter"], {"step_counts": []}, "bad config: step_counts"),
     (["compare-trotter"], {"step_counts": ["2"]}, "bad config: step_counts"),
+    (["compare-trotter"], {"step_counts": [-1]}, "bad config: step_counts"),
 ])
 def test_malformed_input(tmp_path, capsys, argv, config, prefix):
     if config is not None:

@@ -121,6 +121,39 @@ def test_single_mode_spread_by_dft():
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
         evolve_gaussian(np.zeros((3, 3), dtype=complex), np.eye(4))
+    with pytest.raises(ValueError):
+        evolve_gaussian(np.zeros((3, 3), dtype=complex), np.ones(3))
+    with pytest.raises(ValueError):
+        evolve_gaussian(np.zeros((3, 3), dtype=complex), np.eye(4)[:, :3])
+
+
+def _random_hermitian(n, rng):
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return (a + a.conj().T) / 2
+
+
+@pytest.mark.parametrize("cols", [slice(1, None, 2), slice(0, None, 2), [0, 3, 4], [5]])
+def test_evolve_column_block_is_block_of_square(cols):
+    """Evolving through columns S of T gives the (S, S) block of the square
+    evolution."""
+    rng = np.random.default_rng(5)
+    corr = _random_hermitian(8, rng)
+    t = mode_propagator(_random_hermitian(8, rng), 1.7)
+    full = evolve_gaussian(corr, t)
+    idx = np.arange(8)[cols]
+    block = evolve_gaussian(corr, t[:, cols])
+    assert block.shape == (len(idx), len(idx))
+    assert np.max(np.abs(block - full[np.ix_(idx, idx)])) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 50])
+def test_momentum_occupations_matches_three_operand_einsum(n):
+    """The matmul readout equals the unoptimized three-operand einsum it
+    replaced."""
+    corr = _random_hermitian(n, np.random.default_rng(n))
+    f = dft_matrix(n)
+    want = np.einsum("jk,jl,lk->k", f, corr, f.conj()).real
+    assert np.max(np.abs(momentum_occupations(corr) - want)) <= 1e-12
 
 
 def test_momentum_occupation_round_trip():

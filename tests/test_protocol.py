@@ -57,6 +57,35 @@ def test_gaussian_matches_exact_both_fills():
     assert not wrong and "N=10, nu=0.8, empty environment" in wrong.detail
 
 
+def _full_correlation_chain(config, omegas):
+    """nk_gaussian as the full 2N x 2N evolution: diagonal-matrix initial
+    state, square transfer, environment slice, three-operand einsum readout."""
+    from fermispec.gaussian import coupled_hamiltonian, dft_matrix, mode_propagator
+    n = config.n_sites
+    f = dft_matrix(n)
+    corr0 = np.zeros((2 * n, 2 * n), dtype=complex)
+    corr0[0::2, 0::2] = f.conj() @ np.diag(config.rho()) @ f.T
+    if config.environment == "full":
+        corr0[1::2, 1::2] = np.eye(n)
+    vals = np.zeros((n, len(omegas)))
+    for iw, om in enumerate(omegas):
+        t = mode_propagator(coupled_hamiltonian(n, config.nu, config.epsilon, om), config.t)
+        corr = (t.T @ corr0 @ t.conj())[1::2, 1::2]
+        nk = np.einsum("jk,jl,lk->k", f, corr, f.conj()).real
+        vals[:, iw] = nk if config.environment == "empty" else 1 - nk
+    return vals
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 31])
+def test_gaussian_matches_full_correlation_chain(n):
+    rho = np.random.default_rng(n).random(n)
+    for env in ("empty", "full"):
+        cfg = _cfg(n_sites=n, epsilon=0.45, t=4.2, nu=0.8, environment=env,
+                   initial_state=rho)
+        want = _full_correlation_chain(cfg, OMEGAS)
+        assert np.max(np.abs(nk_gaussian(cfg, OMEGAS).values - want)) <= 1e-12, env
+
+
 def test_gaussian_t_zero():
     cfg = _cfg(t=0.0)
     assert np.max(np.abs(nk_gaussian(cfg, OMEGAS).values)) < 1e-14
