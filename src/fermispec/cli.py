@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .circuits import two_qubit_count, two_qubit_depth, write_circuit
-from .czgraph import decimate, parse_edge_list, verify_equivalence
+from .czgraph import check_depth_penalty, decimate, parse_edge_list, verify_equivalence
 from .fft import (FFTPlan, InterleaveStrategy, compile_fft, fft_circuit,
                   has_shipped_listing, interleave_circuit, interleave_cz_graph,
                   interleave_permutation)
@@ -318,6 +318,12 @@ def main(argv=None) -> int:
             FFTPlan(args.modes, args.radix)
         except ValueError as exc:
             print(f"bad plan: {exc}", file=sys.stderr)
+            return 2
+    if "depth_penalty" in args:    # compile-fft and optimize-cz
+        try:
+            check_depth_penalty(args.depth_penalty)
+        except ValueError as exc:
+            print(f"bad penalty: {exc}", file=sys.stderr)
             return 2
     return args.func(args)
 

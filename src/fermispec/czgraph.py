@@ -17,12 +17,20 @@ The greedy loop picks, among the moves that shrink the graph, the one
 minimizing |G'| - |G| + C, plus a tunable penalty for moves that cannot join
 the current circuit layer; ties break lexicographically on (rule, i, j).
 Removing an existing edge always shrinks the graph, so a candidate exists
-while edges remain, and the loop terminates for any penalty.
+while edges remain, and the loop terminates for any finite penalty.
+
+Each step scores all 3 n^2 candidate moves in one vectorized numpy pass over
+the adjacency rows held as uint64 words; the first minimum in (rule, i, j)
+order wins, so the tie-break (and every emitted circuit) is the one of a
+plain scan over the moves in that order.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .circuits import Circuit, Gate, GateKind, cz, cx, cy, z
 from .tableau import CliffordTableau, tableau_of, tableau_of_cz_edges
@@ -134,45 +142,81 @@ def apply_rule(graph: CZGraph, step: DecimationStep) -> CZGraph:
 # greedy decimation
 # --------------------------------------------------------------------------
 
+def check_depth_penalty(depth_penalty: float) -> None:
+    """Raise ValueError unless the depth penalty is a finite number (any sign)."""
+    if not math.isfinite(depth_penalty):
+        raise ValueError(f"depth_penalty must be finite, got {depth_penalty}")
+
+
+def _words(mask: int, width: int) -> np.ndarray:
+    """The bitmask as `width` little-endian uint64 words (bit k in word k >> 6)."""
+    return np.array([(mask >> s) & 0xFFFF_FFFF_FFFF_FFFF for s in range(0, 64 * width, 64)],
+                    dtype=np.uint64)
+
+
 def decimate(graph: CZGraph, depth_penalty: float = 0.5) -> Circuit:
     """Synthesize a circuit realizing U_G exactly (phases included).
 
     Step t rewrites G_t into G_{t+1} with U_{G_t} = W_t U_{G_{t+1}} V_t, so the
-    emitted gate order is [V_1 .. V_m, W_m .. W_1].
+    emitted gate order is [V_1 .. V_m, W_m .. W_1].  `depth_penalty` must be
+    finite; it may be negative.
     """
+    check_depth_penalty(depth_penalty)
     n = graph.num_qubits
     adj = _adjacency(graph)
     edge_count = graph.num_edges
 
+    # the same adjacency as (n, W) uint64 words, toggled along with `adj`
+    width = (n + 63) // 64
+    words = np.array([_words(row, width) for row in adj], dtype=np.uint64)
+    qubit = np.arange(n)
+    word_of, bit_of = qubit >> 6, (qubit & 63).astype(np.uint64)
+    costs = np.array(_COSTS)
+    in_layer = np.zeros(n, dtype=bool)
+
     v_side: list[Gate] = []
     w_side: list[list[Gate]] = []
-    layer_mask = 0
 
     while edge_count:
-        targets = [_targets(adj, j) for j in range(n)]
-        best = None  # (score, rule value, i, j, delta)
-        for i in range(n):
-            bit_i, row = 1 << i, adj[i]
-            degree = row.bit_count()
-            for j in range(n):
-                if j == i or not adj[j]:
-                    continue  # an isolated j offers no shrinking move
-                pen = depth_penalty if layer_mask & (bit_i | (1 << j)) else 0.0
-                for rule, target in enumerate(targets[j]):
-                    delta = (row ^ (target & ~bit_i)).bit_count() - degree
-                    if delta < 0:
-                        cand = (delta + _COSTS[rule] + pen, rule, i, j, delta)
-                        if best is None or cand < best:
-                            best = cand
-        _, rule, i, j, delta = best
+        # delta[rule, i, j] = |row_i ^ (target[rule, j] & ~bit_i)| - deg_i, the
+        # edge-count change of the move, from the Hamming distance
+        # h = |row_i ^ row_j| and the edge bit a = A[i, j] (i != j): CZ removal
+        # toggles one edge, 1 - 2a; CX conjugation h - a - deg_i, as
+        # row_i ^ row_j holds bit i exactly when a; the wrap also toggles bit j
+        # of that, so it is the sum of the two.
+        a = ((words[:, word_of] >> bit_of) & 1).astype(np.int32)
+        h = np.zeros((n, n), dtype=np.int32)
+        for w in range(width):
+            h += np.bitwise_count(words[:, None, w] ^ words[None, :, w])
+        delta = np.empty((3, n, n), dtype=np.int32)
+        np.subtract(1, 2 * a, out=delta[0])
+        np.subtract(h - a, a.sum(1, dtype=np.int32)[:, None], out=delta[1])
+        np.add(delta[0], delta[1], out=delta[2])
+        shrinks = delta < 0
+        shrinks[:, qubit, qubit] = False  # no move; an isolated j has delta >= 0
+
+        # score the shrinking moves as (delta + cost) + penalty; argmin takes the
+        # first minimum in C order, i.e. the tie-break on (rule, i, j)
+        cand = np.flatnonzero(shrinks)
+        rules, i_s, j_s = np.unravel_index(cand, shrinks.shape)
+        pen = np.where(in_layer[i_s] | in_layer[j_s], depth_penalty, 0.0)
+        score = (delta.ravel()[cand] + costs[rules]) + pen
+        best = int(cand[np.argmin(score)])
+        rule, i, j = (int(x) for x in np.unravel_index(best, shrinks.shape))
+
         v_gates, w_gates = _move_gates(adj, DecimationRule(rule), i, j)
-        _toggle(adj, i, targets[j][rule] & ~(1 << i))
-        edge_count += delta
+        mask = _targets(adj, j)[rule] & ~(1 << i)
+        _toggle(adj, i, mask)
+        toggled = _words(mask, width)
+        words[i] ^= toggled
+        words[:, i >> 6] ^= ((toggled[word_of] >> bit_of) & 1) << np.uint64(i & 63)
+        edge_count += int(delta.flat[best])
         v_side.extend(v_gates)
         w_side.append(w_gates)
 
-        qubits_mask = (1 << i) | (1 << j)
-        layer_mask = qubits_mask if layer_mask & qubits_mask else layer_mask | qubits_mask
+        if in_layer[i] or in_layer[j]:
+            in_layer[:] = False
+        in_layer[[i, j]] = True
 
     gates = v_side + [g for gs in reversed(w_side) for g in gs]
     return Circuit(n, tuple(gates), {"steps": len(w_side)})

@@ -31,7 +31,7 @@ import numpy as np
 
 from .circuits import (Circuit, Gate, GateKind, cz, cx, fswap, givens, remap,
                        rz, s, sdg, x, z, parse_circuit, invert)
-from .czgraph import CZGraph, decimate, graph_from_edges
+from .czgraph import CZGraph, check_depth_penalty, decimate, graph_from_edges
 from .gaussian import extract_mode_transform
 from .tableau import tableau_of, tableau_of_cz_edges
 
@@ -56,6 +56,7 @@ class FFTPlan:
         if fft_radix(self.num_modes) != self.radix:
             raise ValueError(f"num_modes {self.num_modes} is not a power of radix "
                              f"{self.radix} (supported radices: 2, 3)")
+        check_depth_penalty(self.depth_penalty)
 
 
 def fft_radix(num_modes: int) -> int | None:

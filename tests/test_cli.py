@@ -96,8 +96,22 @@ def test_missing_input_file(tmp_path, capsys, subcommand, flag, prefix):
     (["compare-trotter"], {"step_counts": []}, "bad config: step_counts"),
     (["compare-trotter"], {"step_counts": ["2"]}, "bad config: step_counts"),
     (["compare-trotter"], {"step_counts": [-1]}, "bad config: step_counts"),
+    (["compile-fft", "--modes", "9", "--radix", "3", "--interleave", "graph-decimated",
+      "--depth-penalty", "nan"], None, "bad penalty: depth_penalty must be finite, got nan"),
+    (["compile-fft", "--modes", "9", "--radix", "3", "--depth-penalty", "inf"], None,
+     "bad penalty: depth_penalty must be finite, got inf"),
+    (["optimize-cz", "--depth-penalty", "nan"], None,
+     "bad penalty: depth_penalty must be finite, got nan"),
+    (["optimize-cz", "--depth-penalty", "inf"], None,
+     "bad penalty: depth_penalty must be finite, got inf"),
+    (["optimize-cz", "--depth-penalty=-inf"], None,
+     "bad penalty: depth_penalty must be finite, got -inf"),
 ])
 def test_malformed_input(tmp_path, capsys, argv, config, prefix):
+    if argv[0] == "optimize-cz":
+        path = tmp_path / "g.txt"
+        path.write_text("0 1\n1 2\n2 3\n3 0\n")
+        argv = argv + ["--graph", str(path)]
     if config is not None:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(dict({"n_sites": 4, "epsilon": 0.3, "t": 2.0}, **config)))

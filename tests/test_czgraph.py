@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from fermispec import verify
 from fermispec.circuits import Circuit, GateKind, cx, cz, format_circuit
-from fermispec.czgraph import (CZGraph, DecimationRule, DecimationStep,
-                               _adjacency, _move_gates, apply_rule, decimate,
-                               format_edge_list, graph_from_edges,
-                               parse_edge_list, verify_equivalence)
-from fermispec.fft import interleave_cz_graph, interleave_permutation, \
-    imported_interleave_sequence
+from fermispec.czgraph import (_COSTS, CZGraph, DecimationRule, DecimationStep,
+                               _adjacency, _move_gates, _targets, _toggle,
+                               apply_rule, decimate, format_edge_list,
+                               graph_from_edges, parse_edge_list,
+                               verify_equivalence)
+from fermispec.fft import FFTPlan, InterleaveStrategy, interleave_cz_graph, \
+    interleave_permutation, imported_interleave_sequence
 from fermispec.statevector import circuit_unitary
 from fermispec.tableau import tableau_of
 
@@ -149,6 +150,93 @@ def test_large_penalty_terminates_sound():
     assert verify.decimation_sound(syntheses, dense_tol=None, gates_per_edge=2)
 
 
+def _scan_decimate(graph: CZGraph, depth_penalty: float = 0.5) -> Circuit:
+    """The oracle for `decimate`: the same greedy loop, scoring the moves one by
+    one in (i, j, rule) order and keeping the least (score, rule, i, j)."""
+    n = graph.num_qubits
+    adj = _adjacency(graph)
+    edge_count = graph.num_edges
+
+    v_side = []
+    w_side = []
+    layer_mask = 0
+
+    while edge_count:
+        targets = [_targets(adj, j) for j in range(n)]
+        best = None  # (score, rule value, i, j, delta)
+        for i in range(n):
+            bit_i, row = 1 << i, adj[i]
+            degree = row.bit_count()
+            for j in range(n):
+                if j == i or not adj[j]:
+                    continue  # an isolated j offers no shrinking move
+                pen = depth_penalty if layer_mask & (bit_i | (1 << j)) else 0.0
+                for rule, target in enumerate(targets[j]):
+                    delta = (row ^ (target & ~bit_i)).bit_count() - degree
+                    if delta < 0:
+                        cand = (delta + _COSTS[rule] + pen, rule, i, j, delta)
+                        if best is None or cand < best:
+                            best = cand
+        _, rule, i, j, delta = best
+        v_gates, w_gates = _move_gates(adj, DecimationRule(rule), i, j)
+        _toggle(adj, i, targets[j][rule] & ~(1 << i))
+        edge_count += delta
+        v_side.extend(v_gates)
+        w_side.append(w_gates)
+
+        qubits_mask = (1 << i) | (1 << j)
+        layer_mask = qubits_mask if layer_mask & qubits_mask else layer_mask | qubits_mask
+
+    gates = v_side + [g for gs in reversed(w_side) for g in gs]
+    return Circuit(n, tuple(gates), {"steps": len(w_side)})
+
+
+def _oracle_graphs(n):
+    """`_seeded_graphs(n)` for n <= 12.  At the 64-bit word boundaries, where
+    the scan takes seconds to a minute per dense graph, two seeded graphs on
+    18 of the n qubits: the first, the last, those on each side of every word
+    boundary below n, and random others."""
+    if n <= 12:
+        yield from _seeded_graphs(n)
+        return
+    rng = np.random.default_rng(2000 + n)
+    fixed = sorted({0, n - 1} | {q for b in range(64, n, 64) for q in (b - 1, b)})
+    rest = rng.choice(sorted(set(range(n)) - set(fixed)), 18 - len(fixed), replace=False)
+    qubits = fixed + [int(q) for q in rest]
+    pairs = [(a, b) for k, a in enumerate(qubits) for b in qubits[k + 1:]]
+    for density in (0.3, 0.7):
+        keep = rng.random(len(pairs)) < density
+        yield graph_from_edges(n, [p for p, k in zip(pairs, keep) if k])
+
+
+ORACLE_PENALTIES = (-0.5, 0.0, 0.5, 2.0, 3.0)
+
+
+@pytest.mark.parametrize("n", list(range(2, 13)) + [63, 64, 65, 127, 128, 129])
+def test_decimate_matches_scan_oracle(n):
+    for g in _oracle_graphs(n):
+        for penalty in ORACLE_PENALTIES:
+            assert (format_circuit(decimate(g, penalty))
+                    == format_circuit(_scan_decimate(g, penalty))), (n, g.num_edges, penalty)
+
+
+@pytest.mark.parametrize("n,radix", [(27, 3), (64, 2)])
+def test_decimate_interleave_matches_scan_oracle(n, radix):
+    g = interleave_cz_graph(interleave_permutation(n, radix))
+    for penalty in ORACLE_PENALTIES:
+        assert (format_circuit(decimate(g, penalty))
+                == format_circuit(_scan_decimate(g, penalty))), penalty
+
+
+@pytest.mark.parametrize("penalty", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_depth_penalty_rejected(penalty):
+    g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    with pytest.raises(ValueError, match="depth_penalty must be finite"):
+        decimate(g, penalty)
+    with pytest.raises(ValueError, match="depth_penalty must be finite"):
+        FFTPlan(9, 3, InterleaveStrategy.GRAPH_DECIMATED, penalty)
+
+
 # sha256 of format_circuit(decimate(g, p)): per n, the four _seeded_graphs(n)
 # at p in {0, 0.5, 2}; per interleave, the default p.  Any change to a chosen
 # move, a tie-break or an emitted gate changes a digest.
@@ -170,6 +258,7 @@ INTERLEAVE_DIGESTS = {
     (27, 3): "2dbaeaba8d477ace3bbf147d940ea167b0bc8c301b4c5bf76fe494970074a8d5",
     (64, 2): "35c0435de8473bb515b8f026064ceaae93c72b1384cc6ca99315c80357cd6c67",
     (81, 3): "9acb1a168281ab36c7490066c8d1aac8e3517e902be2bdb203f7e7373c249b76",
+    (128, 2): "62610652d02de7d7ed92f88b9d918e878720c8cc5b5f6db4aed881db8facea58",
 }
 
 
