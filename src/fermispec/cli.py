@@ -99,6 +99,7 @@ def _cmd_compile_fft(args) -> int:
         "modes": args.modes,
         "radix": args.radix,
         "strategy": strategy.value,
+        "depth_penalty": args.depth_penalty,
         "two_qubit_count": two_qubit_count(circuit),
         "two_qubit_depth": two_qubit_depth(circuit),
         "convention": circuit.meta.get("convention"),

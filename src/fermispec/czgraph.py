@@ -19,10 +19,11 @@ the current circuit layer; ties break lexicographically on (rule, i, j).
 Removing an existing edge always shrinks the graph, so a candidate exists
 while edges remain, and the loop terminates for any finite penalty.
 
-Each step scores all 3 n^2 candidate moves in one vectorized numpy pass over
-the adjacency rows held as uint64 words; the first minimum in (rule, i, j)
-order wins, so the tie-break (and every emitted circuit) is the one of a
-plain scan over the moves in that order.
+The adjacency is held once, as rows of uint64 words, and one move (`_move`)
+toggles them for both `decimate` and `apply_rule`.  Each step scores all
+3 n^2 candidate moves in one vectorized numpy pass over those rows; the first
+minimum in (rule, i, j) order wins, so the tie-break (and every emitted
+circuit) is the one of a plain scan over the moves in that order.
 """
 from __future__ import annotations
 
@@ -67,7 +68,7 @@ class CZGraph:
 
 
 def graph_from_edges(num_qubits: int, edges) -> CZGraph:
-    return CZGraph(num_qubits, frozenset(_norm_edge(e) for e in edges))
+    return CZGraph(num_qubits, edges)
 
 
 class DecimationRule(Enum):
@@ -91,39 +92,38 @@ class DecimationStep:
 
 
 # --------------------------------------------------------------------------
-# the moves, on a bitmask adjacency list (bit k of adj[q] = edge (q, k))
+# the moves, on adjacency rows of uint64 words (bit k & 63 of word k >> 6 of
+# row q = edge (q, k))
 # --------------------------------------------------------------------------
 
-def _adjacency(graph: CZGraph) -> list[int]:
-    adj = [0] * graph.num_qubits
-    for (a, b) in graph.edges:
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-    return adj
+def _rows(graph: CZGraph) -> np.ndarray:
+    """The adjacency as an (n, ceil(n / 64)) array of little-endian uint64 words."""
+    n = graph.num_qubits
+    dense = np.zeros((n, 64 * ((n + 63) // 64)), dtype=bool)
+    a, b = np.array(list(graph.edges), dtype=np.intp).reshape(-1, 2).T
+    dense[a, b] = dense[b, a] = True
+    return np.packbits(dense, axis=1, bitorder="little").view("<u8")
 
 
-def _targets(adj: list[int], j: int) -> tuple[int, int, int]:
-    """For rule value r = 0, 1, 2: the mask of k whose edge (i, k) the move
-    on (i, j) toggles.  The caller drops bit i."""
-    return (1 << j, adj[j], adj[j] ^ (1 << j))
+def _move(rows: np.ndarray, rule: DecimationRule, i: int,
+          j: int) -> tuple[list[Gate], list[Gate]]:
+    """Apply the move on (i, j) to `rows` in place: toggle the edges (i, k) for
+    k in the rule's target set minus i.  Returns (V, W) with U_G = W U_G' V,
+    G before and G' after the move."""
+    bit_i = np.uint64(1 << (i & 63))
+    z_i = bool(rows[j, i >> 6] & bit_i)  # i in n(j), read before toggling
+    mask = np.zeros_like(rows[j]) if rule is DecimationRule.CZ_REMOVAL else rows[j].copy()
+    if rule is not DecimationRule.CX_CONJUGATION:
+        mask[j >> 6] ^= np.uint64(1 << (j & 63))
+    mask[i >> 6] &= ~bit_i
+    in_mask = np.unpackbits(mask.view(np.uint8), count=len(rows), bitorder="little")
+    rows[i] ^= mask
+    rows[:, i >> 6] ^= in_mask * bit_i
 
-
-def _toggle(adj: list[int], i: int, mask: int) -> None:
-    """Toggle the edges (i, k) for every bit k of `mask`, in place."""
-    adj[i] ^= mask
-    while mask:
-        low = mask & -mask
-        adj[low.bit_length() - 1] ^= 1 << i
-        mask ^= low
-
-
-def _move_gates(adj: list[int], rule: DecimationRule, i: int,
-                j: int) -> tuple[list[Gate], list[Gate]]:
-    """(V, W) with U_G = W U_G' V, G' the graph after the move on `adj`."""
     if rule is DecimationRule.CZ_REMOVAL:
         return [cz(i, j)], []
     v = [cx(i, j) if rule is DecimationRule.CX_CONJUGATION else cy(i, j)]
-    if (adj[j] >> i) & 1:
+    if z_i:
         v.append(z(i))
     return v, [cx(i, j)]
 
@@ -132,10 +132,10 @@ def apply_rule(graph: CZGraph, step: DecimationStep) -> CZGraph:
     n, i, j = graph.num_qubits, step.i, step.j
     if i == j or not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"invalid step qubits ({i},{j})")
-    adj = _adjacency(graph)
-    _toggle(adj, i, _targets(adj, j)[step.rule.value] & ~(1 << i))
-    return CZGraph(n, frozenset((a, b) for a in range(n) for b in range(a + 1, n)
-                                if (adj[a] >> b) & 1))
+    rows = _rows(graph)
+    _move(rows, step.rule, i, j)
+    dense = np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little")[:, :n]
+    return CZGraph(n, frozenset(map(tuple, np.argwhere(np.triu(dense, 1)).tolist())))
 
 
 # --------------------------------------------------------------------------
@@ -148,12 +148,6 @@ def check_depth_penalty(depth_penalty: float) -> None:
         raise ValueError(f"depth_penalty must be finite, got {depth_penalty}")
 
 
-def _words(mask: int, width: int) -> np.ndarray:
-    """The bitmask as `width` little-endian uint64 words (bit k in word k >> 6)."""
-    return np.array([(mask >> s) & 0xFFFF_FFFF_FFFF_FFFF for s in range(0, 64 * width, 64)],
-                    dtype=np.uint64)
-
-
 def decimate(graph: CZGraph, depth_penalty: float = 0.5) -> Circuit:
     """Synthesize a circuit realizing U_G exactly (phases included).
 
@@ -163,12 +157,9 @@ def decimate(graph: CZGraph, depth_penalty: float = 0.5) -> Circuit:
     """
     check_depth_penalty(depth_penalty)
     n = graph.num_qubits
-    adj = _adjacency(graph)
+    words = _rows(graph)
+    width = words.shape[1]
     edge_count = graph.num_edges
-
-    # the same adjacency as (n, W) uint64 words, toggled along with `adj`
-    width = (n + 63) // 64
-    words = np.array([_words(row, width) for row in adj], dtype=np.uint64)
     qubit = np.arange(n)
     word_of, bit_of = qubit >> 6, (qubit & 63).astype(np.uint64)
     costs = np.array(_COSTS)
@@ -204,12 +195,7 @@ def decimate(graph: CZGraph, depth_penalty: float = 0.5) -> Circuit:
         best = int(cand[np.argmin(score)])
         rule, i, j = (int(x) for x in np.unravel_index(best, shrinks.shape))
 
-        v_gates, w_gates = _move_gates(adj, DecimationRule(rule), i, j)
-        mask = _targets(adj, j)[rule] & ~(1 << i)
-        _toggle(adj, i, mask)
-        toggled = _words(mask, width)
-        words[i] ^= toggled
-        words[:, i >> 6] ^= ((toggled[word_of] >> bit_of) & 1) << np.uint64(i & 63)
+        v_gates, w_gates = _move(words, DecimationRule(rule), i, j)
         edge_count += int(delta.flat[best])
         v_side.extend(v_gates)
         w_side.append(w_gates)
@@ -245,10 +231,13 @@ def parse_edge_list(text: str, num_qubits: int | None = None) -> CZGraph:
         line = raw.split("#", 1)[0].strip()
         if not line:
             if "qubits:" in raw and num_qubits is None:
-                declared = int(raw.split("qubits:")[1].strip())
+                value = raw.split("qubits:")[1].strip()
+                if not value.isdecimal():
+                    raise ValueError(f"line {lineno}: expected '# qubits: n', got {raw.strip()!r}")
+                declared = int(value)
             continue
         fields = line.split()
-        if len(fields) != 2 or not all(f.isdigit() for f in fields):
+        if len(fields) != 2 or not all(f.isdecimal() for f in fields):
             raise ValueError(f"line {lineno}: expected 'i j', got {line!r}")
         edges.append((int(fields[0]), int(fields[1])))
     n = declared

@@ -1,11 +1,14 @@
 import json
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fermispec
 from fermispec.cli import main
 from fermispec.circuits import read_circuit, two_qubit_count
 from fermispec.czgraph import format_edge_list
@@ -46,6 +49,30 @@ def test_compile_fft_determinism(tmp_path):
     ma = json.loads((tmp_path / "a.json").read_text())
     mb = json.loads((tmp_path / "b.json").read_text())
     assert list(ma["outputs"].values()) == list(mb["outputs"].values())
+
+
+def test_compile_fft_manifest_records_depth_penalty(tmp_path):
+    configs = []
+    for penalty in ("0.5", "2.0"):
+        man = tmp_path / f"{penalty}.json"
+        assert main(["compile-fft", "--modes", "27", "--radix", "3",
+                     "--interleave", "graph-decimated", "--depth-penalty", penalty,
+                     "--out", str(tmp_path / f"{penalty}.txt"), "--manifest", str(man)]) == 0
+        configs.append(json.loads(man.read_text())["config"])
+    assert [c["depth_penalty"] for c in configs] == [0.5, 2.0]
+    assert configs[0]["two_qubit_count"] != configs[1]["two_qubit_count"]
+
+
+def test_runtime_imports_need_only_numpy():
+    """numpy is the only runtime dependency: the package, the CLI and the
+    oracle battery import with scipy and hypothesis unavailable."""
+    code = ("import sys\n"
+            "sys.modules['scipy'] = sys.modules['hypothesis'] = None\n"
+            "import fermispec, fermispec.cli, fermispec.verify\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(fermispec.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_optimize_cz_nine_qubit_interleave(tmp_path):

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermispec import verify
-from fermispec.circuits import Circuit, GateKind, cx, cz, format_circuit
-from fermispec.czgraph import (_COSTS, CZGraph, DecimationRule, DecimationStep,
-                               _adjacency, _move_gates, _targets, _toggle,
-                               apply_rule, decimate, format_edge_list,
+from fermispec.circuits import Circuit, GateKind, cx, cy, cz, format_circuit, z
+from fermispec.czgraph import (CZGraph, DecimationRule, DecimationStep, _move,
+                               _rows, apply_rule, decimate, format_edge_list,
                                graph_from_edges, parse_edge_list,
                                verify_equivalence)
 from fermispec.fft import FFTPlan, InterleaveStrategy, interleave_cz_graph, \
@@ -42,7 +41,7 @@ def test_cx_conjugation_star():
     step = DecimationStep(DecimationRule.CX_CONJUGATION, 0, 1)
     g1 = apply_rule(g, step)
     assert g1.edges == frozenset({(1, 2), (1, 3), (0, 2), (0, 3)})
-    v, _ = _move_gates(_adjacency(g), step.rule, step.i, step.j)
+    v, _ = _move(_rows(g), step.rule, step.i, step.j)
     assert GateKind.Z not in [gate.kind for gate in v]
 
 
@@ -73,7 +72,7 @@ def test_rule_identities_dense():
                     continue
                 for rule in DecimationRule:
                     g1 = apply_rule(g, DecimationStep(rule, i, j))
-                    v, w = _move_gates(_adjacency(g), rule, i, j)
+                    v, w = _move(_rows(g), rule, i, j)
                     rhs = su(Circuit(3, tuple(w))) @ cz_unitary(g1) @ su(Circuit(3, tuple(v)))
                     assert np.max(np.abs(ug - rhs)) < 1e-12, (edges, rule, i, j)
 
@@ -150,11 +149,74 @@ def test_large_penalty_terminates_sound():
     assert verify.decimation_sound(syntheses, dense_tol=None, gates_per_edge=2)
 
 
+# The oracle's own moves, on a bitmask adjacency list (bit k of adj[q] = edge
+# (q, k)), independent of the word rows that `decimate` and `apply_rule` use.
+
+_COSTS = (1, 2, 2)
+
+
+def _int_adjacency(graph: CZGraph) -> list[int]:
+    adj = [0] * graph.num_qubits
+    for (a, b) in graph.edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return adj
+
+
+def _int_targets(adj: list[int], j: int) -> tuple[int, int, int]:
+    """For rule value r = 0, 1, 2: the mask of k whose edge (i, k) the move
+    on (i, j) toggles, before dropping bit i."""
+    return (1 << j, adj[j], adj[j] ^ (1 << j))
+
+
+def _int_move(adj: list[int], rule: DecimationRule, i: int, j: int):
+    """The move on (i, j), in place on `adj`; returns (V, W) as `_move` does."""
+    if rule is DecimationRule.CZ_REMOVAL:
+        v, w = [cz(i, j)], []
+    else:
+        v = [cx(i, j) if rule is DecimationRule.CX_CONJUGATION else cy(i, j)]
+        if (adj[j] >> i) & 1:
+            v.append(z(i))
+        w = [cx(i, j)]
+    mask = _int_targets(adj, j)[rule.value] & ~(1 << i)
+    adj[i] ^= mask
+    while mask:
+        low = mask & -mask
+        adj[low.bit_length() - 1] ^= 1 << i
+        mask ^= low
+    return v, w
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 128, 129])
+def test_move_matches_int_move_at_word_boundaries(n):
+    """`_move` (gates and rows) and `apply_rule` against the bitmask move, for
+    every rule and every (i, j) among the first two and last two qubits and
+    those on each side of every 64-qubit word boundary."""
+    qubits = sorted({0, 1, n - 2, n - 1} | {q for b in range(64, n, 64) for q in (b - 1, b)})
+    rng = np.random.default_rng(3000 + n)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    for density in (0.1, 0.5):
+        keep = rng.random(len(pairs)) < density
+        g = graph_from_edges(n, [p for p, k in zip(pairs, keep) if k])
+        for i in qubits:
+            for j in qubits:
+                if i == j:
+                    continue
+                for rule in DecimationRule:
+                    adj = _int_adjacency(g)
+                    gates = _int_move(adj, rule, i, j)
+                    g1 = CZGraph(n, frozenset((a, b) for (a, b) in pairs if (adj[a] >> b) & 1))
+                    rows = _rows(g)
+                    assert _move(rows, rule, i, j) == gates, (density, rule, i, j)
+                    np.testing.assert_array_equal(rows, _rows(g1))
+                    assert apply_rule(g, DecimationStep(rule, i, j)) == g1, (density, rule, i, j)
+
+
 def _scan_decimate(graph: CZGraph, depth_penalty: float = 0.5) -> Circuit:
     """The oracle for `decimate`: the same greedy loop, scoring the moves one by
     one in (i, j, rule) order and keeping the least (score, rule, i, j)."""
     n = graph.num_qubits
-    adj = _adjacency(graph)
+    adj = _int_adjacency(graph)
     edge_count = graph.num_edges
 
     v_side = []
@@ -162,7 +224,7 @@ def _scan_decimate(graph: CZGraph, depth_penalty: float = 0.5) -> Circuit:
     layer_mask = 0
 
     while edge_count:
-        targets = [_targets(adj, j) for j in range(n)]
+        targets = [_int_targets(adj, j) for j in range(n)]
         best = None  # (score, rule value, i, j, delta)
         for i in range(n):
             bit_i, row = 1 << i, adj[i]
@@ -178,8 +240,7 @@ def _scan_decimate(graph: CZGraph, depth_penalty: float = 0.5) -> Circuit:
                         if best is None or cand < best:
                             best = cand
         _, rule, i, j, delta = best
-        v_gates, w_gates = _move_gates(adj, DecimationRule(rule), i, j)
-        _toggle(adj, i, targets[j][rule] & ~(1 << i))
+        v_gates, w_gates = _int_move(adj, DecimationRule(rule), i, j)
         edge_count += delta
         v_side.extend(v_gates)
         w_side.append(w_gates)
@@ -305,7 +366,8 @@ def test_edge_list_explicit_qubits_win_over_header():
     assert parse_edge_list("# qubits: 3\n0 1\n").num_qubits == 3
 
 
-@pytest.mark.parametrize("text", ["0 1\n2\n", "0 1\n1 x\n", "0 1\n1 2 3\n"])
+@pytest.mark.parametrize("text", ["0 1\n2\n", "0 1\n1 x\n", "0 1\n1 2 3\n",
+                                  "0 1\n# qubits: x\n", "0 1\n1 \u00b2\n"])
 def test_edge_list_malformed_line_names_it(text):
     with pytest.raises(ValueError, match="line 2"):
         parse_edge_list(text)
