@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -77,6 +78,8 @@ def _load_protocol_config(path: str) -> tuple[ProtocolConfig, dict] | None:
             if type(values) is not list or not values or any(
                     type(v) not in types for v in values):
                 raise ValueError(f"{key} must be a non-empty list of {what}, got {values!r}")
+        if not all(map(math.isfinite, raw.get("omegas", [0]))):
+            raise ValueError(f"omegas must be finite, got {raw['omegas']!r}")
         if min(raw.get("step_counts", [0])) < 0:
             raise ValueError(f"step_counts must be non-negative, got {raw['step_counts']!r}")
         for key in ("shots", "seed"):

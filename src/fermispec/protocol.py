@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
@@ -69,6 +69,10 @@ class ProtocolConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_sites < 2:
             raise ValueError("n_sites must be >= 2")
+        for name in ("epsilon", "omega", "t", "nu", "interaction"):
+            value = getattr(self, name)
+            if not isinstance(value, Real) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
         if self.t < 0:
             raise ValueError("t must be >= 0")
         if self.trotter_steps < 0:
@@ -80,7 +84,7 @@ class ProtocolConfig:
                 raise ValueError(f"unknown initial_state {self.initial_state!r}")
         else:
             rho = np.asarray(self.initial_state, dtype=float)
-            if rho.shape != (self.n_sites,) or rho.min() < 0 or rho.max() > 1:
+            if rho.shape != (self.n_sites,) or not ((rho >= 0) & (rho <= 1)).all():
                 raise ValueError("explicit rho_k must be n_sites values in [0, 1]")
             if self.interaction != 0:
                 raise ValueError("an interacting chain starts in its ground state; "
@@ -230,16 +234,18 @@ def nk_exact_free(config: ProtocolConfig, omegas=None) -> SpectralGrid:
 
 
 def strong_coupling_leading(config: ProtocolConfig, omegas=None) -> SpectralGrid:
-    """Leading order in the hopping: sin^2(t*Omega0) eps^2/(w^2+eps^2) rho_k."""
+    """Leading order in the hopping: sin^2(t*Omega0) eps^2/(w^2+eps^2) times
+    rho_k (empty environment) or 1 - rho_k (full), as in `nk_exact_free`."""
     omegas = _omega_list(config, omegas)
     ks = config.momenta()
     rho = config.rho()
+    weight = rho if config.environment == "empty" else 1 - rho
     omega0 = 0.5 * np.sqrt(omegas ** 2 + config.epsilon ** 2)
     with np.errstate(invalid="ignore", divide="ignore"):
         factor = (config.epsilon ** 2 * np.sin(config.t * omega0) ** 2
                   / (omegas ** 2 + config.epsilon ** 2))
     factor = np.nan_to_num(factor)
-    vals = rho[:, None] * factor[None, :]
+    vals = weight[:, None] * factor[None, :]
     return SpectralGrid(ks, omegas, vals, "strong-coupling",
                         {"config": config.snapshot()})
 

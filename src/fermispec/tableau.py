@@ -6,9 +6,14 @@ W(1,0)=X, W(0,1)=Z, W(1,1)=Y.  Two Clifford unitaries are equal up to global
 phase iff their tableaux are identical, so `==` is the phase-quotiented
 equivalence check.
 
-Gate updates go through a conjugation lookup table computed from the dense
-1- or 2-qubit matrix, which keeps the gate set open (RZ/GIVENS at Clifford
-angles included) and rejects non-Clifford gates at application time.
+One idea does the work: projecting onto the Pauli basis.  A gate's
+conjugation table, cached per (kind, quarter turns), holds the image of each
+local Pauli P_a as the one Pauli Q_b with tr(Q_b u P_a u^dag) / 2^nq = +-1,
+read from all 4^nq x 4^nq coefficients of the dense 1- or 2-qubit matrix at
+once.  This keeps the gate set open (RZ/GIVENS at Clifford angles included)
+and rejects non-Clifford gates when their table is built.  A gate updates the
+tableau through its table, reading 2 bits (x, z) per gate qubit.  A CZ graph
+needs no gates at all: its tableau has a closed form (`tableau_of_cz_edges`).
 """
 from __future__ import annotations
 
@@ -27,50 +32,28 @@ class NonCliffordGateError(ValueError):
     pass
 
 
-def _pauli_1q(xb: int, zb: int) -> np.ndarray:
-    m = np.eye(2, dtype=complex)
-    if xb:
-        m = np.array([[0, 1], [1, 0]], dtype=complex) @ m
-    if zb:
-        m = m @ np.diag([1, -1]).astype(complex)
-        m = (1j if xb else 1) * m  # W(1,1) = iXZ = Y
-    return m
-
-
-def _match_pauli(m: np.ndarray, nq: int):
-    """Return (bits, sign) with m == (-1)^sign * W(bits), or None."""
-    rng = [(xb, zb) for xb in (0, 1) for zb in (0, 1)]
-    for bits in ([(a,) for a in rng] if nq == 1 else
-                 [(a, b) for a in rng for b in rng]):
-        p = _pauli_1q(*bits[0])
-        for extra in bits[1:]:
-            p = np.kron(p, _pauli_1q(*extra))
-        for sign in (0, 1):
-            if np.allclose(m, (-1) ** sign * p, atol=1e-9):
-                flat = tuple(v for pair in bits for v in pair)
-                return flat, sign
-    return None
+# W(x, z) at packed index 2x + z: I, Z, X, Y
+_PAULI_1Q = np.array([np.eye(2), np.diag([1, -1]), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]]])
 
 
 def _conjugation_table(u: np.ndarray, nq: int):
-    """Map every local Pauli (as packed bits) to its image under u . u^dag."""
-    n_patterns = 4 ** nq
-    bits_out = np.zeros((n_patterns, 2 * nq), dtype=np.uint8)
-    sign_out = np.zeros(n_patterns, dtype=np.uint8)
-    for idx in range(n_patterns):
-        unpacked = [(idx >> (2 * (nq - 1 - q) + 1)) & 1 for q in range(nq)], \
-                   [(idx >> (2 * (nq - 1 - q))) & 1 for q in range(nq)]
-        xs, zs = unpacked
-        p = _pauli_1q(xs[0], zs[0])
-        for q in range(1, nq):
-            p = np.kron(p, _pauli_1q(xs[q], zs[q]))
-        m = u @ p @ u.conj().T
-        hit = _match_pauli(m, nq)
-        if hit is None:
-            raise NonCliffordGateError("gate does not map Paulis to Paulis")
-        bits_out[idx] = hit[0]
-        sign_out[idx] = hit[1]
-    return bits_out, sign_out
+    """Map every local Pauli (as packed bits) to its image under u . u^dag.
+
+    Row a of `coef` holds the Pauli-basis coefficients tr(Q_b u P_a u^dag) / 2^nq
+    of P_a's image; a Clifford u leaves exactly one of them equal to +-1.
+    """
+    paulis = np.ones((1, 1, 1))
+    for _ in range(nq):    # the first qubit is the most significant
+        paulis = np.einsum("aij,bkl->abikjl", paulis, _PAULI_1Q).reshape(
+            4 * len(paulis), 2 * paulis.shape[1], -1)
+    coef = np.einsum("bij,jk,akl,il->ab", paulis, u, paulis, u.conj(),
+                     optimize=True) / 2 ** nq
+    plus, minus = np.abs(coef - 1) < 1e-9, np.abs(coef + 1) < 1e-9
+    hit = plus | minus
+    if (hit.sum(axis=1) != 1).any():
+        raise NonCliffordGateError("gate does not map Paulis to Paulis")
+    bits_out = (hit.argmax(axis=1)[:, None] >> np.arange(2 * nq - 1, -1, -1)) & 1
+    return bits_out.astype(np.uint8), minus.any(axis=1).astype(np.uint8)
 
 
 def _table_key(gate: Gate):
@@ -108,24 +91,13 @@ class CliffordTableau:
         if gate.kind is GateKind.BARRIER:
             return self
         bits_out, sign_out = _cached_table(*_table_key(gate))
-        qs = gate.qubits
-        if len(qs) == 1:
-            q = qs[0]
-            idx = (self.x[:, q].astype(np.intp) << 1) | self.z[:, q]
-            img = bits_out[idx]
-            self.x[:, q] = img[:, 0]
-            self.z[:, q] = img[:, 1]
-            self.sign ^= sign_out[idx]
-        else:
-            a, b = qs
-            idx = ((self.x[:, a].astype(np.intp) << 3) | (self.z[:, a].astype(np.intp) << 2)
-                   | (self.x[:, b].astype(np.intp) << 1) | self.z[:, b])
-            img = bits_out[idx]
-            self.x[:, a] = img[:, 0]
-            self.z[:, a] = img[:, 1]
-            self.x[:, b] = img[:, 2]
-            self.z[:, b] = img[:, 3]
-            self.sign ^= sign_out[idx]
+        idx = 0    # 2 bits (x, z) per gate qubit, the first most significant
+        for q in gate.qubits:
+            idx = idx << 2 | self.x[:, q] << 1 | self.z[:, q]
+        img = bits_out[idx].T
+        for c, q in enumerate(gate.qubits):
+            self.x[:, q], self.z[:, q] = img[2 * c], img[2 * c + 1]
+        self.sign ^= sign_out[idx]
         return self
 
     def apply_circuit(self, circuit: Circuit) -> "CliffordTableau":
@@ -166,7 +138,16 @@ def tableau_of(circuit: Circuit) -> CliffordTableau:
 
 
 def tableau_of_cz_edges(num_qubits: int, edges) -> CliffordTableau:
+    """Tableau of the CZ circuit prod_{(i,j) in edges} CZ_ij.
+
+    In closed form (Hein, Eisert and Briegel, PRA 69, 062311, 2004) it maps
+    X_i to X_i prod_{j in N(i)} Z_j with no sign and fixes every Z_i; a
+    repeated edge cancels, as CZ^2 = I.
+    """
+    pairs = np.array(list(edges), dtype=np.intp).reshape(-1, 2)
+    if ((pairs < 0) | (pairs >= num_qubits)).any() or (pairs[:, 0] == pairs[:, 1]).any():
+        raise ValueError(f"CZ edges must join two distinct qubits in [0, {num_qubits})")
     t = CliffordTableau(num_qubits)
-    for (i, j) in sorted(tuple(sorted(e)) for e in edges):
-        t.apply_gate(Gate(GateKind.CZ, (i, j)))
+    # edge (i, j) toggles Z_j in row X_i and Z_i in row X_j
+    np.bitwise_xor.at(t.z, (pairs.ravel(), pairs[:, ::-1].ravel()), np.uint8(1))
     return t

@@ -9,8 +9,10 @@ from fermispec.circuits import PARAMETRIC_KINDS, TWO_QUBIT_KINDS, Circuit, Gate,
 TWO_QUBIT = [k for k in GateKind if k in TWO_QUBIT_KINDS]
 SINGLE_QUBIT = [k for k in GateKind if k not in TWO_QUBIT_KINDS and k is not GateKind.BARRIER]
 
+# RZ and GIVENS enter at Clifford angles (`clifford_angles`)
 CLIFFORD_KINDS = [GateKind.CZ, GateKind.CX, GateKind.CY, GateKind.SWAP,
-                  GateKind.FSWAP, GateKind.X, GateKind.Z, GateKind.S, GateKind.SDG]
+                  GateKind.FSWAP, GateKind.X, GateKind.Z, GateKind.S, GateKind.SDG,
+                  GateKind.RZ, GateKind.GIVENS]
 PARTICLE_CONSERVING = [GateKind.CZ, GateKind.SWAP, GateKind.FSWAP, GateKind.GIVENS,
                        GateKind.Z, GateKind.S, GateKind.SDG, GateKind.RZ]
 
@@ -44,6 +46,8 @@ def circuits(kinds, min_qubits=1, max_qubits=5, max_gates=25,
 
 
 any_circuits = circuits(TWO_QUBIT + SINGLE_QUBIT, min_qubits=1, max_qubits=5)
-clifford_circuits = circuits(CLIFFORD_KINDS, min_qubits=2, max_qubits=5)
-clifford_circuits_8q = circuits(CLIFFORD_KINDS, min_qubits=2, max_qubits=8)
+clifford_circuits = circuits(CLIFFORD_KINDS, min_qubits=2, max_qubits=5,
+                             angle_strategy=clifford_angles)
+clifford_circuits_8q = circuits(CLIFFORD_KINDS, min_qubits=2, max_qubits=8,
+                                angle_strategy=clifford_angles)
 pc_circuits = circuits(PARTICLE_CONSERVING, min_qubits=2, max_qubits=6)

@@ -133,6 +133,14 @@ def test_missing_input_file(tmp_path, capsys, subcommand, flag, prefix):
      "bad penalty: depth_penalty must be finite, got inf"),
     (["optimize-cz", "--depth-penalty=-inf"], None,
      "bad penalty: depth_penalty must be finite, got -inf"),
+    (["simulate-spectral"], {"t": float("nan")}, "bad config: t must be a finite number"),
+    (["simulate-spectral"], {"epsilon": float("nan")},
+     "bad config: epsilon must be a finite number"),
+    (["simulate-spectral"], {"nu": float("inf")}, "bad config: nu must be a finite number"),
+    (["simulate-spectral"], {"omegas": [float("nan")]}, "bad config: omegas must be finite"),
+    (["compare-trotter"], {"omegas": [0.5, float("-inf")]}, "bad config: omegas must be finite"),
+    (["simulate-spectral"], {"initial_state": [float("nan"), 0, 0, 1]},
+     "bad config: explicit rho_k"),
 ])
 def test_malformed_input(tmp_path, capsys, argv, config, prefix):
     if argv[0] == "optimize-cz":

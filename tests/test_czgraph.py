@@ -13,8 +13,8 @@ from fermispec.czgraph import (CZGraph, DecimationRule, DecimationStep, _move,
                                verify_equivalence)
 from fermispec.fft import FFTPlan, InterleaveStrategy, interleave_cz_graph, \
     interleave_permutation, imported_interleave_sequence
-from fermispec.statevector import circuit_unitary
-from fermispec.tableau import tableau_of
+from fermispec.statevector import circuit_unitary, unitaries_equal_up_to_phase
+from fermispec.tableau import NonCliffordGateError, tableau_of
 
 
 def su(c):
@@ -346,9 +346,29 @@ def test_verify_equivalence_examples():
 
 
 def test_verify_equivalence_rejects_non_clifford():
-    from fermispec.circuits import givens
-    with pytest.raises(ValueError):
-        verify_equivalence(Circuit(2, (givens(0.3, 0, 1),)), graph_from_edges(2, []))
+    from fermispec.circuits import givens, rz
+    for gate in (givens(0.3, 0, 1), givens(0.4, 0, 1), rz(0.3, 1)):
+        with pytest.raises(NonCliffordGateError):
+            verify_equivalence(Circuit(2, (gate,)), graph_from_edges(2, []))
+
+
+def test_verify_equivalence_any_clifford_kind():
+    # the tableau decides what is Clifford: SWAP, FSWAP and X need no whitelist
+    from fermispec.circuits import fswap, givens, rz, swap, x
+    g01 = graph_from_edges(3, [(0, 1)])
+    g12 = graph_from_edges(3, [(1, 2)])
+    cases = [((swap(0, 2), cz(1, 2), swap(0, 2)), g01, True),
+             ((swap(0, 1), fswap(0, 1)), g01, True),
+             ((fswap(0, 1),), g01, False),
+             ((x(0), cz(0, 1), x(0)), g01, False),
+             ((x(0), cz(1, 2), x(0)), g12, True),
+             ((rz(np.pi, 1), cz(1, 2), rz(-np.pi, 1)), g12, True),
+             ((givens(np.pi / 2, 0, 1),), g01, False)]
+    for gates, graph, want in cases:
+        c = Circuit(3, gates)
+        assert verify_equivalence(c, graph) is want
+        graph_u = su(Circuit(3, tuple(cz(i, j) for (i, j) in graph.edges)))
+        assert unitaries_equal_up_to_phase(su(c), graph_u, 1e-9) is want
 
 
 def test_verify_27_qubit_listing_vs_graph():

@@ -178,7 +178,7 @@ def test_first_zero_matches_formula():
 def test_strong_coupling_exact_at_nu_zero():
     rho = RNG.random(9)
     cfg = ProtocolConfig(9, epsilon=0.8, t=3.7, nu=0.0, initial_state=rho)
-    assert verify.strong_coupling_exact([cfg], OMEGAS, 1e-12)
+    assert verify.strong_coupling_exact([cfg, replace(cfg, environment="full")], OMEGAS, 1e-12)
     wrong = verify.strong_coupling_exact([replace(cfg, nu=1.0)], OMEGAS, 1e-12)
     assert not wrong and "N=9, nu=1" in wrong.detail
 
@@ -645,6 +645,13 @@ def test_config_validation():
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             ProtocolConfig(**{"n_sites": 4, "epsilon": 0.1, name: value})
     assert ProtocolConfig(np.int64(4), 0.1, trotter_steps=np.int64(2)).n_sites == 4
+    for name in ("epsilon", "omega", "t", "nu", "interaction"):
+        for value in (np.nan, np.inf, -np.inf, "0.5", None):
+            with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+                ProtocolConfig(**{"n_sites": 4, "epsilon": 0.1, name: value})
+    for rho in ([np.nan, 0, 0, 1], [0, 0, np.inf, 1]):
+        with pytest.raises(ValueError, match="rho_k must be"):
+            ProtocolConfig(4, 0.1, initial_state=rho)
 
 
 def test_degenerate_ground_state_raises():

@@ -1,11 +1,15 @@
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermispec.circuits import Circuit, cx, cz, givens, rz, s, z
-from fermispec.statevector import circuit_unitary, unitaries_equal_up_to_phase
-from fermispec.tableau import (CliffordTableau, NonCliffordGateError,
+from fermispec.circuits import (PARAMETRIC_KINDS, TWO_QUBIT_KINDS, Circuit, Gate,
+                                GateKind, cx, cz, givens, rz, s, z)
+from fermispec.statevector import circuit_unitary, gate_matrix, unitaries_equal_up_to_phase
+from fermispec.tableau import (CliffordTableau, NonCliffordGateError, _cached_table,
                                tableau_of, tableau_of_cz_edges)
 
 from strategies import clifford_circuits, clifford_circuits_8q
@@ -75,3 +79,125 @@ def test_cz_edges_helper():
     edges = [(0, 1), (1, 2)]
     want = tableau_of(Circuit(3, (cz(0, 1), cz(1, 2))))
     assert tableau_of_cz_edges(3, edges) == want
+
+
+# ------------------------------------------------ oracles: the old brute force
+
+def _pauli_1q(xb: int, zb: int) -> np.ndarray:
+    m = np.eye(2, dtype=complex)
+    if xb:
+        m = np.array([[0, 1], [1, 0]], dtype=complex) @ m
+    if zb:
+        m = m @ np.diag([1, -1]).astype(complex)
+        m = (1j if xb else 1) * m  # W(1,1) = iXZ = Y
+    return m
+
+
+def _match_pauli(m: np.ndarray, nq: int):
+    """Return (bits, sign) with m == (-1)^sign * W(bits), or None."""
+    rng = [(xb, zb) for xb in (0, 1) for zb in (0, 1)]
+    for bits in ([(a,) for a in rng] if nq == 1 else
+                 [(a, b) for a in rng for b in rng]):
+        p = _pauli_1q(*bits[0])
+        for extra in bits[1:]:
+            p = np.kron(p, _pauli_1q(*extra))
+        for sign in (0, 1):
+            if np.allclose(m, (-1) ** sign * p, atol=1e-9):
+                return tuple(v for pair in bits for v in pair), sign
+    return None
+
+
+def _brute_force_table(u: np.ndarray, nq: int):
+    """Search every candidate Pauli for each local Pauli's image."""
+    n_patterns = 4 ** nq
+    bits_out = np.zeros((n_patterns, 2 * nq), dtype=np.uint8)
+    sign_out = np.zeros(n_patterns, dtype=np.uint8)
+    for idx in range(n_patterns):
+        xs = [(idx >> (2 * (nq - 1 - q) + 1)) & 1 for q in range(nq)]
+        zs = [(idx >> (2 * (nq - 1 - q))) & 1 for q in range(nq)]
+        p = _pauli_1q(xs[0], zs[0])
+        for q in range(1, nq):
+            p = np.kron(p, _pauli_1q(xs[q], zs[q]))
+        hit = _match_pauli(u @ p @ u.conj().T, nq)
+        if hit is None:
+            raise NonCliffordGateError("gate does not map Paulis to Paulis")
+        bits_out[idx], sign_out[idx] = hit
+    return bits_out, sign_out
+
+
+def _cz_edges_by_gates(num_qubits: int, edges) -> CliffordTableau:
+    """The graph's tableau, one CZ gate per edge."""
+    t = CliffordTableau(num_qubits)
+    for (i, j) in sorted(tuple(sorted(e)) for e in edges):
+        t.apply_gate(Gate(GateKind.CZ, (i, j)))
+    return t
+
+
+# sha256 of bits_out.tobytes() + sign_out.tobytes() of each cached table, as
+# built by the brute-force search above
+TABLE_SHA256 = {
+    (GateKind.CZ, None): "9696381ae46c5b02b740d5399bf3530c4618c159f482812a3aa072309952cc03",
+    (GateKind.CX, None): "1ea323bff3447272b5206a15a3d784e2d085f1eb2f7f93bccf106731e0ac9cda",
+    (GateKind.CY, None): "7f5f2ac43b4187de88158a5eea34debef9dae1c945790691d17281fd91855106",
+    (GateKind.SWAP, None): "ebef705135451565c4c865dce1830d3fe4df93ed76c20b7327ae03759ec278f0",
+    (GateKind.FSWAP, None): "93cd52968743bc7664d2b29a01ae1e3ba4511f5cbed897a9c179e7c44266893d",
+    (GateKind.X, None): "43145cf16515433b3e5ab674693997037f1fb33c6571758e96caf1eb751aac7c",
+    (GateKind.Z, None): "a83523c1d0e5aad8a1b28ff8351a6cc1209803de57e3c9b61a5273ad38dfbde3",
+    (GateKind.S, None): "9f405b388e22321e7fd9c86b79d4808b798fdb01660e6183501cc070e8a1bc23",
+    (GateKind.SDG, None): "db8b2302c283d28e15da437e69f793fb0a7377817f1dfb94e5e1efb450d36db8",
+    (GateKind.RZ, 0): "f6491039a7a5ae522e14e5a39a24b1699256894d3ab7ba1a7c1e68331409c1da",
+    (GateKind.RZ, 1): "9f405b388e22321e7fd9c86b79d4808b798fdb01660e6183501cc070e8a1bc23",
+    (GateKind.RZ, 2): "a83523c1d0e5aad8a1b28ff8351a6cc1209803de57e3c9b61a5273ad38dfbde3",
+    (GateKind.RZ, 3): "db8b2302c283d28e15da437e69f793fb0a7377817f1dfb94e5e1efb450d36db8",
+    (GateKind.GIVENS, 0): "f7ec4f90b853c920e9c745b684c6528315fd6696456b0db822b10a7446a54228",
+    (GateKind.GIVENS, 1): "bb8f16be8a283feecd2c4a050961a538225371a787bc4e045544acfd0ce05be3",
+    (GateKind.GIVENS, 2): "56a8a613e4a90b286041d984e3f5352f55c5c72cdd1a455f2e6bb066fba16608",
+    (GateKind.GIVENS, 3): "f0185c7eb9452e66b8c0fb48adbaff7acaef3e7257c0d2a4ae967582dc321ca5",
+}
+
+
+def test_table_keys_cover_every_clifford_kind():
+    want = {(k, q) for k in GateKind if k is not GateKind.BARRIER
+            for q in (range(4) if k in PARAMETRIC_KINDS else [None])}
+    assert set(TABLE_SHA256) == want
+
+
+@pytest.mark.parametrize("key", list(TABLE_SHA256), ids=lambda k: f"{k}")
+def test_conjugation_table_pinned_and_equal_to_brute_force(key):
+    kind, quarter_turns = key
+    bits_out, sign_out = _cached_table(kind, quarter_turns)
+    nq = 2 if kind in TWO_QUBIT_KINDS else 1
+    assert bits_out.dtype == sign_out.dtype == np.uint8
+    assert bits_out.shape == (4 ** nq, 2 * nq) and sign_out.shape == (4 ** nq,)
+    digest = hashlib.sha256(bits_out.tobytes() + sign_out.tobytes()).hexdigest()
+    assert digest == TABLE_SHA256[key]
+    angle = None if quarter_turns is None else quarter_turns * np.pi / 2
+    u = gate_matrix(Gate(kind, tuple(range(nq)), angle))
+    want_bits, want_sign = _brute_force_table(u, nq)
+    assert np.array_equal(bits_out, want_bits) and np.array_equal(sign_out, want_sign)
+
+
+def _graphs(n, rng):
+    pairs = list(itertools.combinations(range(n), 2))
+    yield []
+    yield pairs
+    sparse = [p for p in pairs if rng.random() < 0.3]
+    yield sparse
+    # duplicated and reversed edges: a pair listed twice cancels
+    yield sparse + [(j, i) for (i, j) in sparse[::3]] + sparse[1::4]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 63, 64, 65])
+def test_cz_edges_closed_form_matches_gates(n):
+    rng = np.random.default_rng(n)
+    for edges in _graphs(n, rng):
+        t = tableau_of_cz_edges(n, edges)
+        assert t == _cz_edges_by_gates(n, edges)
+        assert t.is_symplectic()
+
+
+@pytest.mark.parametrize("edges", [[(1, 1)], [(0, 1), (2, 2)], [(-1, 2)], [(0, -3)],
+                                   [(0, 4)], [(5, 1)]])
+def test_cz_edges_reject_bad_edges(edges):
+    with pytest.raises(ValueError, match="two distinct qubits in"):
+        tableau_of_cz_edges(4, edges)
