@@ -1,8 +1,10 @@
 """Single-particle (mode) transfer matrices and free-fermion Gaussian states.
 
 A Gaussian state is its correlation matrix C[i, j] = <c_i^dag c_j>, held as
-a plain complex array.  Evolution may take a block of columns of the
-transfer T, and then returns only the correlation block on those modes.
+a plain complex array.  A propagator may be formed as one block T[rows, cols]
+of the transfer, and evolution through a block of columns T[:, S] returns
+only the correlation block on the modes S.  Momentum occupations are read
+with FFTs, without forming the DFT matrix.
 
 The transfer of a gate-level circuit is read off its zero- and one-particle
 sectors, run by the `sector` engine (`extract_mode_transform`).
@@ -75,9 +77,13 @@ def evolve_gaussian(corr: np.ndarray, transform: np.ndarray) -> np.ndarray:
 
 
 def momentum_occupations(corr: np.ndarray) -> np.ndarray:
-    """<c(k)^dag c(k)> on the k = 2 pi n / N grid, same convention as above."""
-    f = dft_matrix(corr.shape[0])
-    return np.einsum("jk,jk->k", f, corr @ f.conj()).real
+    """<c(k)^dag c(k)> on the k = 2 pi n / N grid, same convention as above.
+
+    This is diag(F^T C conj(F)) with F = dft_matrix(N): the inverse FFT down
+    the columns gives F^T C / sqrt(N), and the forward FFT along the rows
+    multiplies by sqrt(N) conj(F) on the right, in O(N^2 log N).
+    """
+    return np.fft.fft(np.fft.ifft(corr, axis=0), axis=1).diagonal().real
 
 
 # --------------------------------------------------------------------------
@@ -110,10 +116,25 @@ def coupled_hamiltonian(num_sites: int, nu: float, epsilon: float,
     return h
 
 
-def mode_propagator(h: np.ndarray, t: float) -> np.ndarray:
-    """Transfer matrix exp(-i t h) of exp(+i H t), via Hermitian eigendecomposition."""
+def mode_propagator(h: np.ndarray, t: float, rows=slice(None),
+                    cols=slice(None)) -> np.ndarray:
+    """Block T[rows, cols] of the transfer T = exp(-i t h) of exp(+i H t).
+
+    With h = v diag(w) v^dag (Hermitian eigendecomposition) the block is
+    (v[rows] * e^{-i t w}) @ v[cols]^dag, so only the rows and columns asked
+    for are formed; the defaults give the full matrix.  A real symmetric h
+    has real v, and the block is then two real products, one with cos and
+    one with -sin of t w, at half the flops of one complex product.
+    """
     w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * t * w)) @ v.conj().T
+    phase = np.exp(-1j * t * w)
+    if np.iscomplexobj(v):
+        return (v[rows] * phase) @ v[cols].conj().T
+    left, right = v[rows], v[cols].T
+    out = np.empty((left.shape[0], right.shape[1]), dtype=complex)
+    out.real = (left * phase.real) @ right
+    out.imag = (left * phase.imag) @ right
+    return out
 
 
 def system_block(h: np.ndarray) -> np.ndarray:

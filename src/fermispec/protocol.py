@@ -135,9 +135,17 @@ class SpectralGrid:
 
 
 def _omega_list(config: ProtocolConfig, omegas) -> np.ndarray:
+    """The omega grid of a grid function: `config.omega` alone when omegas is
+    None, else omegas as a 1-D float array; anything else raises ValueError."""
     if omegas is None:
         return np.array([config.omega], dtype=float)
-    return np.asarray(omegas, dtype=float)
+    try:
+        grid = np.asarray(omegas, dtype=float)
+    except (TypeError, ValueError):
+        grid = None
+    if grid is None or grid.ndim != 1 or not np.isfinite(grid).all():
+        raise ValueError(f"omegas must be a 1-D sequence of finite numbers, got {omegas!r}")
+    return grid
 
 
 # --------------------------------------------------------------------------
@@ -254,33 +262,31 @@ def strong_coupling_leading(config: ProtocolConfig, omegas=None) -> SpectralGrid
 # Gaussian (continuous-time) protocol simulation
 # --------------------------------------------------------------------------
 
-def _initial_correlation(config: ProtocolConfig) -> np.ndarray:
-    n = config.n_sites
-    corr = np.zeros((2 * n, 2 * n), dtype=complex)
-    corr[0::2, 0::2] = state_from_momentum_occupations(config.rho())
-    if config.environment == "full":
-        corr[1::2, 1::2] = np.eye(n)
-    return corr
-
-
 def nk_gaussian(config: ProtocolConfig, omegas=None) -> SpectralGrid:
-    """Continuous-time protocol on the 2N x 2N correlation matrix.
+    """Continuous-time protocol on the correlation matrix of the 2N modes.
 
-    Builds the initial correlation (momentum-diagonal system, empty or full
-    environment), evolves it with the coupled single-particle Hamiltonian
-    through the transfer's environment (odd) columns, which yields only the
-    environment block, rotates that block by the DFT and reads the diagonal;
-    the filled environment reports 1 - n(k).
+    The initial correlation (momentum-diagonal system, empty or full
+    environment) has no system-environment block, so each diagonal block is
+    evolved separately with the coupled single-particle Hamiltonian, through
+    its own rows of the transfer's environment (odd) columns: the system
+    block alone for the empty environment, plus the filled environment block
+    for the full one.  The sum is the evolved environment block, whose
+    momentum diagonal is read by FFT; the filled environment reports 1 - n(k).
     """
     _require_free(config, "nk_gaussian")
     omegas = _omega_list(config, omegas)
     n = config.n_sites
     ks = config.momenta()
-    corr0 = _initial_correlation(config)
+    sys0 = state_from_momentum_occupations(config.rho())
     vals = np.zeros((n, len(omegas)))
     for iw, om in enumerate(omegas):
         h = coupled_hamiltonian(n, config.nu, config.epsilon, om)
-        env_corr = evolve_gaussian(corr0, mode_propagator(h, config.t)[:, 1::2])
+        if config.environment == "empty":
+            env_corr = evolve_gaussian(
+                sys0, mode_propagator(h, config.t, slice(0, None, 2), slice(1, None, 2)))
+        else:
+            tr = mode_propagator(h, config.t, cols=slice(1, None, 2))
+            env_corr = evolve_gaussian(sys0, tr[0::2]) + evolve_gaussian(np.eye(n), tr[1::2])
         nk = momentum_occupations(env_corr)
         vals[:, iw] = nk if config.environment == "empty" else 1 - nk
     return SpectralGrid(ks, omegas, vals, "gaussian", {"config": config.snapshot()})
@@ -670,6 +676,7 @@ def lehmann_lines(config: ProtocolConfig) -> tuple[DeltaLineSpectrum, DeltaLineS
 
 def reference_windowed_spectral(config: ProtocolConfig, omegas) -> SpectralGrid:
     """Exact ((A+ + A-) * phi_hat) via Lehmann lines and the analytic kernel."""
+    omegas = _omega_list(config, omegas)
     plus, minus = lehmann_lines(config)
     kern = Kernel(config.t)
     a = convolve_kernel(plus, kern, omegas)
@@ -696,7 +703,7 @@ def environment_method_grid(config: ProtocolConfig, omegas) -> SpectralGrid:
     particle-number sectors, so they run as one vector over the union of
     their sectors (`_run_trotter`).
     """
-    omegas = np.asarray(omegas, dtype=float)
+    omegas = _omega_list(config, omegas)
     occ = _run_trotter(config, omegas, ("empty", "full"))
     vals_e, vals_f = occ[..., 0], 1 - occ[..., 1]
     meta = {"config": config.snapshot(),
@@ -710,7 +717,7 @@ def compare_trotter(config: ProtocolConfig, omegas, step_counts) -> dict:
     """Fig.-style comparison: per-step-count average/max error of the scaled
     environment method and dynamical-correlation baseline against the exact
     windowed spectral function."""
-    omegas = np.asarray(omegas, dtype=float)
+    omegas = _omega_list(config, omegas)
     ref = reference_windowed_spectral(config, omegas).values
     rows = []
     for steps in step_counts:

@@ -59,8 +59,9 @@ def test_gaussian_matches_exact_both_fills():
 
 def _full_correlation_chain(config, omegas):
     """nk_gaussian as the full 2N x 2N evolution: diagonal-matrix initial
-    state, square transfer, environment slice, three-operand einsum readout."""
-    from fermispec.gaussian import coupled_hamiltonian, dft_matrix, mode_propagator
+    state, square transfer from its own eigendecomposition, environment
+    slice, three-operand einsum readout."""
+    from fermispec.gaussian import coupled_hamiltonian, dft_matrix
     n = config.n_sites
     f = dft_matrix(n)
     corr0 = np.zeros((2 * n, 2 * n), dtype=complex)
@@ -69,14 +70,15 @@ def _full_correlation_chain(config, omegas):
         corr0[1::2, 1::2] = np.eye(n)
     vals = np.zeros((n, len(omegas)))
     for iw, om in enumerate(omegas):
-        t = mode_propagator(coupled_hamiltonian(n, config.nu, config.epsilon, om), config.t)
+        w, v = np.linalg.eigh(coupled_hamiltonian(n, config.nu, config.epsilon, om))
+        t = (v * np.exp(-1j * config.t * w)) @ v.conj().T
         corr = (t.T @ corr0 @ t.conj())[1::2, 1::2]
         nk = np.einsum("jk,jl,lk->k", f, corr, f.conj()).real
         vals[:, iw] = nk if config.environment == "empty" else 1 - nk
     return vals
 
 
-@pytest.mark.parametrize("n", [2, 3, 8, 31])
+@pytest.mark.parametrize("n", [2, 3, 8, 31, 200])
 def test_gaussian_matches_full_correlation_chain(n):
     rho = np.random.default_rng(n).random(n)
     for env in ("empty", "full"):
@@ -652,6 +654,29 @@ def test_config_validation():
     for rho in ([np.nan, 0, 0, 1], [0, 0, np.inf, 1]):
         with pytest.raises(ValueError, match="rho_k must be"):
             ProtocolConfig(4, 0.1, initial_state=rho)
+
+
+_OMEGA_ENTRY_POINTS = {
+    "nk_exact_free": nk_exact_free,
+    "nk_gaussian": nk_gaussian,
+    "strong_coupling_leading": strong_coupling_leading,
+    "run_circuit_protocol": run_circuit_protocol,
+    "dynamical_correlation_baseline": dynamical_correlation_baseline,
+    "environment_method_grid": environment_method_grid,
+    "reference_windowed_spectral": reference_windowed_spectral,
+    "compare_trotter": lambda cfg, omegas: compare_trotter(cfg, omegas, [1]),
+}
+
+
+@pytest.mark.parametrize("omegas", [[np.nan, 0.5], [np.inf], [[0.0, 0.5], [1.0, 1.5]], 0.5],
+                         ids=["nan", "inf", "2-D", "scalar"])
+@pytest.mark.parametrize("entry", sorted(_OMEGA_ENTRY_POINTS))
+def test_bad_omega_grid_rejected(entry, omegas):
+    """Every grid function rejects a non-finite or non-1-D omega grid with
+    one message before any work."""
+    cfg = ProtocolConfig(4, 0.3, nu=0.0, initial_state=[1, 0, 0, 1])
+    with pytest.raises(ValueError, match="omegas must be a 1-D sequence of finite numbers"):
+        _OMEGA_ENTRY_POINTS[entry](cfg, omegas)
 
 
 def test_degenerate_ground_state_raises():
