@@ -135,7 +135,3 @@ def mode_propagator(h: np.ndarray, t: float, rows=slice(None),
     out.real = (left * phase.real) @ right
     out.imag = (left * phase.imag) @ right
     return out
-
-
-def system_block(h: np.ndarray) -> np.ndarray:
-    return h[0::2, 0::2]

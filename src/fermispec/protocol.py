@@ -35,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuits import Circuit, Gate, cx, cz, givens, remap, rz, x, z
+from .circuits import Circuit, Gate, cx, cz, givens, remap, rz
 from .fft import (InterleaveStrategy, fft_circuit, fft_radix, ground_state_momenta,
                   ground_state_prep_circuit, interleave_circuit,
                   interleave_permutation)
@@ -395,21 +395,29 @@ def _system_hamiltonian_dense(config: ProtocolConfig) -> np.ndarray:
 
 
 def _state_from_filled(n: int, rho: np.ndarray) -> np.ndarray:
-    """prod_k c^dag(k) |0> over the filled momenta, from dense JW operators."""
+    """prod_k c^dag(k) |0> over the filled momenta, the lowest k applied first,
+    from `sector.create` on the full basis."""
+    basis = sector.Basis(n)
     psi = sv.zero_state(n).ravel()
-    for j in range(n):
-        if rho[j] > 0.5:
-            kk = 2 * np.pi * j / n
-            psi = sv.momentum_annihilation(n, kk).conj().T @ psi
-    norm = np.linalg.norm(psi)
-    return (psi / norm).reshape((2,) * n)
+    for m in np.flatnonzero(rho > 0.5):
+        psi = sector.create(basis, psi)[m]
+    return (psi / np.linalg.norm(psi)).reshape((2,) * n)
+
+
+def _system_eig(config: ProtocolConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The eigh pair (w, v) of the dense H_sys."""
+    # H_sys, LAPACK's copy of it that becomes the eigenvectors, its 2 * 4**N
+    # workspace and the returned eigenvectors: five real 2**N x 2**N arrays,
+    # under the size of three complex operators
+    _require_dense_memory(config.n_sites, 3, "the interacting ground state")
+    return np.linalg.eigh(_system_hamiltonian_dense(config))
 
 
 def _system_state(config: ProtocolConfig, eig: tuple | None = None) -> np.ndarray:
     """Initial N-qubit system state, shape (2,)*N.
 
     A free chain starts in its 0/1 momentum filling: the prep circuit builds it
-    when N = 2**k or 3**k, dense creation operators otherwise.  An interacting
+    when N = 2**k or 3**k, `_state_from_filled` otherwise.  An interacting
     chain starts in the ground state of H_sys, taken from the eigh pair `eig`
     when the caller has already diagonalized it; a degenerate ground state
     (gap below 1e-9) raises.
@@ -419,7 +427,7 @@ def _system_state(config: ProtocolConfig, eig: tuple | None = None) -> np.ndarra
     if not np.all((rho < 1e-12) | (rho > 1 - 1e-12)):
         raise ValueError("the initial system state needs 0/1 momentum occupations")
     if config.interaction != 0:
-        w, vmat = np.linalg.eigh(_system_hamiltonian_dense(config)) if eig is None else eig
+        w, vmat = _system_eig(config) if eig is None else eig
         if w[1] - w[0] < 1e-9:
             raise ValueError(f"degenerate interacting ground state: gap E1 - E0 = "
                              f"{w[1] - w[0]:.3g} < 1e-9")
@@ -429,26 +437,6 @@ def _system_state(config: ProtocolConfig, eig: tuple | None = None) -> np.ndarra
     return _state_from_filled(n, rho)
 
 
-def _embed_system_state(psi_sys: np.ndarray, n: int) -> np.ndarray:
-    """Place an N-qubit system state on the even qubits of the 2N register."""
-    state = np.zeros((2,) * (2 * n), dtype=complex)
-    idx = tuple(slice(None) if q % 2 == 0 else 0 for q in range(2 * n))
-    state[idx] = psi_sys.reshape((2,) * n)
-    return state
-
-
-def _fill_environment_circuit(n: int) -> Circuit:
-    """X on every environment qubit plus the fermionic parity fix.
-
-    Adding the d_j^dag in descending order leaves Z strings on the system
-    qubits; site j collects Z^(N-j), i.e. a Z wherever N-j is odd (for odd N:
-    every other system qubit starting with the first).
-    """
-    gates = [x(2 * j + 1) for j in range(n - 1, -1, -1)]
-    gates.extend(z(2 * j) for j in range(n) if (n - j) % 2 == 1)
-    return Circuit(2 * n, tuple(gates))
-
-
 def _readout_circuit(n: int) -> Circuit:
     """Physical 2-way interleave on 2N qubits followed by the N-mode environment FFFT."""
     inter = interleave_circuit(interleave_permutation(2 * n, 2), InterleaveStrategy.LOCAL_FSWAP)
@@ -456,44 +444,57 @@ def _readout_circuit(n: int) -> Circuit:
     return Circuit(2 * n, inter.gates + remap(env_fft, range(n, 2 * n), 2 * n).gates)
 
 
-def _sector_start(config: ProtocolConfig, environments: Sequence[str]):
-    """The start states of the environment fillings, gathered into their
-    particle-number sectors.
+def _particle_sector(psi: np.ndarray) -> int:
+    """The particle number of the system start state psi over the full basis;
+    more than 1e-12 of its weight outside that sector raises."""
+    probs = np.abs(psi) ** 2
+    counts = np.bitwise_count(np.arange(len(psi)))
+    k = int(counts[np.argmax(probs)])
+    outside = probs[counts != k].sum() / probs.sum()
+    if outside > 1e-12:
+        raise ValueError(f"the system start state is not a particle-number eigenstate: "
+                         f"{outside:.1e} of its weight lies outside the {k}-particle sector")
+    return k
 
-    The dense 2N-qubit states are prepared as on the gate level: the system
-    state on the even qubits, and for a full environment the filling circuit
-    on top.  Each is a particle-number eigenstate, whose sector is read off
-    its support; more than 1e-12 of its weight outside that sector raises.
-    The fillings sit in disjoint sectors, so they share one vector over the
-    union basis.  Returns (basis, vector, masks), masks[b] selecting the
-    sector of filling b.
+
+def _sector_start(config: ProtocolConfig, environments: Sequence[str], psi_sys: np.ndarray):
+    """The start states of the environment fillings, built in their
+    particle-number sectors from the system start state `psi_sys`.
+
+    The system state must lie in one sector n0.  Its amplitudes there move
+    onto the even qubits of the 2N register.  A full environment sets every
+    odd qubit with the sign of adding the d_j^dag in descending order: site j
+    collects Z^(N-j), a -1 for each occupied site j with N - j odd.  The
+    fillings sit in the disjoint sectors n0 and n0 + N, so they share one
+    vector over the union basis.  Returns (basis, vector, masks), masks[b]
+    selecting the sector of filling b.
     """
     n = config.n_sites
-    nq = 2 * n
-    psi = _embed_system_state(_system_state(config), n)
-    fill = _fill_environment_circuit(n)
-    batch = np.stack([sv.run_circuit(fill, psi) if env == "full" else psi
-                      for env in environments], axis=-1).reshape(2 ** nq, -1)
-    probs = np.abs(batch) ** 2
-    counts = np.bitwise_count(np.arange(2 ** nq))
-    sectors = [int(k) for k in counts[np.argmax(probs, axis=0)]]
-    for env, k, p in zip(environments, sectors, probs.T):
-        outside = p[counts != k].sum() / p.sum()
-        if outside > 1e-12:
-            raise ValueError(f"the {env}-environment start state is not a particle-number "
-                             f"eigenstate: {outside:.1e} of its weight lies outside "
-                             f"the {k}-particle sector")
-    basis = sector.Basis(nq, sectors)
+    psi = psi_sys.ravel()
+    n0 = _particle_sector(psi)
+    bits = sector.Basis(n, [n0]).bits
+    amps = psi[bits]
+    # system site j is bit n-1-j of `bits` and qubit 2j, bit 2(n-1-j)+1, of the register
+    spread = np.zeros_like(bits)
+    for p in range(n):
+        spread |= ((bits >> p) & 1) << (2 * p + 1)
+    env_bits = sum(1 << (2 * p) for p in range(n))
+    # site j (bit p = n-1-j) has N - j = p + 1 odd when p is even
+    z_string = sum(1 << p for p in range(0, n, 2))
+    filled_amps = amps * (1 - 2 * (np.bitwise_count(bits & z_string) & 1).astype(np.int64))
+    sectors = [n0 if env == "empty" else n0 + n for env in environments]
+    basis = sector.Basis(2 * n, sectors)
     numbers = basis.particle_numbers()
     masks = [numbers == k for k in sectors]
     start = np.zeros(len(basis), dtype=complex)
-    for b, mask in enumerate(masks):
-        start[mask] = batch[basis.bits[mask], b]
+    for env in environments:
+        at, values = (spread, amps) if env == "empty" else (spread | env_bits, filled_amps)
+        start[np.searchsorted(basis.bits, at)] = values
     return basis, start, masks
 
 
 def _run_trotter(config: ProtocolConfig, omegas: np.ndarray, environments: Sequence[str],
-                 shots: int = 0, seed: int = 0) -> np.ndarray:
+                 shots: int = 0, seed: int = 0, psi_sys=None) -> np.ndarray:
     """Trotterized pipeline on 2N qubits, run in the particle-number sectors
     of the environment fillings.
 
@@ -504,6 +505,7 @@ def _run_trotter(config: ProtocolConfig, omegas: np.ndarray, environments: Seque
     environment phase layer once per omega.  Returns the environment
     occupations n(k), shape (N, len(omegas), len(environments)); shots > 0
     samples them per omega, then per filling, from one seeded generator.
+    `psi_sys` is the system start state when the caller has built it.
     """
     n = config.n_sites
     nq = 2 * n
@@ -513,7 +515,8 @@ def _run_trotter(config: ProtocolConfig, omegas: np.ndarray, environments: Seque
         raise ValueError("the circuit protocol needs trotter_steps >= 1")
     if fft_radix(n) is None:
         raise ValueError("environment FFT readout needs n_sites = 2**k or 3**k")
-    basis, start, masks = _sector_start(config, environments)
+    basis, start, masks = _sector_start(
+        config, environments, _system_state(config) if psi_sys is None else psi_sys)
     readout = sector.compile_circuit(_readout_circuit(n), basis)
     # after the readout, qubit N + k holds n(k)
     env_bits = np.stack([basis.occupied(q) for q in range(n, nq)], axis=1).astype(float)
@@ -562,13 +565,18 @@ def run_circuit_protocol(config: ProtocolConfig, omegas=None, shots: int = 0,
 # dynamical-correlation baseline and exact windowed reference
 # --------------------------------------------------------------------------
 
+def _require_memory(need: float, what: str) -> None:
+    """Raise before a call holds `need` bytes at once when they would exceed
+    1 GiB; `what` says what it would hold."""
+    if need > 2 ** 30:
+        raise ValueError(f"{what}, about {need / 2 ** 30:.1f} GiB (limit 1 GiB)")
+
+
 def _require_dense_memory(n: int, matrices: int, what: str) -> None:
     """Raise before a call holds `matrices` dense 2**n x 2**n complex
     operators at once when they would exceed 1 GiB."""
-    need = matrices * 4 ** n * 16
-    if need > 2 ** 30:
-        raise ValueError(f"{what} at N = {n} would hold {matrices} dense {2 ** n}x{2 ** n} "
-                         f"operators, about {need / 2 ** 30:.1f} GiB (limit 1 GiB)")
+    _require_memory(matrices * 4 ** n * 16, f"{what} at N = {n} would hold {matrices} "
+                    f"dense {2 ** n}x{2 ** n} operators")
 
 
 def dynamical_correlation_baseline(config: ProtocolConfig, omegas=None,
@@ -576,53 +584,71 @@ def dynamical_correlation_baseline(config: ProtocolConfig, omegas=None,
     """Classical reference method: measure c(k) correlators on a time grid,
     window with phi(v) = (t - |v|)/4 and Fourier transform to omega.
 
-    trotter_steps = 0 evaluates the exact correlators on a fine grid from the
-    Lehmann lines (`lehmann_lines`); trotter_steps = s uses the same
-    first-order splitting as the circuit protocol with time points
-    v = m*t/s, m = -s..s.  Coarse grids and Trotter error can push samples
-    negative; the count is reported in meta["negative_samples"].
+    With psi(v) = exp(-iHv) psi0 the correlators are
+    S+(k,v) = <psi(v)| c^dag(k) |[c(k) psi0](v)> (poles at E0 - E_m) and
+    S-(k,v) = <[c^dag(k) psi0](v)| c^dag(k) |psi(v)> (poles at E_m - E0).
+    trotter_steps = 0 evaluates them exactly on a fine grid from the Lehmann
+    lines (`lehmann_lines`); trotter_steps = s steps the same first-order
+    splitting of H_sys as the circuit protocol, forward in v with
+    exp(-iH t/s), on time points v = m*t/s, m = -s..s, in the particle-number
+    sectors n0 - 1, n0, n0 + 1 around the start state's n0
+    (`_trotterized_correlators`).  Coarse grids and Trotter error can push
+    samples negative; the count is reported in meta["negative_samples"].
     """
-    n = config.n_sites
     omegas = _omega_list(config, omegas)
-    ks = config.momenta()
-
-    # S+(k,v) = <psi(v)| c^dag(k) |[c(k) psi](v)>      (poles at E0 - E_m)
-    # S-(k,v) = <[c^dag(k) psi](v)| c^dag(k) |psi(v)>  (poles at E_m - E0)
-    steps = config.trotter_steps
-    if steps == 0:
-        # exactly S+(k,v) = sum_m |<m|c(k)|E0>|^2 e^{iv(E0 - E_m)}, and S- over
+    if config.trotter_steps == 0:
+        # S+(k,v) = sum_m |<m|c(k)|E0>|^2 e^{iv(E0 - E_m)}, and S- over
         # |<m|c^dag(k)|E0>|^2 e^{iv(E_m - E0)}: the weights and centers of the lines
         vgrid = np.linspace(-config.t, config.t, 1601)
         splus, sminus = (np.stack([weights @ np.exp(1j * np.outer(centers, vgrid))
                                    for centers, weights in zip(lines.centers, lines.weights)])
                          for lines in lehmann_lines(config))
     else:
-        # the N operators c(k), with room for the temporaries of building or
-        # conjugating one
-        _require_dense_memory(n, n + 4, "the dynamical-correlation baseline")
-        vgrid = np.linspace(-config.t, config.t, 2 * steps + 1)
-        psi0 = _system_state(config).ravel()
-        # built after the state, so that they never coexist with the dense
-        # H_sys and eigenvectors of an interacting ground state
-        cks = [sv.momentum_annihilation(n, kk) for kk in ks]
-        # step the columns [psi0, c(k) psi0 .., c^dag(k) psi0 ..] as one batch
-        # over the full basis, from v = 0 forward to v = t and backward to v = -t
-        cols = np.stack([psi0] + [ck @ psi0 for ck in cks]
-                        + [ck.conj().T @ psi0 for ck in cks], axis=1)
-        evolved = {steps: cols}
-        basis = sector.Basis(n)
-        for sign, ivs in ((1, range(steps + 1, 2 * steps + 1)), (-1, range(steps - 1, -1, -1))):
-            step = sector.compile_circuit(_system_step(config, sign * config.t / steps, 1), basis)
-            cur = cols
-            for iv in ivs:
-                cur = sector.run_program(step, cur.copy())
-                evolved[iv] = cur
-        states = [evolved[iv] for iv in range(len(vgrid))]
-        splus = np.array([[np.vdot(ck @ cur[:, 0], cur[:, 1 + ik]) for cur in states]
-                          for ik, ck in enumerate(cks)])
-        sminus = np.array([[np.vdot(ck @ cur[:, 1 + n + ik], cur[:, 0]) for cur in states]
-                           for ik, ck in enumerate(cks)])
+        vgrid, splus, sminus = _trotterized_correlators(config, _system_state(config))
+    return _windowed_baseline(config, omegas, vgrid, splus, sminus, return_parts)
 
+
+def _trotterized_correlators(config: ProtocolConfig, psi_sys: np.ndarray) -> tuple:
+    """(vgrid, S+, S-) of the Trotterized baseline from the system start
+    state `psi_sys`, S+-[k, v] on the time points vgrid.
+
+    The columns [psi0, c(k) psi0 .., c^dag(k) psi0 ..] lie in the sectors
+    n0, n0 - 1 and n0 + 1 and step as one batch over their union, one step
+    program per time point; then c(k) psi(v) and c^dag(k) psi(v) come from one
+    `sector.annihilate` and one `sector.create` over all time points.
+    """
+    n = config.n_sites
+    steps = config.trotter_steps
+    psi = psi_sys.ravel()
+    n0 = _particle_sector(psi)
+    basis = sector.Basis(n, [k for k in (n0 - 1, n0, n0 + 1) if 0 <= k <= n])
+    vgrid = np.linspace(-config.t, config.t, 2 * steps + 1)
+    # per time point: the 2N + 1 evolved columns, and up to three N-column
+    # temporaries of one sector.annihilate or create call and its conjugate
+    _require_memory(16 * len(basis) * len(vgrid) * (5 * n + 1),
+                    f"the Trotterized baseline at N = {n}, {steps} steps would hold "
+                    f"{len(vgrid)} batches over {len(basis)} sector states")
+    psi = psi[basis.bits]
+    states = np.empty((len(vgrid), len(basis), 2 * n + 1), dtype=complex)
+    states[steps] = np.concatenate(
+        [psi[:, None], sector.annihilate(basis, psi).T, sector.create(basis, psi).T], axis=1)
+    # from v = 0 forward (d = 1) to v = t and backward to v = -t; a step of
+    # exp(-iH dt) is _system_step's exp(+iH dt) at -dt
+    for d in (1, -1):
+        step = sector.compile_circuit(_system_step(config, -d * config.t / steps, 1), basis)
+        for iv in range(steps + d, steps + d * (steps + 1), d):
+            states[iv] = states[iv - d]
+            sector.run_program(step, states[iv])
+    psis = states[:, :, 0].T
+    splus = np.einsum("kiv,vik->kv", sector.annihilate(basis, psis).conj(), states[:, :, 1:n + 1])
+    sminus = np.einsum("vik,kiv->kv", states[:, :, n + 1:].conj(), sector.create(basis, psis))
+    return vgrid, splus, sminus
+
+
+def _windowed_baseline(config: ProtocolConfig, omegas: np.ndarray, vgrid: np.ndarray,
+                       splus: np.ndarray, sminus: np.ndarray, return_parts: bool = False):
+    """The baseline grid from the correlators S+-[k, v] on the time points vgrid."""
+    ks = config.momenta()
     window = (config.t - np.abs(vgrid)) / 4
     weights = _simpson_weights(vgrid)
     phase = np.exp(-1j * np.outer(omegas, vgrid))
@@ -651,13 +677,25 @@ def _simpson_weights(grid: np.ndarray) -> np.ndarray:
 
 def lehmann_lines(config: ProtocolConfig) -> tuple[DeltaLineSpectrum, DeltaLineSpectrum]:
     """Exact A+/A- delta lines from dense diagonalization of H_sys."""
-    n = config.n_sites
+    eig = _lehmann_eig(config)
+    return _lehmann_lines(config, eig, _system_state(config, eig))
+
+
+def _lehmann_eig(config: ProtocolConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The eigh pair of H_sys, once the Lehmann reference's dense operators
+    are known to fit."""
     # H_sys, its eigenvectors, and c(k) with the two temporaries of building it
-    _require_dense_memory(n, 5, "the Lehmann reference")
-    h = _system_hamiltonian_dense(config)
-    w, vmat = np.linalg.eigh(h)
-    psi0 = _system_state(config, (w, vmat)).ravel()
-    e0 = float(np.vdot(psi0, h @ psi0).real)
+    _require_dense_memory(config.n_sites, 5, "the Lehmann reference")
+    return _system_eig(config)
+
+
+def _lehmann_lines(config: ProtocolConfig, eig: tuple,
+                   psi_sys: np.ndarray) -> tuple[DeltaLineSpectrum, DeltaLineSpectrum]:
+    """`lehmann_lines` from the eigh pair of H_sys and the start state."""
+    n = config.n_sites
+    w, vmat = eig
+    psi0 = psi_sys.ravel()
+    e0 = float(w @ np.abs(vmat.conj().T @ psi0) ** 2)    # <psi0|H|psi0>
     ks = config.momenta()
     plus_c, plus_w, minus_c, minus_w = [], [], [], []
     for kk in ks:
@@ -676,8 +714,12 @@ def lehmann_lines(config: ProtocolConfig) -> tuple[DeltaLineSpectrum, DeltaLineS
 
 def reference_windowed_spectral(config: ProtocolConfig, omegas) -> SpectralGrid:
     """Exact ((A+ + A-) * phi_hat) via Lehmann lines and the analytic kernel."""
-    omegas = _omega_list(config, omegas)
-    plus, minus = lehmann_lines(config)
+    return _windowed_reference(config, _omega_list(config, omegas), lehmann_lines(config))
+
+
+def _windowed_reference(config: ProtocolConfig, omegas: np.ndarray, lines: tuple) -> SpectralGrid:
+    """`reference_windowed_spectral` from the (A+, A-) Lehmann lines."""
+    plus, minus = lines
     kern = Kernel(config.t)
     a = convolve_kernel(plus, kern, omegas)
     b = convolve_kernel(minus, kern, omegas)
@@ -703,8 +745,13 @@ def environment_method_grid(config: ProtocolConfig, omegas) -> SpectralGrid:
     particle-number sectors, so they run as one vector over the union of
     their sectors (`_run_trotter`).
     """
-    omegas = _omega_list(config, omegas)
-    occ = _run_trotter(config, omegas, ("empty", "full"))
+    return _environment_grid(config, _omega_list(config, omegas))
+
+
+def _environment_grid(config: ProtocolConfig, omegas: np.ndarray, psi_sys=None) -> SpectralGrid:
+    """`environment_method_grid` on an omega array; `psi_sys` is the system
+    start state when the caller has built it."""
+    occ = _run_trotter(config, omegas, ("empty", "full"), psi_sys=psi_sys)
     vals_e, vals_f = occ[..., 0], 1 - occ[..., 1]
     meta = {"config": config.snapshot(),
             "empty_min": float(vals_e.min()), "empty_max": float(vals_e.max()),
@@ -716,14 +763,20 @@ def environment_method_grid(config: ProtocolConfig, omegas) -> SpectralGrid:
 def compare_trotter(config: ProtocolConfig, omegas, step_counts) -> dict:
     """Fig.-style comparison: per-step-count average/max error of the scaled
     environment method and dynamical-correlation baseline against the exact
-    windowed spectral function."""
+    windowed spectral function.
+
+    H_sys is diagonalized once: its eigh pair and the start state built
+    from it serve the reference and both grids of every step count.
+    """
     omegas = _omega_list(config, omegas)
-    ref = reference_windowed_spectral(config, omegas).values
+    eig = _lehmann_eig(config)
+    psi0 = _system_state(config, eig)
+    ref = _windowed_reference(config, omegas, _lehmann_lines(config, eig, psi0)).values
     rows = []
     for steps in step_counts:
         cfg = replace(config, trotter_steps=steps)
-        env = environment_method_grid(cfg, omegas)
-        base = dynamical_correlation_baseline(cfg, omegas)
+        env = _environment_grid(cfg, omegas, psi0)
+        base = _windowed_baseline(cfg, omegas, *_trotterized_correlators(cfg, psi0))
         s_env = least_squares_scale(env.values, ref)
         s_base = least_squares_scale(base.values, ref)
         err_env = np.abs(s_env * env.values - ref)

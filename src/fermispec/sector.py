@@ -19,8 +19,16 @@ of the basis; runs of these compose into one op.  Any other pair map is a
 "pair" op on the ranks of the partner states, cached per qubit pair.  A block
 that mixes particle numbers raises `ParticleConservationError`.
 
-The Trotterized protocol runs its fillings' sectors here, and
-`gaussian.extract_mode_transform` runs the zero- and one-particle sectors.
+`annihilate` and `create` apply the momentum-mode fermion operators c(k) and
+c^dag(k), with every qubit a Jordan-Wigner mode, to a vector or batch over a
+basis, for every k at once.  Per mode j the partner ranks come from
+`np.searchsorted` and the JW sign from the popcount of the qubits before j,
+the higher bits (`Basis.lowering`, cached); the sum over j with
+e^{-ijk}/sqrt(n) is one FFT over the mode axis.
+
+The Trotterized protocol runs its fillings' sectors here, the
+dynamical-correlation baseline its state's sector with the two next to it,
+and `gaussian.extract_mode_transform` the zero- and one-particle sectors.
 This is the number-sector approach of the Fermionic Quantum Emulator (Rubin
 et al., Quantum 5, 568, 2021), on qubit-level gates.
 """
@@ -77,7 +85,8 @@ class Basis:
 
     `particle_numbers` selects the sectors; None is the full 2**num_qubits
     basis.  A bitstring is an int64 up to 63 qubits and a Python int (object
-    array) beyond.  Per-qubit occupations and per-pair index arrays are cached.
+    array) beyond.  Per-qubit occupations and annihilator tables, and
+    per-pair index arrays, are cached.
     """
 
     def __init__(self, num_qubits: int, particle_numbers=None):
@@ -93,6 +102,7 @@ class Basis:
                 [_bitstrings(num_qubits, k, dtype) for k in ks] or [np.zeros(0, dtype)]))
         self._occupied: dict = {}
         self._pairs: dict = {}
+        self._lowerings: dict = {}
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -123,6 +133,21 @@ class Basis:
             flip = (1 << (self.num_qubits - 1 - a)) | (1 << (self.num_qubits - 1 - b))
             self._pairs[a, b] = (i01, np.searchsorted(self.bits, self.bits[i01] ^ flip))
         return self._pairs[a, b]
+
+    def lowering(self, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(src, dst, sign) of the JW annihilator c_q: the ranks of the states
+        with qubit q occupied whose partner, q emptied, is in the basis, the
+        ranks of those partners, and the sign (-1)^(occupied qubits before q)."""
+        if q not in self._lowerings:
+            src = np.flatnonzero(self.occupied(q))
+            partner = self.bits[src] ^ (1 << (self.num_qubits - 1 - q))
+            dst = np.minimum(np.searchsorted(self.bits, partner), len(self.bits) - 1)
+            keep = self.bits[dst] == partner
+            src, dst = src[keep], dst[keep]
+            # bitwise_count returns uint8, on which 1 - 2 * odd would wrap
+            before = np.bitwise_count(self.bits[src] >> (self.num_qubits - q)).astype(np.int64)
+            self._lowerings[q] = (src, dst, 1 - 2 * (before & 1))
+        return self._lowerings[q]
 
 
 def _lift(u: np.ndarray, qubits: tuple, onto: tuple) -> np.ndarray:
@@ -222,3 +247,31 @@ def run_program(program: list[tuple], state: np.ndarray) -> np.ndarray:
             v = state[idx]
             state[idx] = (u @ v.reshape(2, -1)).reshape(v.shape)
     return state
+
+
+def _mode_terms(basis: Basis, x: np.ndarray, adjoint: bool) -> np.ndarray:
+    """c_j x, or c_j^dag x when `adjoint`, for every qubit j, as out[j]."""
+    out = np.zeros((basis.num_qubits,) + x.shape, dtype=complex)
+    col = (slice(None),) + (None,) * (x.ndim - 1)
+    for j in range(basis.num_qubits):
+        src, dst, sign = basis.lowering(j)
+        to, frm = (src, dst) if adjoint else (dst, src)
+        out[j, to] = sign[col] * x[frm]
+    return out
+
+
+def annihilate(basis: Basis, x: np.ndarray) -> np.ndarray:
+    """c(k) x for the momenta k = 2 pi m / n of the n qubits of `basis`, as out[m].
+
+    c(k) = n^(-1/2) sum_j e^{-ijk} c_j, with c_j the JW annihilator of qubit
+    j.  x is a vector over the basis, with or without trailing batch axes, and
+    so is each out[m].  Amplitudes mapped outside the basis are dropped, so
+    the basis must hold the sector below each of x's for the exact c(k) x.
+    """
+    return np.fft.fft(_mode_terms(basis, x, False), axis=0) / np.sqrt(basis.num_qubits)
+
+
+def create(basis: Basis, x: np.ndarray) -> np.ndarray:
+    """c^dag(k) x for the momenta k = 2 pi m / n, as out[m]: the adjoint of
+    `annihilate`, exact when the basis holds the sector above each of x's."""
+    return np.fft.ifft(_mode_terms(basis, x, True), axis=0) * np.sqrt(basis.num_qubits)

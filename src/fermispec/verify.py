@@ -17,7 +17,7 @@ from .fft import (InterleaveStrategy, fft_circuit, interleave_circuit,
                   interleave_cz_graph, interleave_permutation,
                   single_particle_transfer)
 from .gaussian import dft_matrix
-from .protocol import (ProtocolConfig, _readout_circuit, _sector_start,
+from .protocol import (ProtocolConfig, _readout_circuit, _sector_start, _system_state,
                        broadening_and_ghosts, nk_exact_free, nk_gaussian,
                        strong_coupling_leading, trotter_step_circuit)
 from . import sector
@@ -176,7 +176,8 @@ def _check_trotter_kernels() -> Result:
     for n, nu in ((3, -1.0), (4, 0.8)):
         cfg = ProtocolConfig(n, 0.3, omega=0.7, nu=nu, interaction=2.3)
         circuits = (trotter_step_circuit(cfg, 0.37), _readout_circuit(n))
-        for basis in (sector.Basis(2 * n), _sector_start(cfg, ("empty", "full"))[0]):
+        in_sectors = _sector_start(cfg, ("empty", "full"), _system_state(cfg))[0]
+        for basis in (sector.Basis(2 * n), in_sectors):
             psi = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
             cases.append((circuits, basis, psi))
     return _summary(sector_matches_gates(cases, 1e-12),

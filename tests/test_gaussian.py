@@ -9,7 +9,7 @@ from fermispec.fft import base_fft, fft_circuit
 from fermispec.gaussian import (coupled_hamiltonian, dft_matrix,
                                 evolve_gaussian, extract_mode_transform,
                                 mode_propagator, momentum_occupations,
-                                state_from_momentum_occupations, system_block)
+                                state_from_momentum_occupations)
 from fermispec import statevector as sv
 from fermispec.sector import ParticleConservationError
 
@@ -212,15 +212,6 @@ def test_two_mode_mixing_amplitude():
     want = np.sin(t * omega0) ** 2 * eps ** 2 / (omega ** 2 + eps ** 2)
     for j in range(3):
         assert abs(abs(tr[2 * j, 2 * j + 1]) ** 2 - want) < 1e-12
-
-
-def test_system_block_spectrum():
-    n = 200
-    h = coupled_hamiltonian(n, 1.0, 0.0, 0.0)
-    w = np.linalg.eigvalsh(system_block(h))
-    ks = 2 * np.pi * np.arange(n) / n
-    want = np.sort(2 * np.cos(ks))
-    assert np.max(np.abs(w - want)) < 1e-10
 
 
 def test_propagator_unitary():

@@ -376,6 +376,28 @@ def test_system_hamiltonian_bit_built_equals_jw_operators(n):
                               _jw_system_hamiltonian(cfg)), (nu, V)
 
 
+def _dense_state_from_filled(n, rho):
+    """prod_k c^dag(k) |0> over the filled momenta, the lowest k applied first,
+    from dense momentum_annihilation products."""
+    from fermispec import statevector as sv
+    psi = sv.zero_state(n).ravel()
+    for m in np.flatnonzero(np.asarray(rho) > 0.5):
+        psi = sv.momentum_annihilation(n, 2 * np.pi * m / n).conj().T @ psi
+    return psi / np.linalg.norm(psi)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 10])
+def test_state_from_filled_matches_dense_creation_products(n):
+    """The free start state of an N without an FFT radix, built with
+    sector.create, equals the dense creation-operator products."""
+    rng = np.random.default_rng(n)
+    fillings = [np.zeros(n), np.ones(n), _cfg(n_sites=n).rho(), _cfg(n_sites=n, nu=-1.0).rho(),
+                *(rng.integers(0, 2, n).astype(float) for _ in range(2))]
+    for rho in fillings:
+        got = protocol._state_from_filled(n, rho).ravel()
+        assert np.max(np.abs(got - _dense_state_from_filled(n, rho))) <= 1e-14, rho
+
+
 def test_one_eigendecomposition_per_call(monkeypatch):
     """The interacting ground state comes from one dense H_sys and one eigh per call."""
     calls = {"eigh": 0, "hamiltonian": 0}
@@ -402,10 +424,10 @@ def test_one_eigendecomposition_per_call(monkeypatch):
         calls.update(eigh=0, hamiltonian=0)
         run()
         assert calls == {"eigh": 1, "hamiltonian": 1}, name
-    # the reference, then one grid and one baseline per step count
+    # one eigh pair serves the reference and every step count's two grids
     calls.update(eigh=0, hamiltonian=0)
     compare_trotter(cfg, omegas, [1, 2])
-    assert calls == {"eigh": 5, "hamiltonian": 5}
+    assert calls == {"eigh": 1, "hamiltonian": 1}
 
 
 def test_trotterized_baseline_evolves_each_column_once(monkeypatch):
@@ -425,8 +447,11 @@ def test_trotterized_baseline_evolves_each_column_once(monkeypatch):
 
 
 def test_dense_operator_memory_fails_fast(monkeypatch):
-    """At N = 12 the dense operators exceed 1 GiB: both dense references
-    raise before building any of them."""
+    """At N = 12 the Lehmann reference's dense operators exceed 1 GiB, and at
+    N = 13, the first N where it fires, the dense interacting ground state
+    the Trotterized baseline starts from: each raises before building any
+    dense operator.  A free N = 16 chain at 32 steps starts without one, but
+    its baseline's time-point batches would exceed 1 GiB."""
     def forbidden(*args, **kwargs):
         raise AssertionError("dense operator built")
 
@@ -435,7 +460,10 @@ def test_dense_operator_memory_fails_fast(monkeypatch):
     monkeypatch.setattr(protocol.sv, "annihilation_operator", forbidden)
     cfg = _cfg(n_sites=12, epsilon=0.1, t=2.0, nu=-1.0, interaction=4.0)
     for run in (lambda: dynamical_correlation_baseline(cfg, OMEGAS),
-                lambda: dynamical_correlation_baseline(replace(cfg, trotter_steps=2), OMEGAS),
+                lambda: dynamical_correlation_baseline(
+                    replace(cfg, n_sites=13, trotter_steps=2), OMEGAS),
+                lambda: dynamical_correlation_baseline(
+                    _cfg(n_sites=16, trotter_steps=32), OMEGAS),
                 lambda: protocol.lehmann_lines(cfg)):
         with pytest.raises(ValueError, match=r"GiB \(limit 1 GiB\)"):
             run()
@@ -562,6 +590,70 @@ def test_baseline_trotterized_can_go_negative():
     assert grid.meta["negative_samples"] > 0
 
 
+def _dense_trotterized_baseline(config, omegas):
+    """Plus and minus grids of the Trotterized baseline over the full 2**N
+    basis with dense c(k): the columns [psi0, c(k) psi0 .., c^dag(k) psi0 ..]
+    step from v = 0 forward with exp(-iH dt) (`_system_step` at -dt) and
+    backward, then S+(k,v) = <c(k) psi(v)| [c(k) psi0](v)> and
+    S-(k,v) = <c(k) [c^dag(k) psi0](v)| psi(v)>, windowed as the baseline."""
+    from fermispec import statevector as sv
+    n, steps = config.n_sites, config.trotter_steps
+    psi0 = protocol._system_state(config).ravel()
+    cks = [sv.momentum_annihilation(n, kk) for kk in config.momenta()]
+    cols = np.stack([psi0] + [ck @ psi0 for ck in cks]
+                    + [ck.conj().T @ psi0 for ck in cks], axis=1)
+    evolved = {steps: cols}
+    basis = sector.Basis(n)
+    for sign, ivs in ((1, range(steps + 1, 2 * steps + 1)), (-1, range(steps - 1, -1, -1))):
+        step = sector.compile_circuit(protocol._system_step(config, -sign * config.t / steps, 1),
+                                      basis)
+        cur = cols
+        for iv in ivs:
+            cur = sector.run_program(step, cur.copy())
+            evolved[iv] = cur
+    states = [evolved[iv] for iv in range(2 * steps + 1)]
+    splus = np.array([[np.vdot(ck @ cur[:, 0], cur[:, 1 + ik]) for cur in states]
+                      for ik, ck in enumerate(cks)])
+    sminus = np.array([[np.vdot(ck @ cur[:, 1 + n + ik], cur[:, 0]) for cur in states]
+                       for ik, ck in enumerate(cks)])
+    vgrid = np.linspace(-config.t, config.t, 2 * steps + 1)
+    _, plus, minus = protocol._windowed_baseline(config, np.asarray(omegas, dtype=float),
+                                                 vgrid, splus, sminus, return_parts=True)
+    return plus.values, minus.values
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
+def test_sector_baseline_matches_dense_baseline(n):
+    """The Trotterized baseline in the sectors n0 - 1, n0, n0 + 1 equals the
+    dense full-basis path; N = 6 takes nu = -3, where V = 2.3 and 4 have a
+    gapped ground state (0.53 and 1.5; at |nu| <= 1 it is degenerate)."""
+    nu = -3.0 if n == 6 else -1.0
+    for V in (0.0, 2.3, 4.0):
+        for steps in (1, 2, 3):
+            cfg = _cfg(n_sites=n, t=2.0, nu=nu, interaction=V, trotter_steps=steps)
+            _, plus, minus = dynamical_correlation_baseline(cfg, OMEGAS, return_parts=True)
+            want_plus, want_minus = _dense_trotterized_baseline(cfg, OMEGAS)
+            assert np.max(np.abs(plus.values - want_plus)) <= 1e-12, (V, steps)
+            assert np.max(np.abs(minus.values - want_minus)) <= 1e-12, (V, steps)
+
+
+@pytest.mark.parametrize("V, order", [(0.0, 3.8), (2.3, 2.0)])
+def test_trotterized_baseline_converges_to_continuous_at_same_omega(V, order):
+    """The Trotterized baseline converges to the continuous-time one at the
+    same omega; errors at 64, 256, 1024 steps were 3.0e-6, 1.1e-8, 7.6e-11
+    (V = 0) and 1.5e-2, 9.6e-4, 6.0e-5 (V = 2.3), fitted orders 3.8 and 2.0.
+    Stepping forward in v with exp(+iH dt) gives A(k, -omega) instead and
+    stays 3.57 away at every step count."""
+    cfg = ProtocolConfig(4, 0.3, t=5.0, nu=-1.0, interaction=V)
+    omegas = [-1.5, 1.5]
+    exact = dynamical_correlation_baseline(cfg, omegas).values
+    step_counts = [64, 256, 1024]
+    errs = [np.max(np.abs(dynamical_correlation_baseline(
+        replace(cfg, trotter_steps=s), omegas).values - exact)) for s in step_counts]
+    slope = np.polyfit(np.log(step_counts), np.log(errs), 1)[0]
+    assert abs(slope + order) < 0.1, (errs, slope)
+
+
 def test_lehmann_reference_free_case():
     cfg = _cfg(n_sites=6, epsilon=0.0, t=4.0, initial_state=[1, 1, 0, 0, 1, 0])
     ref = reference_windowed_spectral(cfg, OMEGAS)
@@ -583,14 +675,58 @@ def test_environment_method_matches_single_runs():
     assert np.max(np.abs(combined.values - e.values - f.values)) < 1e-12
 
 
+def _embed_system_state(psi_sys, n):
+    """Place an N-qubit system state on the even qubits of the 2N register."""
+    state = np.zeros((2,) * (2 * n), dtype=complex)
+    idx = tuple(slice(None) if q % 2 == 0 else 0 for q in range(2 * n))
+    state[idx] = psi_sys.reshape((2,) * n)
+    return state
+
+
+def _fill_environment_circuit(n):
+    """X on every environment qubit plus the fermionic parity fix.
+
+    Adding the d_j^dag in descending order leaves Z strings on the system
+    qubits; site j collects Z^(N-j), i.e. a Z wherever N-j is odd (for odd N:
+    every other system qubit starting with the first).
+    """
+    from fermispec.circuits import Circuit, x, z
+    gates = [x(2 * j + 1) for j in range(n - 1, -1, -1)]
+    gates.extend(z(2 * j) for j in range(n) if (n - j) % 2 == 1)
+    return Circuit(2 * n, tuple(gates))
+
+
+def _dense_start_states(config):
+    """The dense 2N-qubit start states of the empty and the full environment,
+    prepared on the gate level: the system state on the even qubits, and the
+    filling circuit on top."""
+    from fermispec import statevector as sv
+    empty = _embed_system_state(protocol._system_state(config), config.n_sites)
+    return empty, sv.run_circuit(_fill_environment_circuit(config.n_sites), empty)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 9])
+def test_sector_start_equals_dense_start(n):
+    """The start vector built in the sectors equals the gate-level embedding
+    and filling circuit exactly, for a free and an interacting chain."""
+    for V in (0.0, 2.3):
+        cfg = _cfg(n_sites=n, nu=-1.0, interaction=V)
+        basis, start, masks = protocol._sector_start(cfg, ("empty", "full"),
+                                                     protocol._system_state(cfg))
+        for mask, dense in zip(masks, _dense_start_states(cfg)):
+            dense = dense.ravel()
+            assert np.array_equal(start[mask], dense[basis.bits[mask]]), (V, mask.sum())
+            outside = np.delete(dense, basis.bits[mask])
+            assert np.linalg.norm(outside) <= 1e-12, V
+
+
 def _gate_level_environment_grid(config, omegas):
     """environment_method_grid on the gate-level kernel: the dense 2N-qubit
     start states, trotter_step_circuit at each omega for every step, then
     _readout_circuit; empty n(k) plus full 1 - n(k)."""
     from fermispec import statevector as sv
     n = config.n_sites
-    empty = protocol._embed_system_state(protocol._system_state(config), n)
-    full = sv.run_circuit(protocol._fill_environment_circuit(n), empty)
+    empty, full = _dense_start_states(config)
     readout = protocol._readout_circuit(n)
     vals = np.zeros((n, len(omegas)))
     for iw, om in enumerate(omegas):

@@ -100,3 +100,34 @@ def test_number_changing_gates_raise(circuit):
 def test_circuit_and_basis_sizes_must_match():
     with pytest.raises(ValueError):
         sector.compile_circuit(Circuit(3, (cz(0, 1),)), sector.Basis(2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 10])
+def test_momentum_operators_match_dense_jw_operators(n):
+    """Basis.lowering is the dense JW annihilator c_j restricted to the basis,
+    mode by mode, and annihilate/create apply the dense c(k) and c^dag(k) for
+    every k: on each single sector, on unions of neighbouring sectors and of
+    the empty and full ones, and on the full basis."""
+    from fermispec import statevector as sv
+    modes = [sv.annihilation_operator(n, j) for j in range(n)]
+    cks = [sv.momentum_annihilation(n, 2 * np.pi * m / n) for m in range(n)]
+    rng = np.random.default_rng(n)
+    sectors = ([[k] for k in range(n + 1)] + [[k - 1, k, k + 1] for k in range(1, n)]
+               + [[0, n], None])
+    for ks in sectors:
+        basis = sector.Basis(n, ks)
+        rows = np.ix_(basis.bits, basis.bits)
+        for j, op in enumerate(modes):
+            src, dst, sign = basis.lowering(j)
+            got = np.zeros((len(basis), len(basis)))
+            got[dst, src] = sign
+            # c_j maps out of a single sector: keep the entries that land in the basis
+            assert np.array_equal(got, op[rows].real), (ks, j)
+        xs = [rng.normal(size=(len(basis),) + batch) + 1j * rng.normal(size=(len(basis),) + batch)
+              for batch in ((), (3,))]
+        ops = [(sector.annihilate(basis, x), sector.create(basis, x)) for x in xs]
+        for m, ck in enumerate(cks):
+            sub = ck[rows]
+            for x, (down, up) in zip(xs, ops):
+                assert np.max(np.abs(down[m] - sub @ x), initial=0) <= 1e-14, (ks, m)
+                assert np.max(np.abs(up[m] - sub.conj().T @ x), initial=0) <= 1e-14, (ks, m)
