@@ -80,8 +80,8 @@ def _load_protocol_config(path: str) -> tuple[ProtocolConfig, dict] | None:
                 raise ValueError(f"{key} must be a non-empty list of {what}, got {values!r}")
         if not all(map(math.isfinite, raw.get("omegas", [0]))):
             raise ValueError(f"omegas must be finite, got {raw['omegas']!r}")
-        if min(raw.get("step_counts", [0])) < 0:
-            raise ValueError(f"step_counts must be non-negative, got {raw['step_counts']!r}")
+        if min(raw.get("step_counts", [1])) < 1:
+            raise ValueError(f"step_counts must be positive, got {raw['step_counts']!r}")
         for key in ("shots", "seed"):
             if type(raw.get(key, 0)) is not int or raw.get(key, 0) < 0:
                 raise ValueError(f"{key} must be a non-negative integer, got {raw[key]!r}")

@@ -136,15 +136,16 @@ class SpectralGrid:
 
 def _omega_list(config: ProtocolConfig, omegas) -> np.ndarray:
     """The omega grid of a grid function: `config.omega` alone when omegas is
-    None, else omegas as a 1-D float array; anything else raises ValueError."""
+    None, else omegas as a non-empty 1-D float array, or ValueError."""
     if omegas is None:
         return np.array([config.omega], dtype=float)
     try:
         grid = np.asarray(omegas, dtype=float)
     except (TypeError, ValueError):
         grid = None
-    if grid is None or grid.ndim != 1 or not np.isfinite(grid).all():
-        raise ValueError(f"omegas must be a 1-D sequence of finite numbers, got {omegas!r}")
+    if grid is None or grid.ndim != 1 or not grid.size or not np.isfinite(grid).all():
+        raise ValueError(f"omegas must be a 1-D sequence of finite numbers, at least one, "
+                         f"got {omegas!r}")
     return grid
 
 
@@ -368,73 +369,85 @@ def trotter_step_circuit(config: ProtocolConfig, dt: float) -> Circuit:
     return Circuit(2 * config.n_sites, gates)
 
 
-def _system_hamiltonian_dense(config: ProtocolConfig) -> np.ndarray:
-    """Dense real many-body H_sys (+ interaction) on the N system qubits.
-
-    Built from bit operations on the basis index, with site j on bit N-1-j:
-    c_a^dag c_b + h.c. moves a particle between a and b with the JW sign
-    (-1)^(occupied sites strictly between), and V n_a n_b is diagonal.  The
-    diagonal sums V bond by bond, in the order a sum of dense JW-operator
-    products would.
+def _system_hamiltonian(config: ProtocolConfig, basis: sector.Basis) -> np.ndarray:
+    """Real many-body H_sys (+ interaction) over `basis`, a `sector.Basis` of
+    the N system qubits: the dense matrix on `sector.Basis(N)`, its k-particle
+    block on `sector.Basis(N, [k])`.  c_a^dag c_b + h.c. moves a particle
+    between a and b with the JW sign (-1)^(occupied sites strictly between),
+    and V n_a n_b is diagonal, summed bond by bond in the order a sum of dense
+    JW-operator products would.
     """
     n = config.n_sites
-    idx = np.arange(2 ** n)
-    occ = (idx[:, None] >> (n - 1 - np.arange(n))) & 1      # occ[s, j] = n_j in s
-    h = np.zeros((2 ** n, 2 ** n), dtype=float)
-    diag = np.zeros(2 ** n)
+    h = np.zeros((len(basis), len(basis)))
+    diag = np.zeros(len(basis))
     for j in chain_bonds(n):
         a, b = j, (j + 1) % n
         lo, hi = min(a, b), max(a, b)
-        src = idx[occ[:, a] != occ[:, b]]
-        sign = 1 - 2 * (occ[src, lo + 1:hi].sum(axis=1) & 1)
-        h[src ^ (1 << (n - 1 - a)) ^ (1 << (n - 1 - b)), src] = config.nu * sign
+        i01, i10 = basis.pair(lo, hi)
+        between = sum(1 << (n - 1 - q) for q in range(lo + 1, hi))
+        # bitwise_count returns uint8, on which 1 - 2 * odd would wrap
+        odd = np.bitwise_count(basis.bits[i01] & between).astype(np.int64) & 1
+        h[i01, i10] = h[i10, i01] = config.nu * (1 - 2 * odd)
         if config.interaction != 0:
-            diag += config.interaction * (occ[:, a] & occ[:, b])
-    h[idx, idx] = diag
+            diag += config.interaction * (basis.occupied(a) & basis.occupied(b))
+    np.fill_diagonal(h, diag)
     return h
 
 
-def _state_from_filled(n: int, rho: np.ndarray) -> np.ndarray:
-    """prod_k c^dag(k) |0> over the filled momenta, the lowest k applied first,
-    from `sector.create` on the full basis."""
-    basis = sector.Basis(n)
-    psi = sv.zero_state(n).ravel()
-    for m in np.flatnonzero(rho > 0.5):
+def _system_spectrum(config: ProtocolConfig) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The eigh pair (w, v) of H_sys in each particle-number sector, as
+    spectrum[k] for k = 0..N with v over `sector.Basis(N, [k])`."""
+    n = config.n_sites
+    sizes = [math.comb(n, k) for k in range(n + 1)]
+    # every block's eigenvectors, and the largest block's copy and 2x workspace in LAPACK
+    _require_memory(8 * (sum(d * d for d in sizes) + 3 * max(sizes) ** 2),
+                    f"the spectrum of H_sys at N = {n} would hold {n + 1} sector eigenbases")
+    return [np.linalg.eigh(_system_hamiltonian(config, sector.Basis(n, [k])))
+            for k in range(n + 1)]
+
+
+def _state_from_filled(n: int, filled: np.ndarray) -> tuple[int, np.ndarray]:
+    """prod_k c^dag(k) |0> over the filled momentum indices, the lowest k
+    applied first, from `sector.create` on the sectors 0..n0:
+    (n0, amplitudes over `sector.Basis(n, [n0])`)."""
+    n0 = len(filled)
+    basis = sector.Basis(n, range(n0 + 1))
+    psi = (basis.bits == 0).astype(complex)
+    for m in filled:
         psi = sector.create(basis, psi)[m]
-    return (psi / np.linalg.norm(psi)).reshape((2,) * n)
+    psi = psi[basis.particle_numbers() == n0]
+    return n0, psi / np.linalg.norm(psi)
 
 
-def _system_eig(config: ProtocolConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The eigh pair (w, v) of the dense H_sys."""
-    # H_sys, LAPACK's copy of it that becomes the eigenvectors, its 2 * 4**N
-    # workspace and the returned eigenvectors: five real 2**N x 2**N arrays,
-    # under the size of three complex operators
-    _require_dense_memory(config.n_sites, 3, "the interacting ground state")
-    return np.linalg.eigh(_system_hamiltonian_dense(config))
+def _system_state(config: ProtocolConfig, spectrum: list | None = None) -> tuple[int, np.ndarray]:
+    """Initial system state as (n0, amplitudes over `sector.Basis(N, [n0])`).
 
-
-def _system_state(config: ProtocolConfig, eig: tuple | None = None) -> np.ndarray:
-    """Initial N-qubit system state, shape (2,)*N.
-
-    A free chain starts in its 0/1 momentum filling: the prep circuit builds it
-    when N = 2**k or 3**k, `_state_from_filled` otherwise.  An interacting
-    chain starts in the ground state of H_sys, taken from the eigh pair `eig`
-    when the caller has already diagonalized it; a degenerate ground state
-    (gap below 1e-9) raises.
+    A free chain starts in its 0/1 momentum filling: for N = 2**k or 3**k
+    the prep circuit's X layer sets the start bitstring and its remainder,
+    the inverse FFFT, runs in that sector; otherwise `_state_from_filled`.
+    An interacting chain starts in the lowest level of `spectrum`
+    (`_system_spectrum` when None); a gap below 1e-9 to the next level, over
+    all sectors, raises.
     """
     n = config.n_sites
     rho = config.rho()
     if not np.all((rho < 1e-12) | (rho > 1 - 1e-12)):
         raise ValueError("the initial system state needs 0/1 momentum occupations")
     if config.interaction != 0:
-        w, vmat = _system_eig(config) if eig is None else eig
-        if w[1] - w[0] < 1e-9:
+        spectrum = _system_spectrum(config) if spectrum is None else spectrum
+        e0, e1 = np.sort(np.concatenate([w for w, _ in spectrum]))[:2]
+        if e1 - e0 < 1e-9:
             raise ValueError(f"degenerate interacting ground state: gap E1 - E0 = "
-                             f"{w[1] - w[0]:.3g} < 1e-9")
-        return vmat[:, 0].reshape((2,) * n)
-    if fft_radix(n):
-        return sv.run_circuit(ground_state_prep_circuit(n, np.flatnonzero(rho > 0.5)))
-    return _state_from_filled(n, rho)
+                             f"{e1 - e0:.3g} < 1e-9")
+        n0 = int(np.argmin([w[0] for w, _ in spectrum]))
+        return n0, spectrum[n0][1][:, 0]
+    filled = np.flatnonzero(rho > 0.5)
+    if not fft_radix(n):
+        return _state_from_filled(n, filled)
+    basis = sector.Basis(n, [len(filled)])
+    psi = (basis.bits == sum(1 << (n - 1 - int(j)) for j in filled)).astype(complex)
+    rest = Circuit(n, ground_state_prep_circuit(n, filled).gates[len(filled):])
+    return len(filled), sector.run_program(sector.compile_circuit(rest, basis), psi)
 
 
 def _readout_circuit(n: int) -> Circuit:
@@ -444,36 +457,20 @@ def _readout_circuit(n: int) -> Circuit:
     return Circuit(2 * n, inter.gates + remap(env_fft, range(n, 2 * n), 2 * n).gates)
 
 
-def _particle_sector(psi: np.ndarray) -> int:
-    """The particle number of the system start state psi over the full basis;
-    more than 1e-12 of its weight outside that sector raises."""
-    probs = np.abs(psi) ** 2
-    counts = np.bitwise_count(np.arange(len(psi)))
-    k = int(counts[np.argmax(probs)])
-    outside = probs[counts != k].sum() / probs.sum()
-    if outside > 1e-12:
-        raise ValueError(f"the system start state is not a particle-number eigenstate: "
-                         f"{outside:.1e} of its weight lies outside the {k}-particle sector")
-    return k
-
-
-def _sector_start(config: ProtocolConfig, environments: Sequence[str], psi_sys: np.ndarray):
+def _sector_start(config: ProtocolConfig, environments: Sequence[str], state: tuple):
     """The start states of the environment fillings, built in their
-    particle-number sectors from the system start state `psi_sys`.
+    particle-number sectors from the system start state (n0, amps).
 
-    The system state must lie in one sector n0.  Its amplitudes there move
-    onto the even qubits of the 2N register.  A full environment sets every
-    odd qubit with the sign of adding the d_j^dag in descending order: site j
-    collects Z^(N-j), a -1 for each occupied site j with N - j odd.  The
-    fillings sit in the disjoint sectors n0 and n0 + N, so they share one
-    vector over the union basis.  Returns (basis, vector, masks), masks[b]
-    selecting the sector of filling b.
+    The amplitudes move onto the even qubits of the 2N register.  A full
+    environment sets every odd qubit with the sign of adding the d_j^dag in
+    descending order: site j collects Z^(N-j), a -1 for each occupied site j
+    with N - j odd.  The fillings sit in the disjoint sectors n0 and n0 + N,
+    so they share one vector over the union basis.  Returns (basis, vector,
+    masks), masks[b] selecting the sector of filling b.
     """
     n = config.n_sites
-    psi = psi_sys.ravel()
-    n0 = _particle_sector(psi)
+    n0, amps = state
     bits = sector.Basis(n, [n0]).bits
-    amps = psi[bits]
     # system site j is bit n-1-j of `bits` and qubit 2j, bit 2(n-1-j)+1, of the register
     spread = np.zeros_like(bits)
     for p in range(n):
@@ -494,7 +491,7 @@ def _sector_start(config: ProtocolConfig, environments: Sequence[str], psi_sys: 
 
 
 def _run_trotter(config: ProtocolConfig, omegas: np.ndarray, environments: Sequence[str],
-                 shots: int = 0, seed: int = 0, psi_sys=None) -> np.ndarray:
+                 shots: int = 0, seed: int = 0, state=None) -> np.ndarray:
     """Trotterized pipeline on 2N qubits, run in the particle-number sectors
     of the environment fillings.
 
@@ -505,7 +502,7 @@ def _run_trotter(config: ProtocolConfig, omegas: np.ndarray, environments: Seque
     environment phase layer once per omega.  Returns the environment
     occupations n(k), shape (N, len(omegas), len(environments)); shots > 0
     samples them per omega, then per filling, from one seeded generator.
-    `psi_sys` is the system start state when the caller has built it.
+    `state` is the system start state when the caller has built it.
     """
     n = config.n_sites
     nq = 2 * n
@@ -516,7 +513,7 @@ def _run_trotter(config: ProtocolConfig, omegas: np.ndarray, environments: Seque
     if fft_radix(n) is None:
         raise ValueError("environment FFT readout needs n_sites = 2**k or 3**k")
     basis, start, masks = _sector_start(
-        config, environments, _system_state(config) if psi_sys is None else psi_sys)
+        config, environments, _system_state(config) if state is None else state)
     readout = sector.compile_circuit(_readout_circuit(n), basis)
     # after the readout, qubit N + k holds n(k)
     env_bits = np.stack([basis.occupied(q) for q in range(n, nq)], axis=1).astype(float)
@@ -572,13 +569,6 @@ def _require_memory(need: float, what: str) -> None:
         raise ValueError(f"{what}, about {need / 2 ** 30:.1f} GiB (limit 1 GiB)")
 
 
-def _require_dense_memory(n: int, matrices: int, what: str) -> None:
-    """Raise before a call holds `matrices` dense 2**n x 2**n complex
-    operators at once when they would exceed 1 GiB."""
-    _require_memory(matrices * 4 ** n * 16, f"{what} at N = {n} would hold {matrices} "
-                    f"dense {2 ** n}x{2 ** n} operators")
-
-
 def dynamical_correlation_baseline(config: ProtocolConfig, omegas=None,
                                    return_parts: bool = False):
     """Classical reference method: measure c(k) correlators on a time grid,
@@ -608,9 +598,19 @@ def dynamical_correlation_baseline(config: ProtocolConfig, omegas=None,
     return _windowed_baseline(config, omegas, vgrid, splus, sminus, return_parts)
 
 
-def _trotterized_correlators(config: ProtocolConfig, psi_sys: np.ndarray) -> tuple:
+def _neighbour_sectors(n: int, state: tuple) -> tuple[sector.Basis, np.ndarray]:
+    """The basis of the sectors n0 - 1, n0, n0 + 1 (those in 0..n) around the
+    system start state (n0, amps), and the state over it."""
+    n0, amps = state
+    basis = sector.Basis(n, [k for k in (n0 - 1, n0, n0 + 1) if 0 <= k <= n])
+    psi = np.zeros(len(basis), dtype=complex)
+    psi[basis.particle_numbers() == n0] = amps
+    return basis, psi
+
+
+def _trotterized_correlators(config: ProtocolConfig, state: tuple) -> tuple:
     """(vgrid, S+, S-) of the Trotterized baseline from the system start
-    state `psi_sys`, S+-[k, v] on the time points vgrid.
+    state (n0, amps), S+-[k, v] on the time points vgrid.
 
     The columns [psi0, c(k) psi0 .., c^dag(k) psi0 ..] lie in the sectors
     n0, n0 - 1 and n0 + 1 and step as one batch over their union, one step
@@ -619,16 +619,13 @@ def _trotterized_correlators(config: ProtocolConfig, psi_sys: np.ndarray) -> tup
     """
     n = config.n_sites
     steps = config.trotter_steps
-    psi = psi_sys.ravel()
-    n0 = _particle_sector(psi)
-    basis = sector.Basis(n, [k for k in (n0 - 1, n0, n0 + 1) if 0 <= k <= n])
+    basis, psi = _neighbour_sectors(n, state)
     vgrid = np.linspace(-config.t, config.t, 2 * steps + 1)
     # per time point: the 2N + 1 evolved columns, and up to three N-column
     # temporaries of one sector.annihilate or create call and its conjugate
     _require_memory(16 * len(basis) * len(vgrid) * (5 * n + 1),
                     f"the Trotterized baseline at N = {n}, {steps} steps would hold "
                     f"{len(vgrid)} batches over {len(basis)} sector states")
-    psi = psi[basis.bits]
     states = np.empty((len(vgrid), len(basis), 2 * n + 1), dtype=complex)
     states[steps] = np.concatenate(
         [psi[:, None], sector.annihilate(basis, psi).T, sector.create(basis, psi).T], axis=1)
@@ -676,40 +673,35 @@ def _simpson_weights(grid: np.ndarray) -> np.ndarray:
 
 
 def lehmann_lines(config: ProtocolConfig) -> tuple[DeltaLineSpectrum, DeltaLineSpectrum]:
-    """Exact A+/A- delta lines from dense diagonalization of H_sys."""
-    eig = _lehmann_eig(config)
-    return _lehmann_lines(config, eig, _system_state(config, eig))
+    """Exact A+/A- delta lines from the number-sector spectrum of H_sys."""
+    spectrum = _system_spectrum(config)
+    return _lehmann_lines(config, spectrum, _system_state(config, spectrum))
 
 
-def _lehmann_eig(config: ProtocolConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The eigh pair of H_sys, once the Lehmann reference's dense operators
-    are known to fit."""
-    # H_sys, its eigenvectors, and c(k) with the two temporaries of building it
-    _require_dense_memory(config.n_sites, 5, "the Lehmann reference")
-    return _system_eig(config)
+def _lehmann_lines(config: ProtocolConfig, spectrum: list,
+                   state: tuple) -> tuple[DeltaLineSpectrum, DeltaLineSpectrum]:
+    """`lehmann_lines` from `_system_spectrum` and the start state (n0, amps).
 
-
-def _lehmann_lines(config: ProtocolConfig, eig: tuple,
-                   psi_sys: np.ndarray) -> tuple[DeltaLineSpectrum, DeltaLineSpectrum]:
-    """`lehmann_lines` from the eigh pair of H_sys and the start state."""
+    A+ has lines at E0 - E_m of weight |<m|c(k)|psi0>|^2 over the eigenstates
+    m of the sector n0 - 1, A- at E_m - E0 of weight |<m|c^dag(k)|psi0>|^2
+    over those of n0 + 1: one `sector.annihilate` and one `sector.create`
+    over the three sectors, for every k at once.
+    """
     n = config.n_sites
-    w, vmat = eig
-    psi0 = psi_sys.ravel()
-    e0 = float(w @ np.abs(vmat.conj().T @ psi0) ** 2)    # <psi0|H|psi0>
+    n0, amps = state
+    basis, psi = _neighbour_sectors(n, state)
+    numbers = basis.particle_numbers()
+    w, v = spectrum[n0]
+    e0 = float(w @ np.abs(v.T @ amps) ** 2)    # <psi0|H|psi0>; H is real, so is v
     ks = config.momenta()
-    plus_c, plus_w, minus_c, minus_w = [], [], [], []
-    for kk in ks:
-        ck = sv.momentum_annihilation(n, kk)
-        amp_minus = vmat.conj().T @ (ck @ psi0)          # <m|c(k)|E0>
-        amp_plus = vmat.conj().T @ (ck.conj().T @ psi0)  # <m|c^dag(k)|E0>
-        keep = np.abs(amp_minus) ** 2 > 1e-14
-        plus_c.append(e0 - w[keep])
-        plus_w.append(np.abs(amp_minus[keep]) ** 2)
-        keep = np.abs(amp_plus) ** 2 > 1e-14
-        minus_c.append(w[keep] - e0)
-        minus_w.append(np.abs(amp_plus[keep]) ** 2)
-    return (DeltaLineSpectrum(ks, plus_c, plus_w),
-            DeltaLineSpectrum(ks, minus_c, minus_w))
+    lines = []
+    for apply, m, sign in ((sector.annihilate, n0 - 1, 1), (sector.create, n0 + 1, -1)):
+        w, v = spectrum[m] if 0 <= m <= n else (np.zeros(0), np.zeros((0, 0)))
+        weights = np.abs(apply(basis, psi)[:, numbers == m] @ v) ** 2
+        keep = weights > 1e-14
+        lines.append(DeltaLineSpectrum(ks, [sign * (e0 - w[row]) for row in keep],
+                                       [wk[row] for wk, row in zip(weights, keep)]))
+    return tuple(lines)
 
 
 def reference_windowed_spectral(config: ProtocolConfig, omegas) -> SpectralGrid:
@@ -748,10 +740,10 @@ def environment_method_grid(config: ProtocolConfig, omegas) -> SpectralGrid:
     return _environment_grid(config, _omega_list(config, omegas))
 
 
-def _environment_grid(config: ProtocolConfig, omegas: np.ndarray, psi_sys=None) -> SpectralGrid:
-    """`environment_method_grid` on an omega array; `psi_sys` is the system
+def _environment_grid(config: ProtocolConfig, omegas: np.ndarray, state=None) -> SpectralGrid:
+    """`environment_method_grid` on an omega array; `state` is the system
     start state when the caller has built it."""
-    occ = _run_trotter(config, omegas, ("empty", "full"), psi_sys=psi_sys)
+    occ = _run_trotter(config, omegas, ("empty", "full"), state=state)
     vals_e, vals_f = occ[..., 0], 1 - occ[..., 1]
     meta = {"config": config.snapshot(),
             "empty_min": float(vals_e.min()), "empty_max": float(vals_e.max()),
@@ -765,18 +757,22 @@ def compare_trotter(config: ProtocolConfig, omegas, step_counts) -> dict:
     environment method and dynamical-correlation baseline against the exact
     windowed spectral function.
 
-    H_sys is diagonalized once: its eigh pair and the start state built
-    from it serve the reference and both grids of every step count.
+    Every step count must be an integer >= 1.  H_sys is diagonalized once:
+    its number-sector spectrum and the start state built from it serve the
+    reference and both grids of every step count.
     """
     omegas = _omega_list(config, omegas)
-    eig = _lehmann_eig(config)
-    psi0 = _system_state(config, eig)
-    ref = _windowed_reference(config, omegas, _lehmann_lines(config, eig, psi0)).values
+    step_counts = list(step_counts)
+    if any(isinstance(s, bool) or not isinstance(s, Integral) or s < 1 for s in step_counts):
+        raise ValueError(f"step_counts must be positive integers, got {step_counts!r}")
+    spectrum = _system_spectrum(config)
+    state = _system_state(config, spectrum)
+    ref = _windowed_reference(config, omegas, _lehmann_lines(config, spectrum, state)).values
     rows = []
     for steps in step_counts:
         cfg = replace(config, trotter_steps=steps)
-        env = _environment_grid(cfg, omegas, psi0)
-        base = _windowed_baseline(cfg, omegas, *_trotterized_correlators(cfg, psi0))
+        env = _environment_grid(cfg, omegas, state)
+        base = _windowed_baseline(cfg, omegas, *_trotterized_correlators(cfg, state))
         s_env = least_squares_scale(env.values, ref)
         s_base = least_squares_scale(base.values, ref)
         err_env = np.abs(s_env * env.values - ref)

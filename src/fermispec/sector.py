@@ -26,9 +26,10 @@ basis, for every k at once.  Per mode j the partner ranks come from
 the higher bits (`Basis.lowering`, cached); the sum over j with
 e^{-ijk}/sqrt(n) is one FFT over the mode axis.
 
-The Trotterized protocol runs its fillings' sectors here, the
-dynamical-correlation baseline its state's sector with the two next to it,
-and `gaussian.extract_mode_transform` the zero- and one-particle sectors.
+The protocol builds its start states and runs its fillings here, the
+baseline its state's sector and the two next to it, H_sys one eigh per
+sector, the Lehmann reference c(k) psi0 and c^dag(k) psi0 on the sectors
+next to psi0's, and `gaussian.extract_mode_transform` sectors 0 and 1.
 This is the number-sector approach of the Fermionic Quantum Emulator (Rubin
 et al., Quantum 5, 568, 2021), on qubit-level gates.
 """

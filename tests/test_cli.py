@@ -141,6 +141,7 @@ def test_missing_input_file(tmp_path, capsys, subcommand, flag, prefix):
     (["compare-trotter"], {"omegas": [0.5, float("-inf")]}, "bad config: omegas must be finite"),
     (["simulate-spectral"], {"initial_state": [float("nan"), 0, 0, 1]},
      "bad config: explicit rho_k"),
+    (["compare-trotter"], {"step_counts": [0]}, "bad config: step_counts"),
 ])
 def test_malformed_input(tmp_path, capsys, argv, config, prefix):
     if argv[0] == "optimize-cz":

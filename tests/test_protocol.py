@@ -4,8 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fermispec import protocol, sector, verify
+from fermispec import protocol, sector, statevector as sv, verify
 from fermispec.circuits import format_circuit
+from fermispec.fft import fft_radix, ground_state_prep_circuit
 from fermispec.protocol import (DeltaLineSpectrum, Kernel, ProtocolConfig, SpectralGrid,
                                 broadening_and_ghosts, compare_trotter, convolve_kernel,
                                 dynamical_correlation_baseline,
@@ -240,7 +241,6 @@ def test_circuit_protocol_momentum_orientation():
 def test_trotter_step_term_identities():
     """Each emitted gate group equals the exponential of its Hamiltonian term."""
     from scipy.linalg import expm
-    from fermispec import statevector as sv
     from fermispec.circuits import Circuit
     from fermispec.protocol import _hopping_bond_gates, _interaction_bond_gates
 
@@ -339,7 +339,6 @@ def test_sector_hop_terms_match_jw_exponential(n):
     particle the CZ string acts trivially; from two particles on it carries
     the JW sign, so a wrong string fails only there."""
     from scipy.linalg import expm
-    from fermispec import sector, statevector as sv
     from fermispec.circuits import Circuit
     dt, nu = 0.37, 0.8
     ops = [sv.annihilation_operator(2 * n, 2 * j) for j in range(n)]
@@ -356,7 +355,6 @@ def test_sector_hop_terms_match_jw_exponential(n):
 
 def _jw_system_hamiltonian(config):
     """H_sys from dense kron-built JW operators: the oracle of the bit-built one."""
-    from fermispec import statevector as sv
     n = config.n_sites
     ops = [sv.annihilation_operator(n, j) for j in range(n)]
     h = np.zeros((2 ** n, 2 ** n), dtype=complex)
@@ -370,16 +368,41 @@ def _jw_system_hamiltonian(config):
 
 @pytest.mark.parametrize("n", range(2, 10))
 def test_system_hamiltonian_bit_built_equals_jw_operators(n):
+    """H_sys built on the full basis is the JW-operator sum exactly, and on
+    each particle-number sector exactly its block."""
     for nu, V in ((1.0, 0.0), (-1.0, 4.0), (0.8, 2.3), (0.3, -0.7), (0.0, 0.1)):
         cfg = ProtocolConfig(n, 0.1, nu=nu, interaction=V)
-        assert np.array_equal(protocol._system_hamiltonian_dense(cfg),
-                              _jw_system_hamiltonian(cfg)), (nu, V)
+        dense = _jw_system_hamiltonian(cfg)
+        assert np.array_equal(protocol._system_hamiltonian(cfg, sector.Basis(n)), dense), (nu, V)
+        for k in range(n + 1):
+            bits = sector.Basis(n, [k]).bits
+            assert np.array_equal(protocol._system_hamiltonian(cfg, sector.Basis(n, [k])),
+                                  dense[np.ix_(bits, bits)]), (nu, V, k)
+
+
+def _embed_sector_state(n, state):
+    """A system state (n0, amplitudes over sector.Basis(n, [n0])) over the
+    full 2**n basis."""
+    n0, amps = state
+    psi = np.zeros(2 ** n, dtype=complex)
+    psi[sector.Basis(n, [n0]).bits] = amps
+    return psi
+
+
+def _dense_system_state(config):
+    """The system start state over the full 2**N basis: a free chain of
+    N = 2**k or 3**k from the prep circuit on the gate-level kernel, any
+    other chain from `_system_state`, embedded."""
+    n = config.n_sites
+    if config.interaction == 0 and fft_radix(n):
+        filled = np.flatnonzero(config.rho() > 0.5)
+        return sv.run_circuit(ground_state_prep_circuit(n, filled)).ravel()
+    return _embed_sector_state(n, protocol._system_state(config))
 
 
 def _dense_state_from_filled(n, rho):
     """prod_k c^dag(k) |0> over the filled momenta, the lowest k applied first,
     from dense momentum_annihilation products."""
-    from fermispec import statevector as sv
     psi = sv.zero_state(n).ravel()
     for m in np.flatnonzero(np.asarray(rho) > 0.5):
         psi = sv.momentum_annihilation(n, 2 * np.pi * m / n).conj().T @ psi
@@ -394,25 +417,26 @@ def test_state_from_filled_matches_dense_creation_products(n):
     fillings = [np.zeros(n), np.ones(n), _cfg(n_sites=n).rho(), _cfg(n_sites=n, nu=-1.0).rho(),
                 *(rng.integers(0, 2, n).astype(float) for _ in range(2))]
     for rho in fillings:
-        got = protocol._state_from_filled(n, rho).ravel()
+        got = _embed_sector_state(n, protocol._state_from_filled(n, np.flatnonzero(rho > 0.5)))
         assert np.max(np.abs(got - _dense_state_from_filled(n, rho))) <= 1e-14, rho
 
 
-def test_one_eigendecomposition_per_call(monkeypatch):
-    """The interacting ground state comes from one dense H_sys and one eigh per call."""
-    calls = {"eigh": 0, "hamiltonian": 0}
-    eigh, hamiltonian = np.linalg.eigh, protocol._system_hamiltonian_dense
+def test_one_system_spectrum_per_call(monkeypatch):
+    """The interacting ground state and the reference come from one
+    `_system_spectrum`, one eigh per particle-number sector, per call."""
+    calls = {"eigh": 0, "spectrum": 0}
+    eigh, spectrum = np.linalg.eigh, protocol._system_spectrum
 
     def counted_eigh(*args, **kwargs):
         calls["eigh"] += 1
         return eigh(*args, **kwargs)
 
-    def counted_hamiltonian(*args, **kwargs):
-        calls["hamiltonian"] += 1
-        return hamiltonian(*args, **kwargs)
+    def counted_spectrum(*args, **kwargs):
+        calls["spectrum"] += 1
+        return spectrum(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-    monkeypatch.setattr(protocol, "_system_hamiltonian_dense", counted_hamiltonian)
+    monkeypatch.setattr(protocol, "_system_spectrum", counted_spectrum)
     cfg = _cfg(n_sites=4, t=2.0, nu=-1.0, interaction=2.3, trotter_steps=2)
     omegas = [0.0, 1.0]
     runs = {"environment_method_grid": lambda: environment_method_grid(cfg, omegas),
@@ -421,13 +445,26 @@ def test_one_eigendecomposition_per_call(monkeypatch):
                 replace(cfg, trotter_steps=0), omegas),
             "Trotterized baseline": lambda: dynamical_correlation_baseline(cfg, omegas)}
     for name, run in runs.items():
-        calls.update(eigh=0, hamiltonian=0)
+        calls.update(eigh=0, spectrum=0)
         run()
-        assert calls == {"eigh": 1, "hamiltonian": 1}, name
-    # one eigh pair serves the reference and every step count's two grids
-    calls.update(eigh=0, hamiltonian=0)
+        assert calls == {"eigh": 5, "spectrum": 1}, name
+    # one spectrum serves the reference and every step count's two grids
+    calls.update(eigh=0, spectrum=0)
     compare_trotter(cfg, omegas, [1, 2])
-    assert calls == {"eigh": 1, "hamiltonian": 1}
+    assert calls == {"eigh": 5, "spectrum": 1}
+
+
+def test_compare_trotter_rejects_step_counts_before_any_work(monkeypatch):
+    """A step count that is not an integer >= 1 raises before H_sys is
+    diagonalized."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("spectrum taken")
+
+    monkeypatch.setattr(protocol, "_system_spectrum", forbidden)
+    cfg = _cfg(n_sites=4, nu=-1.0, interaction=2.3)
+    for step_counts in ([0], [2, 0], [-1], [1.0], [True]):
+        with pytest.raises(ValueError, match="step_counts must be positive integers"):
+            compare_trotter(cfg, [0.0], step_counts)
 
 
 def test_trotterized_baseline_evolves_each_column_once(monkeypatch):
@@ -447,38 +484,45 @@ def test_trotterized_baseline_evolves_each_column_once(monkeypatch):
 
 
 def test_dense_operator_memory_fails_fast(monkeypatch):
-    """At N = 12 the Lehmann reference's dense operators exceed 1 GiB, and at
-    N = 13, the first N where it fires, the dense interacting ground state
-    the Trotterized baseline starts from: each raises before building any
-    dense operator.  A free N = 16 chain at 32 steps starts without one, but
-    its baseline's time-point batches would exceed 1 GiB."""
-    def forbidden(*args, **kwargs):
-        raise AssertionError("dense operator built")
+    """A gapped interacting N = 12 reference runs in its number sectors, and
+    N = 14 passes the spectrum guard.  At N = 15 the sectors' eigenvectors
+    would exceed 1 GiB: the guard raises before any eigh, for the reference
+    and for the ground state the Trotterized baseline starts from.  A free
+    N = 16 chain at 32 steps needs no spectrum, but its baseline's time-point
+    batches would exceed 1 GiB."""
+    cfg = _cfg(n_sites=12, epsilon=0.1, t=2.0, nu=-3.0, interaction=4.0)
+    assert np.isfinite(reference_windowed_spectral(cfg, OMEGAS).values).all()
 
-    monkeypatch.setattr(protocol, "_system_hamiltonian_dense", forbidden)
-    monkeypatch.setattr(protocol.sv, "momentum_annihilation", forbidden)
-    monkeypatch.setattr(protocol.sv, "annihilation_operator", forbidden)
-    cfg = _cfg(n_sites=12, epsilon=0.1, t=2.0, nu=-1.0, interaction=4.0)
-    for run in (lambda: dynamical_correlation_baseline(cfg, OMEGAS),
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    with pytest.raises(AssertionError, match="eigh called"):
+        protocol._system_spectrum(replace(cfg, n_sites=14))
+    big = replace(cfg, n_sites=15)
+    for run in (lambda: protocol.lehmann_lines(big),
+                lambda: dynamical_correlation_baseline(replace(big, trotter_steps=2), OMEGAS),
                 lambda: dynamical_correlation_baseline(
-                    replace(cfg, n_sites=13, trotter_steps=2), OMEGAS),
-                lambda: dynamical_correlation_baseline(
-                    _cfg(n_sites=16, trotter_steps=32), OMEGAS),
-                lambda: protocol.lehmann_lines(cfg)):
+                    _cfg(n_sites=16, trotter_steps=32), OMEGAS)):
         with pytest.raises(ValueError, match=r"GiB \(limit 1 GiB\)"):
             run()
 
 
-def test_start_state_outside_one_sector_raises(monkeypatch):
-    """A start state that is not a particle-number eigenstate cannot run in
-    one sector and raises instead of losing weight."""
-    n = 4
-    mixed = np.zeros((2,) * n, dtype=complex)
-    mixed[(1, 0, 0, 0)] = mixed[(1, 1, 0, 0)] = np.sqrt(0.5)
-    monkeypatch.setattr(protocol, "_system_state", lambda config: mixed)
-    cfg = _cfg(n_sites=n, trotter_steps=1, initial_state=[1, 0, 0, 0])
-    with pytest.raises(ValueError, match="not a particle-number eigenstate"):
-        environment_method_grid(cfg, [0.0])
+def test_protocol_runs_without_dense_statevector(monkeypatch):
+    """compare_trotter, both baselines and the environment grid, interacting
+    and free, build no dense state and no dense JW operator."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense statevector path")
+
+    for name in ("run_circuit", "zero_state", "momentum_annihilation", "annihilation_operator"):
+        monkeypatch.setattr(sv, name, forbidden)
+    cfg = _cfg(n_sites=8, epsilon=0.1, t=2.0, nu=-1.0, interaction=4.0, trotter_steps=2)
+    omegas = [0.0, 1.0]
+    compare_trotter(cfg, omegas, [1, 2])
+    for c in (cfg, replace(cfg, interaction=0.0)):
+        environment_method_grid(c, omegas)
+        dynamical_correlation_baseline(c, omegas)
+        dynamical_correlation_baseline(replace(c, trotter_steps=0), omegas)
 
 
 def test_circuit_protocol_positivity_under_coarse_steps():
@@ -548,9 +592,8 @@ def _eigenbasis_baseline(config, omegas):
     S-(k,v) = <[c^dag(k) psi](v)| c^dag(k) |psi(v)>
     on the baseline's 1601-point grid, then its window, Simpson weights and
     Fourier transform."""
-    from fermispec import statevector as sv
-    w, vmat = np.linalg.eigh(protocol._system_hamiltonian_dense(config))
-    psi0 = protocol._system_state(config, (w, vmat)).ravel()
+    w, vmat = np.linalg.eigh(protocol._system_hamiltonian(config, sector.Basis(config.n_sites)))
+    psi0 = _dense_system_state(config)
     vgrid = np.linspace(-config.t, config.t, 1601)
     ph = np.exp(-1j * np.outer(w, vgrid))
     splus, sminus = [], []
@@ -596,9 +639,8 @@ def _dense_trotterized_baseline(config, omegas):
     step from v = 0 forward with exp(-iH dt) (`_system_step` at -dt) and
     backward, then S+(k,v) = <c(k) psi(v)| [c(k) psi0](v)> and
     S-(k,v) = <c(k) [c^dag(k) psi0](v)| psi(v)>, windowed as the baseline."""
-    from fermispec import statevector as sv
     n, steps = config.n_sites, config.trotter_steps
-    psi0 = protocol._system_state(config).ravel()
+    psi0 = _dense_system_state(config)
     cks = [sv.momentum_annihilation(n, kk) for kk in config.momenta()]
     cols = np.stack([psi0] + [ck @ psi0 for ck in cks]
                     + [ck.conj().T @ psi0 for ck in cks], axis=1)
@@ -663,6 +705,47 @@ def test_lehmann_reference_free_case():
     assert np.max(np.abs(ref.values - plus.values - minus.values)) < 1e-10
 
 
+def _dense_lehmann_lines(config):
+    """A+/A- delta lines from the dense H_sys over the full 2**N basis, its
+    ground state (interacting) or `_dense_system_state` (free), and dense
+    c(k)."""
+    n = config.n_sites
+    w, vmat = np.linalg.eigh(protocol._system_hamiltonian(config, sector.Basis(n)))
+    psi0 = vmat[:, 0] if config.interaction else _dense_system_state(config)
+    e0 = float(w @ np.abs(vmat.conj().T @ psi0) ** 2)    # <psi0|H|psi0>
+    ks = config.momenta()
+    plus_c, plus_w, minus_c, minus_w = [], [], [], []
+    for kk in ks:
+        ck = sv.momentum_annihilation(n, kk)
+        amp_minus = vmat.conj().T @ (ck @ psi0)          # <m|c(k)|E0>
+        amp_plus = vmat.conj().T @ (ck.conj().T @ psi0)  # <m|c^dag(k)|E0>
+        keep = np.abs(amp_minus) ** 2 > 1e-14
+        plus_c.append(e0 - w[keep])
+        plus_w.append(np.abs(amp_minus[keep]) ** 2)
+        keep = np.abs(amp_plus) ** 2 > 1e-14
+        minus_c.append(w[keep] - e0)
+        minus_w.append(np.abs(amp_plus[keep]) ** 2)
+    return (DeltaLineSpectrum(ks, plus_c, plus_w),
+            DeltaLineSpectrum(ks, minus_c, minus_w))
+
+
+@pytest.mark.parametrize("n, nu", [(4, -1.0), (6, -3.0), (8, -1.0), (9, -1.0)])
+def test_reference_matches_dense_lehmann_lines(n, nu, monkeypatch):
+    """The reference and the continuous-time baseline from the number-sector
+    spectrum equal those from the dense H_sys and dense c(k).  Grids, not
+    lines, are compared: degenerate levels split their weight arbitrarily.
+    nu gaps the interacting ground states (at N = 6, |nu| <= 1 does not)."""
+    runs = (reference_windowed_spectral, dynamical_correlation_baseline)
+    for V in (0.0, 2.3, 4.0):
+        cfg = _cfg(n_sites=n, epsilon=0.1, t=4.0, nu=nu, interaction=V)
+        got = [run(cfg, OMEGAS).values for run in runs]
+        with monkeypatch.context() as m:
+            m.setattr(protocol, "lehmann_lines", _dense_lehmann_lines)
+            want = [run(cfg, OMEGAS).values for run in runs]
+        for run, g, w in zip(runs, got, want):
+            assert np.max(np.abs(g - w)) <= 1e-12, (run.__name__, V)
+
+
 def test_environment_method_matches_single_runs():
     rho = [1.0, 0.0, 1.0, 0.0]
     omegas = [0.0, 1.1]
@@ -696,24 +779,27 @@ def _fill_environment_circuit(n):
     return Circuit(2 * n, tuple(gates))
 
 
-def _dense_start_states(config):
+def _dense_start_states(psi_sys, n):
     """The dense 2N-qubit start states of the empty and the full environment,
-    prepared on the gate level: the system state on the even qubits, and the
-    filling circuit on top."""
-    from fermispec import statevector as sv
-    empty = _embed_system_state(protocol._system_state(config), config.n_sites)
-    return empty, sv.run_circuit(_fill_environment_circuit(config.n_sites), empty)
+    prepared on the gate level from the dense system state psi_sys: psi_sys
+    on the even qubits, and the filling circuit on top."""
+    empty = _embed_system_state(psi_sys, n)
+    return empty, sv.run_circuit(_fill_environment_circuit(n), empty)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 9])
 def test_sector_start_equals_dense_start(n):
     """The start vector built in the sectors equals the gate-level embedding
-    and filling circuit exactly, for a free and an interacting chain."""
+    and filling circuit of the system start state exactly, for a free and an
+    interacting chain.  The free state, prepared in its sector by the prep
+    circuit's compiled program, equals the gate-level prep to rounding."""
     for V in (0.0, 2.3):
         cfg = _cfg(n_sites=n, nu=-1.0, interaction=V)
-        basis, start, masks = protocol._sector_start(cfg, ("empty", "full"),
-                                                     protocol._system_state(cfg))
-        for mask, dense in zip(masks, _dense_start_states(cfg)):
+        state = protocol._system_state(cfg)
+        psi_sys = _embed_sector_state(n, state)
+        assert np.max(np.abs(psi_sys - _dense_system_state(cfg))) <= 1e-14, V
+        basis, start, masks = protocol._sector_start(cfg, ("empty", "full"), state)
+        for mask, dense in zip(masks, _dense_start_states(psi_sys, n)):
             dense = dense.ravel()
             assert np.array_equal(start[mask], dense[basis.bits[mask]]), (V, mask.sum())
             outside = np.delete(dense, basis.bits[mask])
@@ -724,9 +810,8 @@ def _gate_level_environment_grid(config, omegas):
     """environment_method_grid on the gate-level kernel: the dense 2N-qubit
     start states, trotter_step_circuit at each omega for every step, then
     _readout_circuit; empty n(k) plus full 1 - n(k)."""
-    from fermispec import statevector as sv
     n = config.n_sites
-    empty, full = _dense_start_states(config)
+    empty, full = _dense_start_states(_dense_system_state(config), n)
     readout = protocol._readout_circuit(n)
     vals = np.zeros((n, len(omegas)))
     for iw, om in enumerate(omegas):
@@ -804,23 +889,26 @@ _OMEGA_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("omegas", [[np.nan, 0.5], [np.inf], [[0.0, 0.5], [1.0, 1.5]], 0.5],
-                         ids=["nan", "inf", "2-D", "scalar"])
+@pytest.mark.parametrize("omegas", [[np.nan, 0.5], [np.inf], [[0.0, 0.5], [1.0, 1.5]], 0.5, []],
+                         ids=["nan", "inf", "2-D", "scalar", "empty"])
 @pytest.mark.parametrize("entry", sorted(_OMEGA_ENTRY_POINTS))
 def test_bad_omega_grid_rejected(entry, omegas):
-    """Every grid function rejects a non-finite or non-1-D omega grid with
-    one message before any work."""
+    """Every grid function rejects a non-finite, non-1-D or empty omega grid
+    with one message before any work."""
     cfg = ProtocolConfig(4, 0.3, nu=0.0, initial_state=[1, 0, 0, 1])
     with pytest.raises(ValueError, match="omegas must be a 1-D sequence of finite numbers"):
         _OMEGA_ENTRY_POINTS[entry](cfg, omegas)
 
 
 def test_degenerate_ground_state_raises():
-    # N = 6, V = 4, nu = -1 has E1 - E0 = 4.4e-16; so has N = 3, V = 2.3, nu = 1
+    # N = 6, V = 4, nu = -1 has E1 - E0 = 4.4e-16; so has N = 3, V = 2.3, nu = 1.
+    # At nu = 0 the empty chain and every one-particle state have E = 0: the
+    # lowest level of each of two sectors ties
     cfg = _cfg(n_sites=6, epsilon=0.1, t=5.0, nu=-1.0, interaction=4.0, trotter_steps=2)
     runs = (lambda: dynamical_correlation_baseline(cfg, OMEGAS),
             lambda: dynamical_correlation_baseline(replace(cfg, trotter_steps=0), OMEGAS),
             lambda: reference_windowed_spectral(cfg, OMEGAS),
+            lambda: reference_windowed_spectral(replace(cfg, nu=0.0, interaction=1.0), OMEGAS),
             lambda: environment_method_grid(replace(cfg, n_sites=3, nu=1.0, interaction=2.3),
                                             OMEGAS))
     for run in runs:
