@@ -43,7 +43,6 @@ from .gaussian import (chain_bonds, coupled_hamiltonian, evolve_gaussian,
                        mode_propagator, momentum_occupations,
                        state_from_momentum_occupations)
 from . import sector
-from . import statevector as sv
 
 
 # --------------------------------------------------------------------------
@@ -134,6 +133,11 @@ class SpectralGrid:
                              f"{float(self.values[ik, iw])!r},{self.method}\n")
 
 
+def _is_integer(value, low: int) -> bool:
+    """value is an integer >= low, and not a bool."""
+    return not isinstance(value, bool) and isinstance(value, Integral) and value >= low
+
+
 def _omega_list(config: ProtocolConfig, omegas) -> np.ndarray:
     """The omega grid of a grid function: `config.omega` alone when omegas is
     None, else omegas as a non-empty 1-D float array, or ValueError."""
@@ -143,7 +147,8 @@ def _omega_list(config: ProtocolConfig, omegas) -> np.ndarray:
         grid = np.asarray(omegas, dtype=float)
     except (TypeError, ValueError):
         grid = None
-    if grid is None or grid.ndim != 1 or not grid.size or not np.isfinite(grid).all():
+    if (grid is None or grid.ndim != 1 or not grid.size or not np.isfinite(grid).all()
+            or any(isinstance(w, (bool, np.bool_)) for w in omegas)):
         raise ValueError(f"omegas must be a 1-D sequence of finite numbers, at least one, "
                          f"got {omegas!r}")
     return grid
@@ -457,6 +462,11 @@ def _readout_circuit(n: int) -> Circuit:
     return Circuit(2 * n, inter.gates + remap(env_fft, range(n, 2 * n), 2 * n).gates)
 
 
+def _require_readout(n: int) -> None:
+    if fft_radix(n) is None:
+        raise ValueError("environment FFT readout needs n_sites = 2**k or 3**k")
+
+
 def _sector_start(config: ProtocolConfig, environments: Sequence[str], state: tuple):
     """The start states of the environment fillings, built in their
     particle-number sectors from the system start state (n0, amps).
@@ -470,7 +480,9 @@ def _sector_start(config: ProtocolConfig, environments: Sequence[str], state: tu
     """
     n = config.n_sites
     n0, amps = state
-    bits = sector.Basis(n, [n0]).bits
+    sectors = [n0 if env == "empty" else n0 + n for env in environments]
+    basis = sector.Basis(2 * n, sectors)
+    bits = sector.Basis(n, [n0]).bits.astype(basis.bits.dtype)
     # system site j is bit n-1-j of `bits` and qubit 2j, bit 2(n-1-j)+1, of the register
     spread = np.zeros_like(bits)
     for p in range(n):
@@ -479,8 +491,6 @@ def _sector_start(config: ProtocolConfig, environments: Sequence[str], state: tu
     # site j (bit p = n-1-j) has N - j = p + 1 odd when p is even
     z_string = sum(1 << p for p in range(0, n, 2))
     filled_amps = amps * (1 - 2 * (np.bitwise_count(bits & z_string) & 1).astype(np.int64))
-    sectors = [n0 if env == "empty" else n0 + n for env in environments]
-    basis = sector.Basis(2 * n, sectors)
     numbers = basis.particle_numbers()
     masks = [numbers == k for k in sectors]
     start = np.zeros(len(basis), dtype=complex)
@@ -506,18 +516,22 @@ def _run_trotter(config: ProtocolConfig, omegas: np.ndarray, environments: Seque
     """
     n = config.n_sites
     nq = 2 * n
-    if nq > sv.QUBIT_CAP:
-        raise ValueError(f"2*{n} qubits exceeds the statevector cap {sv.QUBIT_CAP}")
     if config.trotter_steps < 1:
         raise ValueError("the circuit protocol needs trotter_steps >= 1")
-    if fft_radix(n) is None:
-        raise ValueError("environment FFT readout needs n_sites = 2**k or 3**k")
+    _require_readout(n)
+    if state is None and config.interaction != 0:
+        state = _system_state(config)
+    # sized before a free chain's state is built (n0 is its filled-mode count), at 56 B
+    # per sector state per qubit for programs, caches and vectors (measured at most 49)
+    n0 = int((config.rho() > 0.5).sum()) if state is None else state[0]
+    size = sum(math.comb(nq, n0 + n * (env == "full")) for env in environments)
+    _require_memory(56 * nq * size, f"the circuit protocol would run {size} sector states")
     basis, start, masks = _sector_start(
         config, environments, _system_state(config) if state is None else state)
     readout = sector.compile_circuit(_readout_circuit(n), basis)
     # after the readout, qubit N + k holds n(k)
-    env_bits = np.stack([basis.occupied(q) for q in range(n, nq)], axis=1).astype(float)
-    tables = [env_bits[mask] for mask in masks]
+    tables = [np.stack([basis.occupied(q)[mask] for q in range(n, nq)], axis=1).astype(float)
+              for mask in masks]
     steps = config.trotter_steps
     dt = config.t / steps
     rng = np.random.default_rng(seed)
@@ -547,8 +561,12 @@ def run_circuit_protocol(config: ProtocolConfig, omegas=None, shots: int = 0,
     """Full Trotterized pipeline on 2N qubits.
 
     Default readout is the exact Z-basis expectation; shots > 0 switches to
-    multinomial sampling of Z outcomes with a seeded generator.
+    multinomial sampling of Z outcomes with a seeded generator.  shots and
+    seed are integers >= 0.
     """
+    for name, value in (("shots", shots), ("seed", seed)):
+        if not _is_integer(value, 0):
+            raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
     omegas = _omega_list(config, omegas)
     occ = _run_trotter(config, omegas, (config.environment,), shots, seed)[..., 0]
     vals = occ if config.environment == "empty" else 1 - occ
@@ -757,14 +775,17 @@ def compare_trotter(config: ProtocolConfig, omegas, step_counts) -> dict:
     environment method and dynamical-correlation baseline against the exact
     windowed spectral function.
 
-    Every step count must be an integer >= 1.  H_sys is diagonalized once:
+    step_counts holds at least one integer >= 1, and N must have an FFFT
+    readout; both are checked before any work.  H_sys is diagonalized once:
     its number-sector spectrum and the start state built from it serve the
     reference and both grids of every step count.
     """
     omegas = _omega_list(config, omegas)
     step_counts = list(step_counts)
-    if any(isinstance(s, bool) or not isinstance(s, Integral) or s < 1 for s in step_counts):
-        raise ValueError(f"step_counts must be positive integers, got {step_counts!r}")
+    if not step_counts or not all(_is_integer(s, 1) for s in step_counts):
+        raise ValueError(f"step_counts must be positive integers, at least one, "
+                         f"got {step_counts!r}")
+    _require_readout(config.n_sites)
     spectrum = _system_spectrum(config)
     state = _system_state(config, spectrum)
     ref = _windowed_reference(config, omegas, _lehmann_lines(config, spectrum, state)).values

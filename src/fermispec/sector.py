@@ -76,8 +76,9 @@ def _bitstrings(num_qubits: int, k: int, dtype: np.dtype) -> np.ndarray:
     level = [np.zeros(1, dtype)] + [np.zeros(0, dtype)] * k
     for m in range(num_qubits):
         top = dtype.type(1) << m
-        level = [level[0]] + [np.concatenate([level[j], level[j - 1] | top])
-                              for j in range(1, k + 1)]
+        lo = max(1, k - num_qubits + m + 1)     # lower levels can no longer reach k
+        level = level[:lo] + [np.concatenate([level[j], level[j - 1] | top])
+                              for j in range(lo, k + 1)]
     return level[k]
 
 

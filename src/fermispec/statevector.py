@@ -5,10 +5,12 @@ axis.  Qubit 0 is the first tensor axis (most significant bit of the flat
 index).  Every gate is applied in place from its `gate_matrix`, the same
 definition the tableau, single-particle and `sector` simulators read; gates
 act at the qubit level and Jordan-Wigner bookkeeping is the caller's
-responsibility.  The protocol builds its start states and runs its
-number-conserving circuits in their particle-number sectors (`sector.py`);
-this gate-level path and the dense JW operators below are the oracles the
-tests, and for the gates `fermispec verify`, hold that sector code to.
+responsibility.  The protocol does not use this module: it builds its start
+states and runs its number-conserving circuits in their particle-number
+sectors (`sector.py`), bounded by their size rather than by QUBIT_CAP,
+which guards only the dense register here.  This gate-level path and the
+dense JW operators below are the oracles the tests, and for the gates
+`fermispec verify`, hold that sector code to.
 """
 from __future__ import annotations
 

@@ -19,7 +19,7 @@ from .fft import (InterleaveStrategy, fft_circuit, interleave_circuit,
 from .gaussian import dft_matrix
 from .protocol import (ProtocolConfig, _readout_circuit, _sector_start, _system_state,
                        broadening_and_ghosts, nk_exact_free, nk_gaussian,
-                       strong_coupling_leading, trotter_step_circuit)
+                       run_circuit_protocol, strong_coupling_leading, trotter_step_circuit)
 from . import sector
 from .statevector import circuit_unitary, run_circuit, unitaries_equal_up_to_phase
 from .tableau import tableau_of
@@ -114,6 +114,16 @@ def grids_match(reference, candidate, configs, omegas, tol: float, what: str) ->
     return Result(True, f"{what} = {worst:.2e}")
 
 
+def two_mode_configs(n: int, steps: int) -> list[ProtocolConfig]:
+    """Free N-site chains at `steps` Trotter steps whose circuit runs in
+    few-particle sectors of the 2N qubits: modes 1 and 5 filled in an empty
+    environment (2 particles), and only those two empty in a full one (2 holes)."""
+    rho = np.zeros(n)
+    rho[[1, 5]] = 1
+    return [ProtocolConfig(n, 0.3, t=3.0, nu=-1.0, trotter_steps=steps, environment=env,
+                           initial_state=r) for env, r in (("empty", rho), ("full", 1 - rho))]
+
+
 def gaussian_matches_closed_form(configs, omegas, tol: float) -> Result:
     """The Gaussian simulation against the free-fermion closed form."""
     return grids_match(nk_exact_free, nk_gaussian, configs, omegas, tol,
@@ -203,6 +213,10 @@ CHECKS = [
     ("ghost-band-ratio", lambda: _summary(
         ghost_ratio_matches(np.pi / 5, 5.0, 1 / 9, 1e-12), "eps*t=pi gives {}")),
     ("trotter-kernel-vs-gates", _check_trotter_kernels),
+    ("circuit-vs-gaussian-54-qubits", lambda: _summary(
+        grids_match(nk_gaussian, run_circuit_protocol, two_mode_configs(27, 64),
+                    np.linspace(-2, 2, 5), 6e-4, "max |Gaussian - circuit|"),
+        "N=27, 64 steps, 2 particles and 2 holes: {}")),
 ]
 
 

@@ -13,7 +13,7 @@ from fermispec.cli import main
 from fermispec.circuits import read_circuit, two_qubit_count
 from fermispec.czgraph import format_edge_list
 from fermispec.fft import interleave_cz_graph, interleave_permutation
-from fermispec.protocol import ProtocolConfig, nk_exact_free
+from fermispec.protocol import ProtocolConfig, nk_exact_free, nk_gaussian
 from fermispec.verify import run_all
 
 
@@ -187,6 +187,20 @@ def test_shipped_sample_configs_and_panel_script(tmp_path, monkeypatch):
     runpy.run_path(str(scripts / "fig_spectral_panels.py"), run_name="__main__")
     panels = sorted(tmp_path.glob("panel_*.csv"))
     assert [len(p.read_text().splitlines()) for p in panels] == [1 + 20 * 11] * 3
+
+
+def test_simulate_spectral_paper_scale_circuit(tmp_path):
+    """The shipped 27-site, 54-qubit circuit config: two particles, 64 steps,
+    within the battery's bound of the Gaussian grid."""
+    scripts = Path(__file__).resolve().parent.parent / "scripts"
+    config = scripts / "sample_configs" / "paper_scale_circuit.json"
+    out, raw = tmp_path / "grid.csv", json.loads(config.read_text())
+    assert main(["simulate-spectral", "--config", str(config), "--out", str(out)]) == 0
+    rows = out.read_text().strip().splitlines()[1:]
+    got = np.array([float(r.split(",")[2]) for r in rows]).reshape(27, 5)
+    cfg = ProtocolConfig(**{k: v for k, v in raw.items() if k not in ("omegas", "method")})
+    assert np.max(np.abs(got - nk_gaussian(cfg, raw["omegas"]).values)) < 6e-4
+    assert {r.split(",")[3] for r in rows} == {"circuit-protocol"}
 
 
 def test_simulate_spectral_bad_key(tmp_path, capsys):

@@ -462,7 +462,7 @@ def test_compare_trotter_rejects_step_counts_before_any_work(monkeypatch):
 
     monkeypatch.setattr(protocol, "_system_spectrum", forbidden)
     cfg = _cfg(n_sites=4, nu=-1.0, interaction=2.3)
-    for step_counts in ([0], [2, 0], [-1], [1.0], [True]):
+    for step_counts in ([0], [2, 0], [-1], [1.0], [True], []):
         with pytest.raises(ValueError, match="step_counts must be positive integers"):
             compare_trotter(cfg, [0.0], step_counts)
 
@@ -533,13 +533,81 @@ def test_circuit_protocol_positivity_under_coarse_steps():
 
 
 def test_circuit_protocol_size_guards():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"GiB \(limit 1 GiB\)"):
         run_circuit_protocol(_cfg(n_sites=16, trotter_steps=2), [0.0])
     with pytest.raises(ValueError):
         run_circuit_protocol(_cfg(n_sites=4), [0.0])  # steps = 0
     for run in (run_circuit_protocol, environment_method_grid):
         with pytest.raises(ValueError, match=r"n_sites = 2\*\*k or 3\*\*k"):
             run(_cfg(n_sites=6, trotter_steps=2), [0.0])
+
+
+def test_circuit_envelope_checked_before_any_work(monkeypatch):
+    """Step counts, the FFFT radix and the register's sector size are checked
+    before H_sys is diagonalized, before the system start state is built and
+    before any 2N-qubit basis is built.  The free N = 16 ground state fills 8
+    modes, C(32, 8) = 10.5 M register states; the free N = 27 ground state
+    fills 14, and its own system sector holds 20 M states; a full environment
+    at N = 27 over 2 particles holds C(54, 29)."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("spectrum or start state taken")
+
+    basis = sector.Basis
+
+    def system_basis_only(num_qubits, particle_numbers=None):
+        assert num_qubits <= 27, "register basis built"
+        return basis(num_qubits, particle_numbers)
+
+    monkeypatch.setattr(protocol, "_system_spectrum", forbidden)
+    monkeypatch.setattr(protocol, "_system_state", forbidden)
+    monkeypatch.setattr(protocol.sector, "Basis", system_basis_only)
+    interacting = ProtocolConfig(12, 0.1, nu=-3.0, interaction=4.0, trotter_steps=2)
+    rho = np.zeros(27)
+    rho[[1, 5]] = 1
+    cases = [
+        (lambda: compare_trotter(interacting, [0.0, 1.0], [2]), r"n_sites = 2\*\*k or 3\*\*k"),
+        (lambda: environment_method_grid(interacting, [0.0]), r"n_sites = 2\*\*k or 3\*\*k"),
+        (lambda: run_circuit_protocol(interacting, [0.0]), r"n_sites = 2\*\*k or 3\*\*k"),
+        (lambda: run_circuit_protocol(replace(interacting, n_sites=8, trotter_steps=0), [0.0]),
+         "trotter_steps >= 1"),
+        (lambda: run_circuit_protocol(_cfg(n_sites=16, trotter_steps=2), [0.0]),
+         r"GiB \(limit 1 GiB\)"),
+        (lambda: run_circuit_protocol(_cfg(n_sites=27, trotter_steps=2), [0.0]),
+         r"GiB \(limit 1 GiB\)"),
+        (lambda: environment_method_grid(_cfg(n_sites=27, trotter_steps=2, initial_state=rho),
+                                         [0.0]), r"GiB \(limit 1 GiB\)"),
+    ]
+    for run, match in cases:
+        with pytest.raises(ValueError, match=match):
+            run()
+
+
+@pytest.mark.parametrize("n, tol", [(27, 6e-4), (32, 3e-4), (81, 1.5e-4)])
+def test_circuit_protocol_at_paper_scale(n, tol):
+    """The emitted step and readout circuits on 2N = 54, 64 and 162 qubits, in
+    the 2-particle and 2-hole sectors, against the Gaussian grid at 64 steps
+    (the battery's circuit-vs-gaussian-54-qubits row at N = 27)."""
+    assert verify.grids_match(nk_gaussian, run_circuit_protocol, verify.two_mode_configs(n, 64),
+                              np.linspace(-2, 2, 5), tol, "max |Gaussian - circuit|")
+
+
+def test_sector_start_at_64_qubits():
+    """From N = 32 the register's bitstrings are Python ints and site 0 sits
+    on bit 63: the start states of 2 particles in an empty environment and of
+    2 holes in a full one spread the system bits without overflow."""
+    n = 32
+    odd = sum(1 << (2 * n - 2 - 2 * j) for j in range(n))
+    for cfg in verify.two_mode_configs(n, 1):
+        n0, amps = protocol._system_state(cfg)
+        basis, start, _ = protocol._sector_start(cfg, (cfg.environment,), (n0, amps))
+        assert basis.bits.dtype == object and len(basis) == 2016
+        for b, a in zip(sector.Basis(n, [n0]).bits, amps):
+            sites = [j for j in range(n) if int(b) >> (n - 1 - j) & 1]
+            at = sum(1 << (2 * n - 1 - 2 * j) for j in sites)
+            if cfg.environment == "full":
+                at, a = at | odd, a * (-1) ** sum((n - j) % 2 for j in sites)
+            assert start[np.searchsorted(basis.bits, at)] == a
+        assert np.count_nonzero(start) == np.count_nonzero(amps)
 
 
 def test_shot_sampling_deterministic():
@@ -889,8 +957,9 @@ _OMEGA_ENTRY_POINTS = {
 }
 
 
-@pytest.mark.parametrize("omegas", [[np.nan, 0.5], [np.inf], [[0.0, 0.5], [1.0, 1.5]], 0.5, []],
-                         ids=["nan", "inf", "2-D", "scalar", "empty"])
+@pytest.mark.parametrize("omegas", [[np.nan, 0.5], [np.inf], [[0.0, 0.5], [1.0, 1.5]], 0.5, [],
+                                    [True, False]],
+                         ids=["nan", "inf", "2-D", "scalar", "empty", "bool"])
 @pytest.mark.parametrize("entry", sorted(_OMEGA_ENTRY_POINTS))
 def test_bad_omega_grid_rejected(entry, omegas):
     """Every grid function rejects a non-finite, non-1-D or empty omega grid
@@ -898,6 +967,21 @@ def test_bad_omega_grid_rejected(entry, omegas):
     cfg = ProtocolConfig(4, 0.3, nu=0.0, initial_state=[1, 0, 0, 1])
     with pytest.raises(ValueError, match="omegas must be a 1-D sequence of finite numbers"):
         _OMEGA_ENTRY_POINTS[entry](cfg, omegas)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"shots": 2.5}, "shots must be a non-negative integer"),
+    ({"shots": True}, "shots must be a non-negative integer"),
+    ({"shots": -1}, "shots must be a non-negative integer"),
+    ({"seed": -1}, "seed must be a non-negative integer"),
+    ({"seed": 1.5}, "seed must be a non-negative integer"),
+    ({"shots": 10, "seed": False}, "seed must be a non-negative integer"),
+], ids=["shots-float", "shots-bool", "shots-negative", "seed-negative", "seed-float", "seed-bool"])
+def test_shots_and_seed_rejected(kwargs, match):
+    """run_circuit_protocol takes what the CLI takes: integers >= 0, not bools."""
+    cfg = _cfg(n_sites=2, t=2.0, trotter_steps=8, initial_state=[1, 0])
+    with pytest.raises(ValueError, match=match):
+        run_circuit_protocol(cfg, [0.5], **kwargs)
 
 
 def test_degenerate_ground_state_raises():

@@ -12,19 +12,29 @@ from fermispec.sector import ParticleConservationError
 from strategies import pc_circuits
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_basis_holds_the_sorted_k_particle_bitstrings(n):
+    every = np.arange(2 ** n)
     for k in range(n + 1):
         basis = sector.Basis(n, [k])
         want = sorted(sum(1 << (n - 1 - q) for q in qubits)
                       for qubits in combinations(range(n), k))
         assert basis.bits.dtype == np.int64
         assert basis.bits.tolist() == want
+        assert np.array_equal(basis.bits, every[np.bitwise_count(every) == k])
         assert len(basis) == comb(n, k)
         assert np.all(basis.particle_numbers() == k)
     union = sector.Basis(n, [n, 0])
     assert union.bits.tolist() == [0, 2 ** n - 1]
     assert sector.Basis(n).bits.tolist() == list(range(2 ** n))
+
+
+def test_basis_of_few_holes_is_built_from_few_levels():
+    """A sector with k > n/2 keeps only the levels that can still reach k:
+    two holes in 54 qubits are the complements of the two-particle strings."""
+    holes = sector.Basis(54, [52])
+    assert len(holes) == 1431
+    assert np.array_equal(holes.bits, ((1 << 54) - 1 - sector.Basis(54, [2]).bits)[::-1])
 
 
 def test_basis_rejects_impossible_particle_numbers():
