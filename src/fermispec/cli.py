@@ -27,9 +27,6 @@ from .protocol import (ProtocolConfig, compare_trotter, nk_exact_free,
                        nk_gaussian, run_circuit_protocol)
 from . import verify as verify_mod
 
-_STRATEGIES = {s.value: s for s in InterleaveStrategy}
-_STRATEGIES["local"] = InterleaveStrategy.LOCAL_FSWAP
-
 
 def _sha256(path: str) -> str:
     h = hashlib.sha256()
@@ -94,7 +91,7 @@ def _load_protocol_config(path: str) -> tuple[ProtocolConfig, dict] | None:
 
 
 def _cmd_compile_fft(args) -> int:
-    strategy = _STRATEGIES[args.interleave]
+    strategy = InterleaveStrategy(args.interleave)
     plan = FFTPlan(args.modes, args.radix, strategy, args.depth_penalty)
     circuit = compile_fft(plan)
     write_circuit(circuit, args.out)
@@ -275,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("compile-fft", help="compile a radix-n fermionic FFT circuit")
     c.add_argument("--modes", type=int, required=True)
     c.add_argument("--radix", type=int, required=True)
-    c.add_argument("--interleave", choices=sorted(_STRATEGIES), default="local-fswap")
+    c.add_argument("--interleave", choices=sorted(s.value for s in InterleaveStrategy),
+                   default="local-fswap")
     c.add_argument("--depth-penalty", type=float, default=0.5)
     c.add_argument("--out", required=True)
     c.add_argument("--manifest")

@@ -49,6 +49,13 @@ from . import sector
 # configuration and result grid
 # --------------------------------------------------------------------------
 
+def _require_finite(**values) -> None:
+    """Raise ValueError naming the first value that is not a finite real number."""
+    for name, value in values.items():
+        if not isinstance(value, Real) or not math.isfinite(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass
 class ProtocolConfig:
     n_sites: int
@@ -68,10 +75,8 @@ class ProtocolConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_sites < 2:
             raise ValueError("n_sites must be >= 2")
-        for name in ("epsilon", "omega", "t", "nu", "interaction"):
-            value = getattr(self, name)
-            if not isinstance(value, Real) or not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        _require_finite(**{name: getattr(self, name)
+                            for name in ("epsilon", "omega", "t", "nu", "interaction")})
         if self.t < 0:
             raise ValueError("t must be >= 0")
         if self.trotter_steps < 0:
@@ -140,9 +145,12 @@ def _is_integer(value, low: int) -> bool:
 
 def _omega_list(config: ProtocolConfig, omegas) -> np.ndarray:
     """The omega grid of a grid function: `config.omega` alone when omegas is
-    None, else omegas as a non-empty 1-D float array, or ValueError."""
-    if omegas is None:
-        return np.array([config.omega], dtype=float)
+    None, else `_omega_grid(omegas)`."""
+    return np.array([config.omega], dtype=float) if omegas is None else _omega_grid(omegas)
+
+
+def _omega_grid(omegas) -> np.ndarray:
+    """omegas as a non-empty 1-D array of finite floats, or ValueError."""
     try:
         grid = np.asarray(omegas, dtype=float)
     except (TypeError, ValueError):
@@ -195,7 +203,7 @@ class DeltaLineSpectrum:
 def convolve_kernel(spectrum: DeltaLineSpectrum, kern: Kernel,
                     omegas: Sequence[float]) -> SpectralGrid:
     """(A * phi_hat)(k, w); exact for the symbolic delta-line representation."""
-    omegas = np.asarray(omegas, dtype=float)
+    omegas = _omega_grid(omegas)
     vals = np.zeros((len(spectrum.k), len(omegas)))
     for ik in range(len(spectrum.k)):
         c = spectrum.centers[ik][:, None]
@@ -212,6 +220,7 @@ def broadening_and_ghosts(epsilon: float, t: float) -> dict:
     delta_omega = (2 n pi / t) sqrt(1 - (eps t / 2 n pi)^2) and the next band
     is suppressed by r = (t*eps / (2 n pi + t*eps))^2.
     """
+    _require_finite(epsilon=epsilon, t=t)
     if t <= 0:
         raise ValueError("t must be > 0")
     half = epsilon * t / 2
@@ -612,7 +621,7 @@ def dynamical_correlation_baseline(config: ProtocolConfig, omegas=None,
                                    for centers, weights in zip(lines.centers, lines.weights)])
                          for lines in lehmann_lines(config))
     else:
-        vgrid, splus, sminus = _trotterized_correlators(config, _system_state(config))
+        vgrid, splus, sminus = _trotterized_correlators(config)
     return _windowed_baseline(config, omegas, vgrid, splus, sminus, return_parts)
 
 
@@ -626,9 +635,9 @@ def _neighbour_sectors(n: int, state: tuple) -> tuple[sector.Basis, np.ndarray]:
     return basis, psi
 
 
-def _trotterized_correlators(config: ProtocolConfig, state: tuple) -> tuple:
+def _trotterized_correlators(config: ProtocolConfig, state: tuple | None = None) -> tuple:
     """(vgrid, S+, S-) of the Trotterized baseline from the system start
-    state (n0, amps), S+-[k, v] on the time points vgrid.
+    state (n0, amps), built here when None, S+-[k, v] on the time points vgrid.
 
     The columns [psi0, c(k) psi0 .., c^dag(k) psi0 ..] lie in the sectors
     n0, n0 - 1 and n0 + 1 and step as one batch over their union, one step
@@ -637,13 +646,18 @@ def _trotterized_correlators(config: ProtocolConfig, state: tuple) -> tuple:
     """
     n = config.n_sites
     steps = config.trotter_steps
-    basis, psi = _neighbour_sectors(n, state)
-    vgrid = np.linspace(-config.t, config.t, 2 * steps + 1)
+    if state is None and config.interaction != 0:
+        state = _system_state(config)
+    # sized before a free chain's state is built (n0 is its filled-mode count);
     # per time point: the 2N + 1 evolved columns, and up to three N-column
     # temporaries of one sector.annihilate or create call and its conjugate
-    _require_memory(16 * len(basis) * len(vgrid) * (5 * n + 1),
+    n0 = int((config.rho() > 0.5).sum()) if state is None else state[0]
+    size = sum(math.comb(n, k) for k in (n0 - 1, n0, n0 + 1) if 0 <= k <= n)
+    vgrid = np.linspace(-config.t, config.t, 2 * steps + 1)
+    _require_memory(16 * size * len(vgrid) * (5 * n + 1),
                     f"the Trotterized baseline at N = {n}, {steps} steps would hold "
-                    f"{len(vgrid)} batches over {len(basis)} sector states")
+                    f"{len(vgrid)} batches over {size} sector states")
+    basis, psi = _neighbour_sectors(n, _system_state(config) if state is None else state)
     states = np.empty((len(vgrid), len(basis), 2 * n + 1), dtype=complex)
     states[steps] = np.concatenate(
         [psi[:, None], sector.annihilate(basis, psi).T, sector.create(basis, psi).T], axis=1)

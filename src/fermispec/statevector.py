@@ -1,11 +1,14 @@
-"""Dense statevector simulator (hard cap 20 qubits).
+"""Dense statevector reference simulator (hard cap 20 qubits).
 
 States are numpy arrays of shape (2,)*n, optionally with one trailing batch
 axis.  Qubit 0 is the first tensor axis (most significant bit of the flat
-index).  Every gate is applied in place from its `gate_matrix`, the same
-definition the tableau, single-particle and `sector` simulators read; gates
-act at the qubit level and Jordan-Wigner bookkeeping is the caller's
-responsibility.  The protocol does not use this module: it builds its start
+index).  `apply_gate` contracts a gate's `gate_matrix`, the same definition
+the tableau, single-particle and `sector` simulators read, over the gate's
+qubit axes and writes the result back in place: one matrix product per gate,
+with no shortcut for any gate kind.  Gates act at the qubit level;
+Jordan-Wigner bookkeeping is the caller's responsibility.  No benchmark
+workload and no protocol path applies a gate here; through `sector` and
+`tableau` they read only `gate_matrix`.  The protocol builds its start
 states and runs its number-conserving circuits in their particle-number
 sectors (`sector.py`), bounded by their size rather than by QUBIT_CAP,
 which guards only the dense register here.  This gate-level path and the
@@ -14,12 +17,9 @@ dense JW operators below are the oracles the tests, and for the gates
 """
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import product
-
 import numpy as np
 
-from .circuits import PARAMETRIC_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, GateKind
+from .circuits import Circuit, Gate, GateKind
 
 QUBIT_CAP = 20
 
@@ -88,72 +88,21 @@ def _resolve_qubits(state: np.ndarray, num_qubits) -> int:
     return n - 1 if n and state.shape[-1] != 2 else n
 
 
-@lru_cache(maxsize=None)
-def _row_pattern(kind: GateKind) -> tuple:
-    """(scaled, mixed) rows of a kind's gate_matrix, read once from a probe gate.
-
-    Scaled rows only rescale their own block.  Mixed rows are (row, columns).
-    Identity rows are in neither.  The probe angle is generic, so its pattern
-    covers every angle's.
-    """
-    qubits = (0, 1) if kind in TWO_QUBIT_KINDS else (0,)
-    m = gate_matrix(Gate(kind, qubits, 1.0 if kind in PARAMETRIC_KINDS else None))
-    scaled, mixed = [], []
-    for r in range(len(m)):
-        cols = tuple(np.flatnonzero(m[r]).tolist())
-        if cols != (r,):
-            mixed.append((r, cols))
-        elif m[r, r] != 1:
-            scaled.append(r)
-    return tuple(scaled), tuple(mixed)
-
-
-@lru_cache(maxsize=None)
-def _block_indices(ndim: int, qubits: tuple) -> tuple:
-    """Index r selects the amplitudes where the qubits hold the bits of r.
-
-    The first qubit is the most significant bit.  Length-1 slices keep the
-    indexed result a writable view even when every axis is pinned.
-    """
-    out = []
-    for bits in product((0, 1), repeat=len(qubits)):
-        idx = [slice(None)] * ndim
-        for q, b in zip(qubits, bits):
-            idx[q] = slice(b, b + 1)
-        out.append(tuple(idx))
-    return tuple(out)
-
-
 def apply_gate(state: np.ndarray, gate: Gate, num_qubits: int | None = None) -> np.ndarray:
     """Apply a gate in place from its gate_matrix and return the state.
 
-    Row r of the matrix gives the new amplitude block where the gate's qubits
-    hold the bits of r.  Identity rows are skipped.  A row that only rescales
-    its block is applied in place: in a unitary no other row reads that block.
-    Mixed rows are built aside from the old blocks and then written back;
-    the last one goes straight into its block when it does not read it, since
-    no row reads that block any more.
+    The gate's qubit axes are moved to the front and flattened into the row
+    index of one matrix product, whose result is copied back through the
+    same view; a real state refuses the complex result (TypeError).
     """
     if gate.kind is GateKind.BARRIER:
         return state
     n = _resolve_qubits(state, num_qubits)
     if max(gate.qubits) >= n:
         raise IndexError(f"gate {gate} out of range for {n} qubits")
+    view = np.moveaxis(state, gate.qubits, range(len(gate.qubits)))
     m = gate_matrix(gate)
-    blocks = [state[idx] for idx in _block_indices(state.ndim, gate.qubits)]
-    scaled, mixed = _row_pattern(gate.kind)
-    for r in scaled:
-        blocks[r] *= m[r, r]
-    built = []
-    for i, (r, cols) in enumerate(mixed):
-        out = blocks[r] if i == len(mixed) - 1 and r not in cols else None
-        acc = np.multiply(m[r, cols[0]], blocks[cols[0]], out=out)
-        for c in cols[1:]:
-            acc += m[r, c] * blocks[c]
-        if out is None:
-            built.append((r, acc))
-    for r, acc in built:
-        blocks[r][...] = acc
+    np.copyto(view, (m @ view.reshape(len(m), -1)).reshape(view.shape))
     return state
 
 
@@ -170,15 +119,12 @@ def run_circuit(circuit: Circuit, state: np.ndarray | None = None) -> np.ndarray
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Full 2^n x 2^n unitary; intended for n <= 12."""
+    """Full 2^n x 2^n unitary: the circuit run on the identity batch; n <= 12."""
     n = circuit.num_qubits
     if n > 12:
         raise ValueError("dense unitary limited to 12 qubits")
     dim = 2 ** n
-    state = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
-    for g in circuit.gates:
-        state = apply_gate(state, g)
-    return state.reshape(dim, dim)
+    return run_circuit(circuit, np.eye(dim).reshape((2,) * n + (dim,))).reshape(dim, dim)
 
 
 def occupations(state: np.ndarray, num_qubits: int | None = None) -> np.ndarray:
@@ -207,31 +153,36 @@ def unitaries_equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9)
 # Jordan-Wigner fermionic operators (dense; small systems only)
 # --------------------------------------------------------------------------
 
-def annihilation_operator(num_qubits: int, mode: int) -> np.ndarray:
-    """JW annihilation c_mode = Z^(⊗mode) ⊗ sigma^- ⊗ I^(⊗rest), dense.
-
-    Built from the basis index: c_mode empties qubit `mode` with the sign
-    (-1)^(occupied qubits before it).
-    """
+def _jw_lowering(num_qubits: int, mode: int) -> tuple:
+    """(dst, src, sign) of the JW annihilation c_mode on basis indices, built
+    from the index: c_mode empties qubit `mode` with the sign
+    (-1)^(occupied qubits before it)."""
     if num_qubits > 14:
         raise ValueError("dense JW operators limited to 14 qubits")
-    dim = 2 ** num_qubits
-    src = np.flatnonzero(np.arange(dim) & (1 << (num_qubits - 1 - mode)))
+    bit = 1 << (num_qubits - 1 - mode)
+    src = np.flatnonzero(np.arange(2 ** num_qubits) & bit)
     parity = np.zeros(len(src), dtype=int)
     for q in range(mode):
         parity ^= src >> (num_qubits - 1 - q)
-    op = np.zeros((dim, dim), dtype=complex)
-    op[src ^ (1 << (num_qubits - 1 - mode)), src] = 1 - 2 * (parity & 1)
+    return src ^ bit, src, 1 - 2 * (parity & 1)
+
+
+def annihilation_operator(num_qubits: int, mode: int) -> np.ndarray:
+    """JW annihilation c_mode = Z^(⊗mode) ⊗ sigma^- ⊗ I^(⊗rest), dense."""
+    dst, src, sign = _jw_lowering(num_qubits, mode)
+    op = np.zeros((2 ** num_qubits,) * 2, dtype=complex)
+    op[dst, src] = sign
     return op
 
 
 def momentum_annihilation(num_qubits: int, k: float) -> np.ndarray:
-    """c(k) = N^(-1/2) sum_j e^{-i j k} c_j over all JW modes."""
+    """c(k) = N^(-1/2) sum_j e^{-i j k} c_j over all JW modes, dense.
+
+    Each c_j empties a different qubit, so the terms fill disjoint entries.
+    """
     n = num_qubits
-    out = np.zeros((2 ** n, 2 ** n), dtype=complex)
-    for j in range(n):
-        op = annihilation_operator(n, j)
-        op *= np.exp(-1j * j * k)
-        out += op
-    out /= np.sqrt(n)
-    return out
+    terms = [_jw_lowering(n, j) for j in range(n)]
+    op = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for j, (dst, src, sign) in enumerate(terms):
+        op[dst, src] = sign * np.exp(-1j * j * k) / np.sqrt(n)
+    return op

@@ -12,7 +12,7 @@ import fermispec
 from fermispec.cli import main
 from fermispec.circuits import read_circuit, two_qubit_count
 from fermispec.czgraph import format_edge_list
-from fermispec.fft import interleave_cz_graph, interleave_permutation
+from fermispec.fft import InterleaveStrategy, interleave_cz_graph, interleave_permutation
 from fermispec.protocol import ProtocolConfig, nk_exact_free, nk_gaussian
 from fermispec.verify import run_all
 
@@ -28,7 +28,7 @@ def test_compile_fft_imported_27(tmp_path):
 
 
 def test_compiled_imported_level1_interleaves_have_60_gates():
-    from fermispec.fft import fft_circuit, InterleaveStrategy
+    from fermispec.fft import fft_circuit
     c = fft_circuit(27, 3, InterleaveStrategy.IMPORTED_SEQUENCE)
     blocks = c.meta["interleave_blocks"]
     # the two radix-3 top-level interleaves are the shipped 60-gate listing;
@@ -36,6 +36,17 @@ def test_compiled_imported_level1_interleaves_have_60_gates():
     top_spans = sorted(end - start for (start, end, edges) in blocks
                        if len(edges) == 108)
     assert top_spans == [60, 60, 104]
+
+
+def test_interleave_choices_are_the_strategy_values(tmp_path, capsys):
+    """--interleave takes exactly the InterleaveStrategy values: `local` is not one."""
+    argv = ["compile-fft", "--modes", "9", "--radix", "3", "--out", str(tmp_path / "x.txt")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--interleave", "local"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'local'" in capsys.readouterr().err
+    for strategy in InterleaveStrategy:
+        assert main(argv + ["--interleave", strategy.value]) == 0
 
 
 def test_compile_fft_determinism(tmp_path):

@@ -165,6 +165,14 @@ def test_broadening_eps_zero():
     assert out["ratio_r"] == 0.0
 
 
+@pytest.mark.parametrize("epsilon, t, name", [(np.nan, 5.0, "epsilon"), (0.5, np.nan, "t"),
+                                             (0.5, np.inf, "t"), (-np.inf, 5.0, "epsilon")],
+                         ids=["eps-nan", "t-nan", "t-inf", "eps-inf"])
+def test_broadening_rejects_non_finite(epsilon, t, name):
+    with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+        broadening_and_ghosts(epsilon, t)
+
+
 def test_first_zero_matches_formula():
     # first zero of the exact formula away from resonance sits at delta_omega
     eps, t = 0.5, 5.0
@@ -489,7 +497,8 @@ def test_dense_operator_memory_fails_fast(monkeypatch):
     would exceed 1 GiB: the guard raises before any eigh, for the reference
     and for the ground state the Trotterized baseline starts from.  A free
     N = 16 chain at 32 steps needs no spectrum, but its baseline's time-point
-    batches would exceed 1 GiB."""
+    batches would exceed 1 GiB; at N = 27 they are sized before the free
+    start state is built."""
     cfg = _cfg(n_sites=12, epsilon=0.1, t=2.0, nu=-3.0, interaction=4.0)
     assert np.isfinite(reference_windowed_spectral(cfg, OMEGAS).values).all()
 
@@ -503,7 +512,10 @@ def test_dense_operator_memory_fails_fast(monkeypatch):
     for run in (lambda: protocol.lehmann_lines(big),
                 lambda: dynamical_correlation_baseline(replace(big, trotter_steps=2), OMEGAS),
                 lambda: dynamical_correlation_baseline(
-                    _cfg(n_sites=16, trotter_steps=32), OMEGAS)):
+                    _cfg(n_sites=16, trotter_steps=32), OMEGAS),
+                # sized before the free start state over Basis(27, [14]), 20 M states
+                lambda: dynamical_correlation_baseline(
+                    ProtocolConfig(27, 0.3, nu=-1.0, trotter_steps=2), [0.0])):
         with pytest.raises(ValueError, match=r"GiB \(limit 1 GiB\)"):
             run()
 
@@ -954,6 +966,8 @@ _OMEGA_ENTRY_POINTS = {
     "environment_method_grid": environment_method_grid,
     "reference_windowed_spectral": reference_windowed_spectral,
     "compare_trotter": lambda cfg, omegas: compare_trotter(cfg, omegas, [1]),
+    "convolve_kernel": lambda cfg, omegas: convolve_kernel(
+        DeltaLineSpectrum.free_particle(cfg), Kernel(cfg.t), omegas),
 }
 
 

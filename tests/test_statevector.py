@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 
 from fermispec.circuits import (PARAMETRIC_KINDS, TWO_QUBIT_KINDS, Circuit, Gate,
-                                GateKind, cx, cy, cz, givens, rz, swap, x, z)
+                                GateKind, cx, cy, cz, givens, rz, s, swap, x, z)
 from fermispec import statevector as sv
 
 from strategies import any_circuits
@@ -18,6 +18,12 @@ def test_cz_on_11():
     psi = sv.basis_state(2, (1, 1))
     out = sv.apply_gate(psi, cz(0, 1))
     assert np.allclose(out, -sv.basis_state(2, (1, 1)))
+
+
+def test_real_state_is_refused():
+    """A gate never drops the imaginary part of its result into a real state."""
+    with pytest.raises(TypeError):
+        sv.apply_gate(np.array([0.0, 1.0]), s(0))
 
 
 def test_givens_convention():
@@ -42,6 +48,10 @@ def test_givens_matches_matrix_exponential():
 def test_cy_equals_cz_after_cx():
     u = sv.circuit_unitary(Circuit(2, (cx(0, 1), cz(0, 1))))
     assert np.allclose(u, sv.gate_matrix(cy(0, 1)))
+    # one qubit: the identity batch has the shape (2, 2) of a 2-qubit register
+    gates = (x(0), s(0), rz(0.3, 0))
+    want = np.linalg.multi_dot([sv.gate_matrix(g) for g in reversed(gates)])
+    assert np.allclose(sv.circuit_unitary(Circuit(1, gates)), want)
 
 
 def test_fswap_is_swap_then_cz():
@@ -70,7 +80,7 @@ def test_apply_gate_matches_einsum_oracle(kind):
     qubit_sets = ([(0, 3), (3, 0), (1, 2), (2, 1)] if kind in TWO_QUBIT_KINDS
                   else [(0,), (2,), (3,)])
     for qubits in qubit_sets:
-        for batch in ((), (3,)):
+        for batch in ((), (3,), (2,)):
             angle = float(rng.uniform(-4, 4)) if kind in PARAMETRIC_KINDS else None
             gate = Gate(kind, qubits, angle)
             matrix = sv.gate_matrix(gate).copy()
