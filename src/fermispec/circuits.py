@@ -11,6 +11,7 @@ text format it is a blank line.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
@@ -62,6 +63,8 @@ class Gate:
             raise ValueError("qubit indices must be nonnegative")
         if (self.angle is not None) != (self.kind in PARAMETRIC_KINDS):
             raise ValueError(f"angle mismatch for {self.kind.value}")
+        if self.angle is not None and not math.isfinite(self.angle):
+            raise ValueError(f"{self.kind.value} angle must be finite, got {self.angle!r}")
 
     def __eq__(self, other):
         if not isinstance(other, Gate):

@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: compile-fft, optimize-cz, simulate-spectral, compare-trotter,
-verify, report.  Every run writes a manifest JSON (resolved config, seed,
-version, sha256 of each output) next to the outputs; identical manifests
-reproduce byte-identical files.
+verify, report.  Every subcommand but verify writes its output, a JSON
+sidecar beside it and, with --manifest, a manifest (resolved config, seed,
+version, sha256 of each output); identical manifests reproduce
+byte-identical files.
 """
 from __future__ import annotations
 
@@ -11,7 +12,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import sys
 
@@ -47,41 +47,41 @@ def _json_safe(obj):
     return json.loads(json.dumps(obj, default=lambda v: v.tolist()))
 
 
-def _write_manifest(path: str, subcommand: str, config: dict, outputs: list[str],
-                    seed: int | None = None) -> None:
-    _write_json(path, {
-        "subcommand": subcommand,
-        "config": config,
-        "seed": seed,
-        "tool_version": __version__,
-        "outputs": {os.path.basename(p): _sha256(p) for p in outputs},
-    })
+def _write_outputs(args, inputs: dict, sidecar: dict, seed: int | None = None) -> None:
+    """Write `sidecar` to args.out + ".json" and, with --manifest, the manifest
+    of args.command: its inputs, seed, tool version and both files' sha256."""
+    side_path = args.out + ".json"
+    _write_json(side_path, sidecar)
+    if args.manifest:
+        _write_json(args.manifest, {
+            "subcommand": args.command,
+            "config": inputs,
+            "seed": seed,
+            "tool_version": __version__,
+            "outputs": {os.path.basename(p): _sha256(p) for p in (args.out, side_path)},
+        })
+
+
+def _write_csv(path: str, columns: list[str], rows: list[dict]) -> None:
+    with open(path, "w") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(str(row[c]) for c in columns) + "\n")
+
+
+# config keys that are not ProtocolConfig fields: the inputs of the run itself
+RUN_KEYS = ("omegas", "method", "step_counts", "shots", "seed")
 
 
 def _load_protocol_config(path: str) -> tuple[ProtocolConfig, dict] | None:
     """Parse a protocol config file; on a bad file, say why and return None."""
     known = {f.name for f in dataclasses.fields(ProtocolConfig)}
-    extra = {"omegas", "method", "step_counts", "shots", "seed"}
     try:
         with open(path) as fh:
             raw = json.load(fh)
         for key in raw:
-            if key not in known | extra:
+            if key not in known.union(RUN_KEYS):
                 raise KeyError(key)
-        # JSON numbers load as int or float (a bool is neither type)
-        for key, types, what in (("omegas", (int, float), "numbers"),
-                                 ("step_counts", (int,), "integers")):
-            values = raw.get(key, [0])
-            if type(values) is not list or not values or any(
-                    type(v) not in types for v in values):
-                raise ValueError(f"{key} must be a non-empty list of {what}, got {values!r}")
-        if not all(map(math.isfinite, raw.get("omegas", [0]))):
-            raise ValueError(f"omegas must be finite, got {raw['omegas']!r}")
-        if min(raw.get("step_counts", [1])) < 1:
-            raise ValueError(f"step_counts must be positive, got {raw['step_counts']!r}")
-        for key in ("shots", "seed"):
-            if type(raw.get(key, 0)) is not int or raw.get(key, 0) < 0:
-                raise ValueError(f"{key} must be a non-negative integer, got {raw[key]!r}")
         return ProtocolConfig(**{k: raw[k] for k in known if k in raw}), raw
     except KeyError as exc:
         print(f"bad config: unknown or invalid key {exc}", file=sys.stderr)
@@ -105,10 +105,7 @@ def _cmd_compile_fft(args) -> int:
         "convention": circuit.meta.get("convention"),
         "mode_order": list(circuit.meta.get("mode_order", [])),
     }
-    side_path = args.out + ".json"
-    _write_json(side_path, sidecar)
-    if args.manifest:
-        _write_manifest(args.manifest, "compile-fft", sidecar, [args.out, side_path])
+    _write_outputs(args, sidecar, sidecar)
     print(f"wrote {args.out}: {sidecar['two_qubit_count']} two-qubit gates, "
           f"depth {sidecar['two_qubit_depth']}")
     return 0
@@ -134,10 +131,7 @@ def _cmd_optimize_cz(args) -> int:
         "steps": circuit.meta.get("steps", len(circuit.gates)),
         "depth_penalty": args.depth_penalty,
     }
-    rep_path = args.out + ".json"
-    _write_json(rep_path, report)
-    if args.manifest:
-        _write_manifest(args.manifest, "optimize-cz", report, [args.out, rep_path])
+    _write_outputs(args, report, report)
     print(json.dumps(report))
     return 0
 
@@ -147,7 +141,7 @@ def _cmd_simulate_spectral(args) -> int:
     if loaded is None:
         return 2
     cfg, raw = loaded
-    omegas = raw.get("omegas", [cfg.omega])
+    omegas = raw.get("omegas")
     shots = raw.get("shots", 0)
     seed = raw.get("seed", 0)
     method = raw.get("method", "auto")
@@ -170,16 +164,13 @@ def _cmd_simulate_spectral(args) -> int:
         print(f"bad config: {exc}", file=sys.stderr)
         return 2
     grid.to_csv(args.out)
-    meta_path = args.out + ".json"
-    _write_json(meta_path, {"method": grid.method, "config": cfg.snapshot(),
-                            "omegas": list(map(float, omegas)),
-                            "columns": ["k", "omega", "value", "method"],
-                            "meta": _json_safe(grid.meta)})
-    if args.manifest:
-        inputs = dict(cfg.snapshot(), method=method, omegas=list(map(float, omegas)),
-                      shots=shots, seed=seed)
-        _write_manifest(args.manifest, "simulate-spectral", inputs,
-                        [args.out, meta_path], seed=seed if shots else None)
+    inputs = dict(cfg.snapshot(), method=method, omegas=grid.omega.tolist(),
+                  shots=shots, seed=seed)
+    _write_outputs(args, inputs, {"method": grid.method, "config": cfg.snapshot(),
+                                  "omegas": inputs["omegas"],
+                                  "columns": ["k", "omega", "value", "method"],
+                                  "meta": _json_safe(grid.meta)},
+                   seed=seed if shots else None)
     print(f"wrote {args.out} ({grid.values.size} samples, method={grid.method})")
     return 0
 
@@ -189,29 +180,19 @@ def _cmd_compare_trotter(args) -> int:
     if loaded is None:
         return 2
     cfg, raw = loaded
-    omegas = raw.get("omegas")
-    if omegas is None:
-        span = 3.0 * max(abs(cfg.nu), 1.0)
-        omegas = np.linspace(-span, span, 26).tolist()
+    span = 3.0 * max(abs(cfg.nu), 1.0)
+    omegas = raw.get("omegas", np.linspace(-span, span, 26))
     step_counts = raw.get("step_counts", [1, 2, 4, 8, 16, 32])
     try:
         table = compare_trotter(cfg, omegas, step_counts)
     except ValueError as exc:
         print(f"bad config: {exc}", file=sys.stderr)
         return 2
-    with open(args.out, "w") as fh:
-        cols = ["steps", "env_avg_error", "env_max_error", "base_avg_error",
-                "base_max_error", "env_sample_min", "env_sample_max",
-                "base_negative_samples"]
-        fh.write(",".join(cols) + "\n")
-        for row in table["rows"]:
-            fh.write(",".join(repr(row[c]) for c in cols) + "\n")
-    meta_path = args.out + ".json"
-    _write_json(meta_path, table)
-    if args.manifest:
-        inputs = dict(cfg.snapshot(), omegas=list(map(float, omegas)),
-                      step_counts=step_counts)
-        _write_manifest(args.manifest, "compare-trotter", inputs, [args.out, meta_path])
+    _write_csv(args.out, ["steps", "env_avg_error", "env_max_error", "base_avg_error",
+                          "base_max_error", "env_sample_min", "env_sample_max",
+                          "base_negative_samples"], table["rows"])
+    _write_outputs(args, dict(cfg.snapshot(), omegas=table["omegas"], step_counts=step_counts),
+                   table)
     for row in table["rows"]:
         print(f"steps={row['steps']:4d}  env_avg={row['env_avg_error']:.4e}  "
               f"base_avg={row['base_avg_error']:.4e}  "
@@ -246,17 +227,9 @@ def _cmd_report(args) -> int:
         })
     report = {"modes": n, "radix": radix, "graph_edges": graph.num_edges,
               "rows": rows}
-    with open(args.out, "w") as fh:
-        cols = ["strategy", "interleave_two_qubit_count", "interleave_two_qubit_depth",
-                "fft_two_qubit_count", "fft_two_qubit_depth"]
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(str(row[c]) for c in cols) + "\n")
-    meta_path = args.out + ".json"
-    _write_json(meta_path, report)
-    if args.manifest:
-        _write_manifest(args.manifest, "report", {"modes": n, "radix": radix},
-                        [args.out, meta_path])
+    _write_csv(args.out, ["strategy", "interleave_two_qubit_count", "interleave_two_qubit_depth",
+                          "fft_two_qubit_count", "fft_two_qubit_depth"], rows)
+    _write_outputs(args, {"modes": n, "radix": radix}, report)
     for row in rows:
         print(f"{row['strategy']:16s} interleave {row['interleave_two_qubit_count']:4d} gates "
               f"/ depth {row['interleave_two_qubit_depth']:3d}   "
@@ -268,35 +241,34 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="fermispec")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
+    # every subcommand but verify writes OUT, its sidecar OUT.json and a manifest
+    outputs = argparse.ArgumentParser(add_help=False)
+    outputs.add_argument("--out", required=True, help="output path; the sidecar is OUT.json")
+    outputs.add_argument("--manifest", help="also write the run's manifest here")
 
-    c = sub.add_parser("compile-fft", help="compile a radix-n fermionic FFT circuit")
+    c = sub.add_parser("compile-fft", parents=[outputs],
+                       help="compile a radix-n fermionic FFT circuit")
     c.add_argument("--modes", type=int, required=True)
     c.add_argument("--radix", type=int, required=True)
     c.add_argument("--interleave", choices=sorted(s.value for s in InterleaveStrategy),
                    default="local-fswap")
     c.add_argument("--depth-penalty", type=float, default=0.5)
-    c.add_argument("--out", required=True)
-    c.add_argument("--manifest")
     c.set_defaults(func=_cmd_compile_fft)
 
-    c = sub.add_parser("optimize-cz", help="synthesize a CZ circuit by graph decimation")
+    c = sub.add_parser("optimize-cz", parents=[outputs],
+                       help="synthesize a CZ circuit by graph decimation")
     c.add_argument("--graph", required=True, help="edge-list file, one 'i j' per line")
     c.add_argument("--depth-penalty", type=float, default=0.5)
-    c.add_argument("--out", required=True)
-    c.add_argument("--manifest")
     c.set_defaults(func=_cmd_optimize_cz)
 
-    c = sub.add_parser("simulate-spectral", help="run the spectral-function protocol")
+    c = sub.add_parser("simulate-spectral", parents=[outputs],
+                       help="run the spectral-function protocol")
     c.add_argument("--config", required=True, help="JSON config file")
-    c.add_argument("--out", required=True, help="CSV output path")
-    c.add_argument("--manifest")
     c.set_defaults(func=_cmd_simulate_spectral)
 
-    c = sub.add_parser("compare-trotter",
+    c = sub.add_parser("compare-trotter", parents=[outputs],
                        help="error-versus-steps comparison of both methods")
-    c.add_argument("--config", required=True)
-    c.add_argument("--out", required=True)
-    c.add_argument("--manifest")
+    c.add_argument("--config", required=True, help="JSON config file")
     c.set_defaults(func=_cmd_compare_trotter)
 
     c = sub.add_parser("verify", help="run the oracle-equivalence suite")
@@ -304,11 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the results as a list of {name, passed, detail}")
     c.set_defaults(func=_cmd_verify)
 
-    c = sub.add_parser("report", help="gate-count/depth table across interleave strategies")
+    c = sub.add_parser("report", parents=[outputs],
+                       help="gate-count/depth table across interleave strategies")
     c.add_argument("--modes", type=int, default=27)
     c.add_argument("--radix", type=int, default=3)
-    c.add_argument("--out", required=True)
-    c.add_argument("--manifest")
     c.set_defaults(func=_cmd_report)
     return p
 

@@ -29,7 +29,7 @@ Trotterized circuit pipeline to agree numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import KW_ONLY, asdict, dataclass, field, replace
 from numbers import Integral, Real
 from typing import Sequence
 
@@ -58,9 +58,12 @@ def _require_finite(**values) -> None:
 
 @dataclass
 class ProtocolConfig:
+    """A protocol run's inputs except the frequencies, which every grid
+    function takes as its omega grid.  Only n_sites and epsilon are
+    positional; the other fields are keyword-only."""
     n_sites: int
     epsilon: float
-    omega: float = 0.0
+    _: KW_ONLY
     t: float = 5.0
     nu: float = 1.0
     interaction: float = 0.0          # V; 0 = free fermions
@@ -76,7 +79,7 @@ class ProtocolConfig:
         if self.n_sites < 2:
             raise ValueError("n_sites must be >= 2")
         _require_finite(**{name: getattr(self, name)
-                            for name in ("epsilon", "omega", "t", "nu", "interaction")})
+                            for name in ("epsilon", "t", "nu", "interaction")})
         if self.t < 0:
             raise ValueError("t must be >= 0")
         if self.trotter_steps < 0:
@@ -143,20 +146,14 @@ def _is_integer(value, low: int) -> bool:
     return not isinstance(value, bool) and isinstance(value, Integral) and value >= low
 
 
-def _omega_list(config: ProtocolConfig, omegas) -> np.ndarray:
-    """The omega grid of a grid function: `config.omega` alone when omegas is
-    None, else `_omega_grid(omegas)`."""
-    return np.array([config.omega], dtype=float) if omegas is None else _omega_grid(omegas)
-
-
 def _omega_grid(omegas) -> np.ndarray:
-    """omegas as a non-empty 1-D array of finite floats, or ValueError."""
+    """Real, non-bool omegas as a non-empty 1-D array of finite floats, or ValueError."""
     try:
         grid = np.asarray(omegas, dtype=float)
     except (TypeError, ValueError):
         grid = None
     if (grid is None or grid.ndim != 1 or not grid.size or not np.isfinite(grid).all()
-            or any(isinstance(w, (bool, np.bool_)) for w in omegas)):
+            or not all(isinstance(w, Real) and not isinstance(w, bool) for w in omegas)):
         raise ValueError(f"omegas must be a 1-D sequence of finite numbers, at least one, "
                          f"got {omegas!r}")
     return grid
@@ -218,11 +215,13 @@ def broadening_and_ghosts(epsilon: float, t: float) -> dict:
     n is the smallest integer with (n-1)*pi <= eps*t/2 < n*pi; the first zero
     of the oscillation away from resonance gives the width
     delta_omega = (2 n pi / t) sqrt(1 - (eps t / 2 n pi)^2) and the next band
-    is suppressed by r = (t*eps / (2 n pi + t*eps))^2.
+    is suppressed by r = (t*eps / (2 n pi + t*eps))^2.  Every grid depends on
+    eps only through eps^2, so -eps gives the result of eps.
     """
     _require_finite(epsilon=epsilon, t=t)
     if t <= 0:
         raise ValueError("t must be > 0")
+    epsilon = abs(epsilon)
     half = epsilon * t / 2
     n = math.floor(half / math.pi) + 1
     ratio = (t * epsilon / (2 * n * math.pi + t * epsilon)) ** 2
@@ -239,10 +238,10 @@ def _require_free(config: ProtocolConfig, what: str) -> None:
         raise ValueError(f"{what} requires V = 0 (free fermions)")
 
 
-def nk_exact_free(config: ProtocolConfig, omegas=None) -> SpectralGrid:
+def nk_exact_free(config: ProtocolConfig, omegas) -> SpectralGrid:
     """Closed-form environment occupation for the free hopping Hamiltonian."""
     _require_free(config, "nk_exact_free")
-    omegas = _omega_list(config, omegas)
+    omegas = _omega_grid(omegas)
     ks = config.momenta()
     rho = config.rho()
     weight = rho if config.environment == "empty" else 1 - rho
@@ -256,10 +255,10 @@ def nk_exact_free(config: ProtocolConfig, omegas=None) -> SpectralGrid:
                         {"config": config.snapshot()})
 
 
-def strong_coupling_leading(config: ProtocolConfig, omegas=None) -> SpectralGrid:
+def strong_coupling_leading(config: ProtocolConfig, omegas) -> SpectralGrid:
     """Leading order in the hopping: sin^2(t*Omega0) eps^2/(w^2+eps^2) times
     rho_k (empty environment) or 1 - rho_k (full), as in `nk_exact_free`."""
-    omegas = _omega_list(config, omegas)
+    omegas = _omega_grid(omegas)
     ks = config.momenta()
     rho = config.rho()
     weight = rho if config.environment == "empty" else 1 - rho
@@ -277,7 +276,7 @@ def strong_coupling_leading(config: ProtocolConfig, omegas=None) -> SpectralGrid
 # Gaussian (continuous-time) protocol simulation
 # --------------------------------------------------------------------------
 
-def nk_gaussian(config: ProtocolConfig, omegas=None) -> SpectralGrid:
+def nk_gaussian(config: ProtocolConfig, omegas) -> SpectralGrid:
     """Continuous-time protocol on the correlation matrix of the 2N modes.
 
     The initial correlation (momentum-diagonal system, empty or full
@@ -289,7 +288,7 @@ def nk_gaussian(config: ProtocolConfig, omegas=None) -> SpectralGrid:
     momentum diagonal is read by FFT; the filled environment reports 1 - n(k).
     """
     _require_free(config, "nk_gaussian")
-    omegas = _omega_list(config, omegas)
+    omegas = _omega_grid(omegas)
     n = config.n_sites
     ks = config.momenta()
     sys0 = state_from_momentum_occupations(config.rho())
@@ -355,11 +354,11 @@ def _coupling_gates(config: ProtocolConfig, dt: float) -> list[Gate]:
     return [givens(config.epsilon * dt / 2, 2 * j, 2 * j + 1) for j in range(config.n_sites)]
 
 
-def _env_phase_gates(config: ProtocolConfig, dt: float) -> list[Gate]:
-    """RZ(omega dt) on every environment qubit; empty for omega = 0."""
-    if config.omega == 0:
+def _env_phase_gates(n: int, omega: float, dt: float) -> list[Gate]:
+    """RZ(omega dt) on each of the N environment qubits; empty for omega = 0."""
+    if omega == 0:
         return []
-    return [rz(config.omega * dt, 2 * j + 1) for j in range(config.n_sites)]
+    return [rz(omega * dt, 2 * j + 1) for j in range(n)]
 
 
 def _system_step(config: ProtocolConfig, dt: float, stride: int) -> Circuit:
@@ -375,11 +374,11 @@ def _system_step(config: ProtocolConfig, dt: float, stride: int) -> Circuit:
     return Circuit(stride * n, tuple(gates + _interaction_gates(config, dt, stride)))
 
 
-def trotter_step_circuit(config: ProtocolConfig, dt: float) -> Circuit:
-    """One first-order step of exp(+i H dt): hopping (even bonds, odd bonds),
-    interaction, coupling, environment phase."""
+def trotter_step_circuit(config: ProtocolConfig, dt: float, omega: float) -> Circuit:
+    """One first-order step of exp(+i H dt) at environment frequency omega:
+    hopping (even bonds, odd bonds), interaction, coupling, environment phase."""
     gates = (*_system_step(config, dt, 2).gates, *_coupling_gates(config, dt),
-             *_env_phase_gates(config, dt))
+             *_env_phase_gates(config.n_sites, omega, dt))
     return Circuit(2 * config.n_sites, gates)
 
 
@@ -547,10 +546,9 @@ def _run_trotter(config: ProtocolConfig, omegas: np.ndarray, environments: Seque
     occ = np.zeros((n, len(omegas), len(environments)))
     # the environment phase layer is the step's last term and its only omega
     # dependence: the rest is compiled once
-    step = sector.compile_circuit(trotter_step_circuit(replace(config, omega=0.0), dt), basis)
+    step = sector.compile_circuit(trotter_step_circuit(config, dt, 0.0), basis)
     for iw, om in enumerate(omegas):
-        phase = sector.compile_circuit(
-            Circuit(nq, tuple(_env_phase_gates(replace(config, omega=float(om)), dt))), basis)
+        phase = sector.compile_circuit(Circuit(nq, tuple(_env_phase_gates(n, om, dt))), basis)
         state = start.copy()
         for _ in range(steps):
             sector.run_program(step, state)
@@ -565,7 +563,7 @@ def _run_trotter(config: ProtocolConfig, omegas: np.ndarray, environments: Seque
     return occ
 
 
-def run_circuit_protocol(config: ProtocolConfig, omegas=None, shots: int = 0,
+def run_circuit_protocol(config: ProtocolConfig, omegas, shots: int = 0,
                          seed: int = 0) -> SpectralGrid:
     """Full Trotterized pipeline on 2N qubits.
 
@@ -576,7 +574,7 @@ def run_circuit_protocol(config: ProtocolConfig, omegas=None, shots: int = 0,
     for name, value in (("shots", shots), ("seed", seed)):
         if not _is_integer(value, 0):
             raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
-    omegas = _omega_list(config, omegas)
+    omegas = _omega_grid(omegas)
     occ = _run_trotter(config, omegas, (config.environment,), shots, seed)[..., 0]
     vals = occ if config.environment == "empty" else 1 - occ
     meta = {"config": config.snapshot()}
@@ -596,7 +594,7 @@ def _require_memory(need: float, what: str) -> None:
         raise ValueError(f"{what}, about {need / 2 ** 30:.1f} GiB (limit 1 GiB)")
 
 
-def dynamical_correlation_baseline(config: ProtocolConfig, omegas=None,
+def dynamical_correlation_baseline(config: ProtocolConfig, omegas,
                                    return_parts: bool = False):
     """Classical reference method: measure c(k) correlators on a time grid,
     window with phi(v) = (t - |v|)/4 and Fourier transform to omega.
@@ -612,7 +610,7 @@ def dynamical_correlation_baseline(config: ProtocolConfig, omegas=None,
     (`_trotterized_correlators`).  Coarse grids and Trotter error can push
     samples negative; the count is reported in meta["negative_samples"].
     """
-    omegas = _omega_list(config, omegas)
+    omegas = _omega_grid(omegas)
     if config.trotter_steps == 0:
         # S+(k,v) = sum_m |<m|c(k)|E0>|^2 e^{iv(E0 - E_m)}, and S- over
         # |<m|c^dag(k)|E0>|^2 e^{iv(E_m - E0)}: the weights and centers of the lines
@@ -738,7 +736,7 @@ def _lehmann_lines(config: ProtocolConfig, spectrum: list,
 
 def reference_windowed_spectral(config: ProtocolConfig, omegas) -> SpectralGrid:
     """Exact ((A+ + A-) * phi_hat) via Lehmann lines and the analytic kernel."""
-    return _windowed_reference(config, _omega_list(config, omegas), lehmann_lines(config))
+    return _windowed_reference(config, _omega_grid(omegas), lehmann_lines(config))
 
 
 def _windowed_reference(config: ProtocolConfig, omegas: np.ndarray, lines: tuple) -> SpectralGrid:
@@ -769,7 +767,7 @@ def environment_method_grid(config: ProtocolConfig, omegas) -> SpectralGrid:
     particle-number sectors, so they run as one vector over the union of
     their sectors (`_run_trotter`).
     """
-    return _environment_grid(config, _omega_list(config, omegas))
+    return _environment_grid(config, _omega_grid(omegas))
 
 
 def _environment_grid(config: ProtocolConfig, omegas: np.ndarray, state=None) -> SpectralGrid:
@@ -794,9 +792,9 @@ def compare_trotter(config: ProtocolConfig, omegas, step_counts) -> dict:
     its number-sector spectrum and the start state built from it serve the
     reference and both grids of every step count.
     """
-    omegas = _omega_list(config, omegas)
-    step_counts = list(step_counts)
-    if not step_counts or not all(_is_integer(s, 1) for s in step_counts):
+    omegas = _omega_grid(omegas)
+    counts = list(step_counts) if np.iterable(step_counts) else []
+    if not counts or not all(_is_integer(s, 1) for s in counts):
         raise ValueError(f"step_counts must be positive integers, at least one, "
                          f"got {step_counts!r}")
     _require_readout(config.n_sites)
@@ -804,7 +802,7 @@ def compare_trotter(config: ProtocolConfig, omegas, step_counts) -> dict:
     state = _system_state(config, spectrum)
     ref = _windowed_reference(config, omegas, _lehmann_lines(config, spectrum, state)).values
     rows = []
-    for steps in step_counts:
+    for steps in counts:
         cfg = replace(config, trotter_steps=steps)
         env = _environment_grid(cfg, omegas, state)
         base = _windowed_baseline(cfg, omegas, *_trotterized_correlators(cfg, state))

@@ -184,8 +184,8 @@ def _check_trotter_kernels() -> Result:
     rng = np.random.default_rng(5)
     cases = []
     for n, nu in ((3, -1.0), (4, 0.8)):
-        cfg = ProtocolConfig(n, 0.3, omega=0.7, nu=nu, interaction=2.3)
-        circuits = (trotter_step_circuit(cfg, 0.37), _readout_circuit(n))
+        cfg = ProtocolConfig(n, 0.3, nu=nu, interaction=2.3)
+        circuits = (trotter_step_circuit(cfg, 0.37, 0.7), _readout_circuit(n))
         in_sectors = _sector_start(cfg, ("empty", "full"), _system_state(cfg))[0]
         for basis in (sector.Basis(2 * n), in_sectors):
             psi = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))

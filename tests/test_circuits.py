@@ -101,6 +101,18 @@ def test_parse_angle_gates():
     assert c.gates[1] == givens(-0.5, 0, 1)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: parse_circuit("RZ(nan,0)\nGIVENS(0.5,0,1)"), "RZ angle must be finite, got nan"),
+    (lambda: parse_circuit("RZ(0.5,0)\nGIVENS(inf,0,1)"), "GIVENS angle must be finite, got inf"),
+    (lambda: rz(float("nan"), 0), "RZ angle must be finite, got nan"),
+    (lambda: givens(-np.inf, 0, 1), "GIVENS angle must be finite, got -inf"),
+], ids=["parse-rz-nan", "parse-givens-inf", "rz-nan", "givens-minus-inf"])
+def test_non_finite_angle_rejected(build, message):
+    """A NaN or infinite angle fails where the gate is built, naming it."""
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_imported_listing_gate_mix():
     c = imported_interleave_sequence(27)
     counts = {"CX": 0, "CZ": 0}

@@ -1,5 +1,8 @@
+import dataclasses
+import hashlib
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -9,7 +12,7 @@ import numpy as np
 import pytest
 
 import fermispec
-from fermispec.cli import main
+from fermispec.cli import RUN_KEYS, main
 from fermispec.circuits import read_circuit, two_qubit_count
 from fermispec.czgraph import format_edge_list
 from fermispec.fft import InterleaveStrategy, interleave_cz_graph, interleave_permutation
@@ -148,8 +151,10 @@ def test_missing_input_file(tmp_path, capsys, subcommand, flag, prefix):
     (["simulate-spectral"], {"epsilon": float("nan")},
      "bad config: epsilon must be a finite number"),
     (["simulate-spectral"], {"nu": float("inf")}, "bad config: nu must be a finite number"),
-    (["simulate-spectral"], {"omegas": [float("nan")]}, "bad config: omegas must be finite"),
-    (["compare-trotter"], {"omegas": [0.5, float("-inf")]}, "bad config: omegas must be finite"),
+    (["simulate-spectral"], {"omegas": [float("nan")]},
+     "bad config: omegas must be a 1-D sequence of finite numbers"),
+    (["compare-trotter"], {"omegas": [0.5, float("-inf")]},
+     "bad config: omegas must be a 1-D sequence of finite numbers"),
     (["simulate-spectral"], {"initial_state": [float("nan"), 0, 0, 1]},
      "bad config: explicit rho_k"),
     (["compare-trotter"], {"step_counts": [0]}, "bad config: step_counts"),
@@ -343,3 +348,61 @@ def test_manifest_records_every_input(tmp_path):
     d = _manifest_config(tmp_path, "d", "compare-trotter", dict(trotter, step_counts=[2]))
     e = _manifest_config(tmp_path, "e", "compare-trotter", dict(trotter, omegas=[0.5]))
     assert c != d and c != e
+
+
+# sha256 of (output, sidecar, manifest) per subcommand, on the runs of _pinned_run
+_OUTPUT_PINS = {
+    "compile-fft": ("1f978add9ac2bed88f51d48959f43f701be654322638d8865c2a3371a72871b8",
+                    "099837e13f0794fa6e35c62bda6d74561e99e84f51fd54229ee939a71990d753",
+                    "3a168003186c5df18ca0fb149e4d1df5c5cf6c55402c8f17ccffbee1b0a89902"),
+    "optimize-cz": ("42fc9212595aa6cb2bbb2bd39eb2668e7c41c8161146af50887eb634ecf73201",
+                    "bff61f00821f50d1a0557de34724406641eb7a7c075be2659cdd8c95bd671b16",
+                    "144e727fb4a14fb746c3bd540ce6ac9216609cc85fb705382b641dd82665bed7"),
+    "report": ("f8e1731ebbeaaeba1094751a05314d850e1f69c025d5ce5ee12104519c94fdbc",
+               "45f6baf40f56367b2817c5afa621a23cb0309df4ef77c4be2c5f26344fc99d7a",
+               "ec77491fcd94decac96bd6e62d5daf285e49411e51e0e958d2d8c3f8f83f3f64"),
+    "simulate-spectral": ("535bfc7ee24b0c062f96149e5ec23857b907e8e4a2258b1ca976706111df6c2b",
+                          "1dc5682c147c87d4663ce42b5d3a6f16e9d30e24bcdeb83de6399927e5474999",
+                          "960988d195ccea6c2c852f9fbc640942160d4ff9c2d8c25355542204c220168e"),
+    "compare-trotter": ("ac4a769690492cf5689dcc2109a5c8dff2dfe8ebb51b6b71162fc0b17692b4f5",
+                        "826bb8c5b6eefbfd1c9c5e972c4da9c1bdb9511721e8b92e355377a7296b215f",
+                        "5400ff1d0b58bea949bb2406c3a82722ec066152e25b7b9c743fed8ac1657e0f"),
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(_OUTPUT_PINS))
+def test_output_bytes_pinned(tmp_path, monkeypatch, subcommand):
+    """Each subcommand's output, sidecar and manifest, byte for byte: compile-fft
+    graph-decimated at N = 9, optimize-cz on the N = 9 interleave graph, report
+    at N = 9, simulate-spectral on free_chain.json and compare-trotter on a
+    4-site interacting chain."""
+    monkeypatch.chdir(tmp_path)
+    Path("g.txt").write_text(format_edge_list(interleave_cz_graph(interleave_permutation(9, 3))))
+    Path("cmp.json").write_text(json.dumps({"n_sites": 4, "epsilon": 0.2, "t": 2.0, "nu": -1.0,
+                                            "interaction": 2.0, "omegas": [0.0, 1.0],
+                                            "step_counts": [1, 4]}))
+    free_chain = Path(__file__).resolve().parent.parent / "scripts/sample_configs/free_chain.json"
+    out, argv = {
+        "compile-fft": ("fft.txt", ["--modes", "9", "--radix", "3",
+                                    "--interleave", "graph-decimated"]),
+        "optimize-cz": ("cz.txt", ["--graph", "g.txt"]),
+        "report": ("report.csv", ["--modes", "9", "--radix", "3"]),
+        "simulate-spectral": ("grid.csv", ["--config", str(free_chain)]),
+        "compare-trotter": ("cmp.csv", ["--config", "cmp.json"]),
+    }[subcommand]
+    manifest = subcommand + ".manifest.json"
+    assert main([subcommand, *argv, "--out", out, "--manifest", manifest]) == 0
+    digests = tuple(hashlib.sha256(Path(p).read_bytes()).hexdigest()
+                    for p in (out, out + ".json", manifest))
+    assert digests == _OUTPUT_PINS[subcommand]
+
+
+def test_readme_config_schema_lists_every_key():
+    """The README's config-schema table names exactly the keys a config may
+    hold: the ProtocolConfig fields and the CLI's RUN_KEYS."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("### Config schema", 1)[1].split("\n#", 1)[0]
+    rows = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+    documented = {key for cell in rows for key in re.findall(r"`(\w+)`", cell)}
+    fields = {f.name for f in dataclasses.fields(ProtocolConfig)}
+    assert documented == fields | set(RUN_KEYS)

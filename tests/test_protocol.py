@@ -20,7 +20,7 @@ OMEGAS = np.linspace(-3, 3, 11)
 
 
 def _cfg(**kw):
-    base = dict(n_sites=8, epsilon=0.3, omega=0.0, t=4.0, nu=1.0)
+    base = dict(n_sites=8, epsilon=0.3, t=4.0, nu=1.0)
     base.update(kw)
     return ProtocolConfig(**base)
 
@@ -173,6 +173,13 @@ def test_broadening_rejects_non_finite(epsilon, t, name):
         broadening_and_ghosts(epsilon, t)
 
 
+@pytest.mark.parametrize("epsilon, t", [(1.0, 5.0), (7.0, 5.0), (0.4, 3.0), (np.pi / 5, 5.0),
+                                        (2.0, 0.5)])
+def test_broadening_even_in_epsilon(epsilon, t):
+    """The grids depend on eps only through eps^2, and so do width, ratio and n."""
+    assert broadening_and_ghosts(-epsilon, t) == broadening_and_ghosts(epsilon, t)
+
+
 def test_first_zero_matches_formula():
     # first zero of the exact formula away from resonance sits at delta_omega
     eps, t = 0.5, 5.0
@@ -297,8 +304,8 @@ def test_emitted_circuits_pinned(n):
     step, system = hashlib.sha256(), hashlib.sha256()
     for V in (0.0, 2.3):
         for omega in (0.0, 0.7):
-            cfg = ProtocolConfig(n, 0.3, omega=omega, nu=0.8, interaction=V)
-            step.update(format_circuit(protocol.trotter_step_circuit(cfg, dt)).encode())
+            cfg = ProtocolConfig(n, 0.3, nu=0.8, interaction=V)
+            step.update(format_circuit(protocol.trotter_step_circuit(cfg, dt, omega)).encode())
             for sign in (1, -1):
                 system.update(format_circuit(protocol._system_step(cfg, sign * dt, 1)).encode())
     readout = hashlib.sha256(format_circuit(protocol._readout_circuit(n)).encode())
@@ -320,7 +327,7 @@ def test_fused_step_matches_gates(n):
     basis = sector.Basis(2 * n)
     psi = _random_full_basis_state(2 * n, seed=n)
     cases = [((protocol.trotter_step_circuit(
-        ProtocolConfig(n, 0.3, omega=omega, nu=0.8, interaction=V), 0.37),), basis, psi)
+        ProtocolConfig(n, 0.3, nu=0.8, interaction=V), 0.37, omega),), basis, psi)
         for V in (0.0, 2.3) for omega in (0.0, 0.7)]
     assert verify.sector_matches_gates(cases, 1e-12)
 
@@ -470,7 +477,7 @@ def test_compare_trotter_rejects_step_counts_before_any_work(monkeypatch):
 
     monkeypatch.setattr(protocol, "_system_spectrum", forbidden)
     cfg = _cfg(n_sites=4, nu=-1.0, interaction=2.3)
-    for step_counts in ([0], [2, 0], [-1], [1.0], [True], []):
+    for step_counts in ([0], [2, 0], [-1], [1.0], [True], [], 3):
         with pytest.raises(ValueError, match="step_counts must be positive integers"):
             compare_trotter(cfg, [0.0], step_counts)
 
@@ -832,9 +839,11 @@ def test_environment_method_matches_single_runs():
     cfg = _cfg(n_sites=4, t=2.0, trotter_steps=16, initial_state=rho)
     combined = environment_method_grid(cfg, omegas)
     e = run_circuit_protocol(
-        ProtocolConfig(4, cfg.epsilon, 0.0, 2.0, cfg.nu, 0.0, 16, "empty", rho), omegas)
+        ProtocolConfig(4, cfg.epsilon, t=2.0, nu=cfg.nu, interaction=0.0, trotter_steps=16,
+                       environment="empty", initial_state=rho), omegas)
     f = run_circuit_protocol(
-        ProtocolConfig(4, cfg.epsilon, 0.0, 2.0, cfg.nu, 0.0, 16, "full", rho), omegas)
+        ProtocolConfig(4, cfg.epsilon, t=2.0, nu=cfg.nu, interaction=0.0, trotter_steps=16,
+                       environment="full", initial_state=rho), omegas)
     assert np.max(np.abs(combined.values - e.values - f.values)) < 1e-12
 
 
@@ -895,8 +904,7 @@ def _gate_level_environment_grid(config, omegas):
     readout = protocol._readout_circuit(n)
     vals = np.zeros((n, len(omegas)))
     for iw, om in enumerate(omegas):
-        step = protocol.trotter_step_circuit(replace(config, omega=om),
-                                             config.t / config.trotter_steps)
+        step = protocol.trotter_step_circuit(config, config.t / config.trotter_steps, om)
         for filling, state in (("empty", empty), ("full", full)):
             for _ in range(config.trotter_steps):
                 state = sv.run_circuit(step, state)
@@ -948,13 +956,23 @@ def test_config_validation():
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             ProtocolConfig(**{"n_sites": 4, "epsilon": 0.1, name: value})
     assert ProtocolConfig(np.int64(4), 0.1, trotter_steps=np.int64(2)).n_sites == 4
-    for name in ("epsilon", "omega", "t", "nu", "interaction"):
+    for name in ("epsilon", "t", "nu", "interaction"):
         for value in (np.nan, np.inf, -np.inf, "0.5", None):
             with pytest.raises(ValueError, match=f"{name} must be a finite number"):
                 ProtocolConfig(**{"n_sites": 4, "epsilon": 0.1, name: value})
     for rho in ([np.nan, 0, 0, 1], [0, 0, np.inf, 1]):
         with pytest.raises(ValueError, match="rho_k must be"):
             ProtocolConfig(4, 0.1, initial_state=rho)
+
+
+def test_config_takes_only_sites_and_coupling_positionally():
+    """The frequencies are the grid functions' omega grid, not a config field, and
+    a third positional value fails instead of landing in another field."""
+    with pytest.raises(TypeError):
+        ProtocolConfig(4, 0.3, 2.0)
+    cfg = ProtocolConfig(4, 0.3, t=2.0, initial_state=[1, 0, 0, 1])
+    assert "omega" not in cfg.snapshot()
+    assert nk_gaussian(cfg, [0.5]).meta["config"] == cfg.snapshot()
 
 
 _OMEGA_ENTRY_POINTS = {
@@ -972,8 +990,8 @@ _OMEGA_ENTRY_POINTS = {
 
 
 @pytest.mark.parametrize("omegas", [[np.nan, 0.5], [np.inf], [[0.0, 0.5], [1.0, 1.5]], 0.5, [],
-                                    [True, False]],
-                         ids=["nan", "inf", "2-D", "scalar", "empty", "bool"])
+                                    [True, False], ["0.5"]],
+                         ids=["nan", "inf", "2-D", "scalar", "empty", "bool", "str"])
 @pytest.mark.parametrize("entry", sorted(_OMEGA_ENTRY_POINTS))
 def test_bad_omega_grid_rejected(entry, omegas):
     """Every grid function rejects a non-finite, non-1-D or empty omega grid
