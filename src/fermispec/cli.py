@@ -147,9 +147,10 @@ def _cmd_simulate_spectral(args) -> int:
     method = raw.get("method", "auto")
     if method == "auto":
         method = "circuit" if cfg.trotter_steps > 0 else "gaussian"
-    if shots and method != "circuit":
-        print("bad config: shots requires the circuit method", file=sys.stderr)
-        return 2
+    for key in ("shots", "seed"):
+        if key in raw and method != "circuit":
+            print(f"bad config: {key} requires the circuit method", file=sys.stderr)
+            return 2
     try:
         if method == "exact":
             grid = nk_exact_free(cfg, omegas)

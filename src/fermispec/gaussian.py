@@ -17,6 +17,20 @@ Conventions, fixed once and validated by the oracle tests:
    to  C -> T^T C conj(T).
  * Many-body evolution by exp(+i H t) with single-particle matrix h
    (H = sum h[i,j] c_i^dag c_j) has transfer T = exp(-i t h).
+
+The coupled system-environment matrix, over (system, environment) modes, is
+h(omega) = [[H_s, e I], [e I, omega I]] with e = epsilon / 2 and H_s the real
+N x N system hopping (`chain_hopping`).  In the eigenbasis U of
+H_s = U diag(lambda) U^T it splits into N 2 x 2 blocks
+[[lambda_m, e], [e, omega]], so with delta = (lambda - omega) / 2,
+r = sqrt(delta^2 + e^2), s = sin(r t) / r and g = exp(-i t (lambda + omega) / 2)
+the transfer's blocks are
+
+    T_se = T_es = U diag(beta) U^T,    beta  = -i e s g,
+    T_ee        = U diag(gamma) U^T,   gamma = g (cos(r t) + i delta s),
+
+(`coupled_transfer`), and one eigendecomposition of H_s serves every omega.
+`mode_propagator(coupled_hamiltonian(...))` is the dense 2N x 2N oracle.
 """
 from __future__ import annotations
 
@@ -96,24 +110,44 @@ def chain_bonds(n: int) -> range:
     return range(n if n > 2 else n - 1)
 
 
+def chain_hopping(num_sites: int, nu: float) -> np.ndarray:
+    """N x N real system hopping H_s: nu on each of the chain_bonds."""
+    n = num_sites
+    h = np.zeros((n, n))
+    for j in chain_bonds(n):
+        h[j, (j + 1) % n] += nu
+        h[(j + 1) % n, j] += nu
+    return h
+
+
 def coupled_hamiltonian(num_sites: int, nu: float, epsilon: float,
                         omega: float) -> np.ndarray:
     """2N x 2N single-particle matrix over interleaved modes c_0,d_0,c_1,d_1,...
 
-    System hopping nu on the chain_bonds, system-environment coupling
-    epsilon/2 on matching sites, environment on-site energy omega.
+    System hopping `chain_hopping(N, nu)` on the c modes, system-environment
+    coupling epsilon/2 on matching sites, environment on-site energy omega.
+    Over (system, environment) modes it is [[H_s, e I], [e I, omega I]], the
+    dense oracle of `coupled_transfer`.
     """
     n = num_sites
     h = np.zeros((2 * n, 2 * n))
-    for j in chain_bonds(n):
-        a, b = 2 * j, 2 * ((j + 1) % n)
-        h[a, b] += nu
-        h[b, a] += nu
-    for j in range(n):
-        h[2 * j, 2 * j + 1] = epsilon / 2
-        h[2 * j + 1, 2 * j] = epsilon / 2
-        h[2 * j + 1, 2 * j + 1] = omega
+    h[0::2, 0::2] = chain_hopping(n, nu)
+    c, d = 2 * np.arange(n), 2 * np.arange(n) + 1
+    h[c, d] = h[d, c] = epsilon / 2
+    h[d, d] = omega
     return h
+
+
+def basis_product(left: np.ndarray, diag: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """(left * diag) @ right: left diag(diag) right.  With real left and right
+    and a complex diag it is two real products, one per part of diag, at half
+    the flops of one complex product."""
+    if np.iscomplexobj(left) or np.iscomplexobj(right) or not np.iscomplexobj(diag):
+        return (left * diag) @ right
+    out = np.empty((left.shape[0], right.shape[1]), dtype=complex)
+    out.real = (left * diag.real) @ right
+    out.imag = (left * diag.imag) @ right
+    return out
 
 
 def mode_propagator(h: np.ndarray, t: float, rows=slice(None),
@@ -122,16 +156,20 @@ def mode_propagator(h: np.ndarray, t: float, rows=slice(None),
 
     With h = v diag(w) v^dag (Hermitian eigendecomposition) the block is
     (v[rows] * e^{-i t w}) @ v[cols]^dag, so only the rows and columns asked
-    for are formed; the defaults give the full matrix.  A real symmetric h
-    has real v, and the block is then two real products, one with cos and
-    one with -sin of t w, at half the flops of one complex product.
+    for are formed; the defaults give the full matrix.
     """
     w, v = np.linalg.eigh(h)
-    phase = np.exp(-1j * t * w)
-    if np.iscomplexobj(v):
-        return (v[rows] * phase) @ v[cols].conj().T
-    left, right = v[rows], v[cols].T
-    out = np.empty((left.shape[0], right.shape[1]), dtype=complex)
-    out.real = (left * phase.real) @ right
-    out.imag = (left * phase.imag) @ right
-    return out
+    return basis_product(v[rows], np.exp(-1j * t * w), v[cols].conj().T)
+
+
+def coupled_transfer(levels: np.ndarray, epsilon: float, omega: float,
+                     t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenbasis diagonals (beta, gamma) of the transfer blocks T_se and T_ee
+    of exp(-i t h(omega)), for the system levels lambda = `levels` (see the
+    module docstring).  s = sin(r t) / r is t sinc(r t / pi), finite at r = 0."""
+    e = epsilon / 2
+    delta = (levels - omega) / 2
+    r = np.hypot(delta, e)
+    s = t * np.sinc(r * t / np.pi)
+    g = np.exp(-0.5j * t * (levels + omega))
+    return -1j * e * s * g, g * (np.cos(r * t) + 1j * delta * s)

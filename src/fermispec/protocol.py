@@ -39,8 +39,8 @@ from .circuits import Circuit, Gate, cx, cz, givens, remap, rz
 from .fft import (InterleaveStrategy, fft_circuit, fft_radix, ground_state_momenta,
                   ground_state_prep_circuit, interleave_circuit,
                   interleave_permutation)
-from .gaussian import (chain_bonds, coupled_hamiltonian, evolve_gaussian,
-                       mode_propagator, momentum_occupations,
+from .gaussian import (basis_product, chain_bonds, chain_hopping, coupled_transfer,
+                       evolve_gaussian, momentum_occupations,
                        state_from_momentum_occupations)
 from . import sector
 
@@ -280,27 +280,29 @@ def nk_gaussian(config: ProtocolConfig, omegas) -> SpectralGrid:
     """Continuous-time protocol on the correlation matrix of the 2N modes.
 
     The initial correlation (momentum-diagonal system, empty or full
-    environment) has no system-environment block, so each diagonal block is
-    evolved separately with the coupled single-particle Hamiltonian, through
-    its own rows of the transfer's environment (odd) columns: the system
-    block alone for the empty environment, plus the filled environment block
-    for the full one.  The sum is the evolved environment block, whose
+    environment) has no system-environment block, so the evolved environment
+    block is the system block carried through T_se, plus, for the full
+    environment, the filled block carried through T_ee, which is
+    U diag(|gamma|^2) U^T.  The real-space hopping H_s = U diag(lambda) U^T is
+    diagonalized once per call; each omega then forms T_se = U diag(beta) U^T
+    from `coupled_transfer` and costs O(N^3).  The environment block's
     momentum diagonal is read by FFT; the filled environment reports 1 - n(k).
     """
     _require_free(config, "nk_gaussian")
     omegas = _omega_grid(omegas)
     n = config.n_sites
+    # N x N arrays held at once: the real U and eight complex ones (start
+    # state, DFT, T_se, three evolve and two FFT temporaries)
+    _require_memory((8 + 8 * 16) * n * n, f"nk_gaussian at N = {n} would hold its N x N arrays")
     ks = config.momenta()
     sys0 = state_from_momentum_occupations(config.rho())
+    levels, u = np.linalg.eigh(chain_hopping(n, config.nu))
     vals = np.zeros((n, len(omegas)))
     for iw, om in enumerate(omegas):
-        h = coupled_hamiltonian(n, config.nu, config.epsilon, om)
-        if config.environment == "empty":
-            env_corr = evolve_gaussian(
-                sys0, mode_propagator(h, config.t, slice(0, None, 2), slice(1, None, 2)))
-        else:
-            tr = mode_propagator(h, config.t, cols=slice(1, None, 2))
-            env_corr = evolve_gaussian(sys0, tr[0::2]) + evolve_gaussian(np.eye(n), tr[1::2])
+        beta, gamma = coupled_transfer(levels, config.epsilon, om, config.t)
+        env_corr = evolve_gaussian(sys0, basis_product(u, beta, u.T))
+        if config.environment == "full":
+            env_corr += basis_product(u, np.abs(gamma) ** 2, u.T)
         nk = momentum_occupations(env_corr)
         vals[:, iw] = nk if config.environment == "empty" else 1 - nk
     return SpectralGrid(ks, omegas, vals, "gaussian", {"config": config.snapshot()})

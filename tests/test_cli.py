@@ -158,6 +158,12 @@ def test_missing_input_file(tmp_path, capsys, subcommand, flag, prefix):
     (["simulate-spectral"], {"initial_state": [float("nan"), 0, 0, 1]},
      "bad config: explicit rho_k"),
     (["compare-trotter"], {"step_counts": [0]}, "bad config: step_counts"),
+    (["simulate-spectral"], {"seed": 3}, "bad config: seed requires the circuit method"),
+    (["simulate-spectral"], {"method": "gaussian", "seed": 0},
+     "bad config: seed requires the circuit method"),
+    (["simulate-spectral"], {"shots": False}, "bad config: shots requires the circuit method"),
+    (["simulate-spectral"], {"method": "exact", "shots": 0.0},
+     "bad config: shots requires the circuit method"),
 ])
 def test_malformed_input(tmp_path, capsys, argv, config, prefix):
     if argv[0] == "optimize-cz":
@@ -361,9 +367,9 @@ _OUTPUT_PINS = {
     "report": ("f8e1731ebbeaaeba1094751a05314d850e1f69c025d5ce5ee12104519c94fdbc",
                "45f6baf40f56367b2817c5afa621a23cb0309df4ef77c4be2c5f26344fc99d7a",
                "ec77491fcd94decac96bd6e62d5daf285e49411e51e0e958d2d8c3f8f83f3f64"),
-    "simulate-spectral": ("535bfc7ee24b0c062f96149e5ec23857b907e8e4a2258b1ca976706111df6c2b",
+    "simulate-spectral": ("2d2b6fa303c8ebca75d3ce7225dbf9134280da8cf622ccfcdabd8867aad4481b",
                           "1dc5682c147c87d4663ce42b5d3a6f16e9d30e24bcdeb83de6399927e5474999",
-                          "960988d195ccea6c2c852f9fbc640942160d4ff9c2d8c25355542204c220168e"),
+                          "8c5e3c5e6db08ca3187359daef32280682dddd03e9f6f0aab9ac955cca77cbe8"),
     "compare-trotter": ("ac4a769690492cf5689dcc2109a5c8dff2dfe8ebb51b6b71162fc0b17692b4f5",
                         "826bb8c5b6eefbfd1c9c5e972c4da9c1bdb9511721e8b92e355377a7296b215f",
                         "5400ff1d0b58bea949bb2406c3a82722ec066152e25b7b9c743fed8ac1657e0f"),

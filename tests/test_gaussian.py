@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from fermispec import verify
 from fermispec.circuits import Circuit, cx, x
 from fermispec.fft import base_fft, fft_circuit
-from fermispec.gaussian import (coupled_hamiltonian, dft_matrix,
-                                evolve_gaussian, extract_mode_transform,
-                                mode_propagator, momentum_occupations,
-                                state_from_momentum_occupations)
+from fermispec.gaussian import (basis_product, chain_hopping, coupled_hamiltonian,
+                                coupled_transfer, dft_matrix, evolve_gaussian,
+                                extract_mode_transform, mode_propagator,
+                                momentum_occupations, state_from_momentum_occupations)
 from fermispec import statevector as sv
 from fermispec.sector import ParticleConservationError
 
@@ -218,3 +218,25 @@ def test_propagator_unitary():
     h = coupled_hamiltonian(4, 0.9, 0.3, 0.5)
     t = mode_propagator(h, 7.0)
     assert np.max(np.abs(t.conj().T @ t - np.eye(8))) < 1e-12
+
+
+@pytest.mark.parametrize("n, nu, eps, omega, t", [
+    (2, 0.8, 0.45, 0.3, 4.2),     # one bond
+    (5, 0.0, 0.45, 0.7, 4.2),     # H_s = 0, fully degenerate
+    (6, -1.0, -0.45, 1.0, 4.2),   # epsilon < 0, omega = 2 nu cos k at k = 2 pi / 3
+    (4, 0.0, 0.0, 0.0, 2.0),      # r = 0 exactly
+    (7, 0.9, 0.0, 0.4, 3.0),      # decoupled
+    (9, 0.8, 0.45, 0.5, 0.0),     # t = 0
+    (31, 1.3, 0.2, -1.1, 5.0),
+])
+def test_coupled_transfer_matches_mode_propagator(n, nu, eps, omega, t):
+    """U diag(beta) U^T and U diag(gamma) U^T are the system-environment and
+    environment-environment blocks of the dense 2N x 2N transfer."""
+    h_s = chain_hopping(n, nu)
+    h = coupled_hamiltonian(n, nu, eps, omega)
+    assert np.array_equal(h_s, h[0::2, 0::2])
+    levels, u = np.linalg.eigh(h_s)
+    beta, gamma = coupled_transfer(levels, eps, omega, t)
+    full = mode_propagator(h, t)
+    assert np.max(np.abs(basis_product(u, beta, u.T) - full[0::2, 1::2])) <= 1e-12
+    assert np.max(np.abs(basis_product(u, gamma, u.T) - full[1::2, 1::2])) <= 1e-12

@@ -79,14 +79,58 @@ def _full_correlation_chain(config, omegas):
     return vals
 
 
+# (nu, epsilon, t): generic; nu = 0 (H_s = 0, fully degenerate); epsilon = 0,
+# alone and with nu = 0 (r = 0 exactly at omega = 0); epsilon < 0; t = 0
+_CHAIN_CASES = [(0.8, 0.45, 4.2), (0.0, 0.45, 4.2), (0.8, 0.0, 4.2), (0.0, 0.0, 4.2),
+                (-1.0, -0.45, 4.2), (0.8, 0.45, 0.0)]
+
+
 @pytest.mark.parametrize("n", [2, 3, 8, 31, 200])
 def test_gaussian_matches_full_correlation_chain(n):
+    """Every case of _CHAIN_CASES on OMEGAS plus each resonance
+    omega = 2 nu cos k, in both fillings; at N = 200 the generic case on
+    OMEGAS only."""
     rho = np.random.default_rng(n).random(n)
+    for nu, eps, t in _CHAIN_CASES if n < 200 else _CHAIN_CASES[:1]:
+        resonances = 2 * nu * np.cos(2 * np.pi * np.arange(n) / n) if n < 200 else []
+        omegas = np.concatenate([OMEGAS, resonances])
+        for env in ("empty", "full"):
+            cfg = _cfg(n_sites=n, epsilon=eps, t=t, nu=nu, environment=env,
+                       initial_state=rho)
+            want = _full_correlation_chain(cfg, omegas)
+            assert np.max(np.abs(nk_gaussian(cfg, omegas).values - want)) <= 1e-12, \
+                (nu, eps, t, env)
+
+
+@pytest.mark.parametrize("n_omegas", [1, 12])
+def test_nk_gaussian_one_eigendecomposition_per_call(monkeypatch, n_omegas):
+    """One nk_gaussian call diagonalizes the N x N system hopping once,
+    whatever the number of omegas, in both fillings."""
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counted_eigh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     for env in ("empty", "full"):
-        cfg = _cfg(n_sites=n, epsilon=0.45, t=4.2, nu=0.8, environment=env,
-                   initial_state=rho)
-        want = _full_correlation_chain(cfg, OMEGAS)
-        assert np.max(np.abs(nk_gaussian(cfg, OMEGAS).values - want)) <= 1e-12, env
+        shapes.clear()
+        nk_gaussian(_cfg(n_sites=9, environment=env), np.linspace(-3, 3, n_omegas))
+        assert shapes == [(9, 9)], env
+
+
+def test_nk_gaussian_memory_fails_fast(monkeypatch):
+    """At N = 5000 the kernel's N x N arrays would exceed 1 GiB: the guard
+    raises before the start state is built or H_s is diagonalized."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("allocating work called")
+
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    monkeypatch.setattr(protocol, "state_from_momentum_occupations", forbidden)
+    for env in ("empty", "full"):
+        with pytest.raises(ValueError, match=r"GiB \(limit 1 GiB\)"):
+            nk_gaussian(ProtocolConfig(5000, 0.3, environment=env), [0.0])
 
 
 def test_gaussian_t_zero():
