@@ -19,6 +19,9 @@ Interleave strategies:
 Software strategies emit only the inversion-parity CZ unitary; the pending
 mode relabeling is threaded through every later gate index and recorded in
 circuit.meta["mode_order"] (mode held by each qubit at the end).
+
+One compile builds each distinct interleave once, whatever the strategy, and
+emits it once per copy on that copy's own qubits.
 """
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
+from numbers import Integral
 
 import numpy as np
 
@@ -53,6 +57,14 @@ class FFTPlan:
     depth_penalty: float = 0.5
 
     def __post_init__(self):
+        for name in ("num_modes", "radix"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        if not isinstance(self.interleave_strategy, InterleaveStrategy):
+            raise ValueError(f"interleave_strategy must be one of "
+                             f"{[s.value for s in InterleaveStrategy]}, "
+                             f"got {self.interleave_strategy!r}")
         if fft_radix(self.num_modes) != self.radix:
             raise ValueError(f"num_modes {self.num_modes} is not a power of radix "
                              f"{self.radix} (supported radices: 2, 3)")
@@ -92,8 +104,8 @@ class InterleavePermutation:
 
 
 def interleave_permutation(num_modes: int, radix: int) -> InterleavePermutation:
-    if num_modes % radix != 0:
-        raise ValueError(f"radix {radix} does not divide {num_modes}")
+    if radix < 1 or num_modes % radix != 0:
+        raise ValueError(f"radix {radix} is not a positive divisor of {num_modes}")
     m = num_modes // radix
     sigma = [0] * num_modes
     for q in range(m):
@@ -228,6 +240,9 @@ class _Emitter:
         self.pos = list(range(num_modes))  # logical slot -> physical qubit
         self.blocks: list[dict] = []       # software interleave block records
         self.software = plan.interleave_strategy is not InterleaveStrategy.LOCAL_FSWAP
+        # sigma -> (strategy circuit in pre-permutation labels, inversions);
+        # the plan fixes strategy and depth penalty, so sigma is the whole key
+        self.interleaves: dict[tuple[int, ...], tuple[Circuit, list]] = {}
 
     def emit_mapped(self, circuit: Circuit, base_slot: int) -> None:
         for g in circuit.gates:
@@ -236,28 +251,35 @@ class _Emitter:
             self.gates.append(Gate(
                 g.kind, tuple(self.pos[base_slot + q] for q in g.qubits), g.angle))
 
-    def permute(self, base_slot: int, perm: InterleavePermutation) -> None:
-        """Apply an interleave-type mode permutation on a contiguous slot block."""
-        if not self.software:
-            self.emit_mapped(interleave_circuit(perm, InterleaveStrategy.LOCAL_FSWAP),
-                             base_slot)
-            return
+    def interleave(self, perm: InterleavePermutation) -> Circuit:
+        """The strategy circuit for perm, in this emitter's pre-permutation labels."""
         strategy = self.plan.interleave_strategy
         if strategy is InterleaveStrategy.IMPORTED_SEQUENCE and not has_shipped_listing(
                 perm.num_modes, perm.radix):
             # no shipped listing for this step; CX ladder covers it
             strategy = InterleaveStrategy.CX_LADDER
         sub = interleave_circuit(perm, strategy, self.plan.depth_penalty)
+        if not self.software:
+            return sub
         # strategy circuits carry post-permutation labels; this emitter keeps
         # its bookkeeping in pre-permutation labels
-        sub = remap(sub, perm.mode_order, perm.num_modes)
+        return remap(sub, perm.mode_order, perm.num_modes)
+
+    def permute(self, base_slot: int, perm: InterleavePermutation) -> None:
+        """Apply an interleave-type mode permutation on a contiguous slot block."""
+        if perm.sigma not in self.interleaves:
+            self.interleaves[perm.sigma] = (self.interleave(perm),
+                                            permutation_inversions(perm.sigma))
+        sub, inversions = self.interleaves[perm.sigma]
         start = len(self.gates)
         self.emit_mapped(sub, base_slot)
+        if not self.software:
+            return
         self.blocks.append({
             "span": (start, len(self.gates)),
             "edges": tuple(sorted(
                 tuple(sorted((self.pos[base_slot + i], self.pos[base_slot + j])))
-                for (i, j) in permutation_inversions(perm.sigma))),
+                for (i, j) in inversions)),
         })
         # software relabel: the mode in slot base+q moves to slot base+sigma(q)
         old = [self.pos[base_slot + q] for q in range(perm.num_modes)]
@@ -286,7 +308,11 @@ class _Emitter:
 
 
 def compile_fft(plan: FFTPlan) -> Circuit:
-    """Compile the FFFT for plan.num_modes = radix**k modes."""
+    """Compile the FFFT for plan.num_modes = radix**k modes.
+
+    Each distinct interleave permutation is built (and, graph-decimated,
+    decimated) once per call and emitted per copy, with its own block record.
+    """
     em = _Emitter(plan.num_modes, plan)
     em.fft(0, plan.num_modes)
     mode_order = [0] * plan.num_modes

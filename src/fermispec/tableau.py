@@ -83,9 +83,7 @@ class CliffordTableau:
         self.x = np.zeros((2 * n, n), dtype=np.uint8)
         self.z = np.zeros((2 * n, n), dtype=np.uint8)
         self.sign = np.zeros(2 * n, dtype=np.uint8)
-        for i in range(n):
-            self.x[i, i] = 1
-            self.z[n + i, i] = 1
+        self.x[:n] = self.z[n:] = np.eye(n, dtype=np.uint8)
 
     def apply_gate(self, gate: Gate) -> "CliffordTableau":
         if gate.kind is GateKind.BARRIER:

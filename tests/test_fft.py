@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+import fermispec.fft
 from fermispec import verify
-from fermispec.circuits import Circuit, Gate, GateKind, invert, two_qubit_count
+from fermispec.circuits import Circuit, Gate, GateKind, format_circuit, invert, two_qubit_count
 from fermispec.fft import (FFTPlan, InterleaveStrategy, base_fft,
                            fft_circuit, fft_radix, ground_state_momenta, ground_state_prep_circuit,
                            interleave_circuit, interleave_cz_graph,
@@ -45,6 +48,21 @@ def test_plan_validation():
     FFTPlan(27, 3)
 
 
+@pytest.mark.parametrize("args, match", [
+    ((9, 3.0), "radix must be an int, got 3.0"),
+    ((2, True), "radix must be an int, got True"),
+    ((9.0, 3), "num_modes must be an int, got 9.0"),
+    ((9, 3, "graph-decimated"),
+     r"interleave_strategy must be one of \['local-fswap', 'cx-ladder', "
+     r"'graph-decimated', 'imported'\], got 'graph-decimated'"),
+], ids=["float-radix", "bool-radix", "float-modes", "string-strategy"])
+def test_plan_rejects_mistyped_fields_at_construction(args, match):
+    """A float radix or a strategy given by its string value used to pass the
+    plan and fail only inside compile_fft."""
+    with pytest.raises(ValueError, match=match):
+        FFTPlan(*args)
+
+
 # ---------------------------------------------------------------- permutation
 
 def test_interleave_permutation_examples():
@@ -59,6 +77,13 @@ def test_interleave_permutation_examples():
 def test_interleave_permutation_requires_divisor():
     with pytest.raises(ValueError):
         interleave_permutation(7, 2)
+
+
+@pytest.mark.parametrize("radix", [0, -2])
+def test_interleave_permutation_requires_positive_radix(radix):
+    # radix 0 used to divide by zero, and -2 on 4 gave sigma (0, 0, 0, 0)
+    with pytest.raises(ValueError, match="radix -?\\d+ is not a positive divisor of 4"):
+        interleave_permutation(4, radix)
 
 
 def test_interleave_cz_graph_examples():
@@ -152,6 +177,75 @@ def test_dft_equivalence_all_sizes_and_strategies():
     # the N = 8 transform with its first twiddle negated
     wrong = verify.fft_matches_dft([_negate_first_twiddle(fft_circuit(8, 2))], 1e-9)
     assert not wrong and "N=8 strategy=local-fswap" in wrong.detail
+
+
+# sha256 of format_circuit(c) + repr(c.meta) per (N, strategy), recorded before
+# the compiler built each distinct interleave once per compile
+_COMPILE_PINS = {
+    (8, "local-fswap"): "dbd24888963b06e86e08aec5ce50e0841eb3ddae180dba9812dbdf3433853d84",
+    (8, "cx-ladder"): "f0f644e5da0c2501f7749a1851dd346904d0167446cb042ab329513387ae3250",
+    (8, "graph-decimated"): "b33f4b8e99cb617be9f398218257ab16bfdf372c6bab071ba34bc4ced631c368",
+    (8, "imported"): "c4aefc86d7daadaaa360e11fd28728fab82eed8e1b87ec8b80eb79e2841c871a",
+    (9, "local-fswap"): "c68ff94a796eeb32b4977cdc7634c52ba9df174e3184a93c9e63d444d5567947",
+    (9, "cx-ladder"): "45e05fa34026f8fdab4e02741359f3afb293e4fa9b3866213c99db009dc79bdd",
+    (9, "graph-decimated"): "f43612d877ca963eab2e5260221ff39f23dc6fafa030ded8b16ee38b4640383b",
+    (9, "imported"): "e8654c20c1e50989a6a3cf37354ecf4a89bbdbe94161956abe1182c30f4c5e1d",
+    (27, "local-fswap"): "5696869bf16283630d4d0f8db13f1899bad5dcd3c9fcd18ed5f654058abaed21",
+    (27, "cx-ladder"): "b3b24b48a62adfea45102f290c3018665df5572fae948de876e1fbd082f3b96f",
+    (27, "graph-decimated"): "05c5ebf9e4846033f0ed92f7ee9584ccd257109239f80595dd3557ec56952eb8",
+    (27, "imported"): "f3c0ae32f4cac956888a8db049987185ba36a978f88fe3c491b444c26704b8aa",
+    (64, "local-fswap"): "38563876e7d4a0ebf93e4e14a2efce23b8bf9343f4111eb7196723250d9517ce",
+    (64, "cx-ladder"): "2ba3d6c8f346bb2ace963c6262516feb002683d0de479fa1b3d5653e3c72054d",
+    (64, "graph-decimated"): "c7e7fff5e4d8dd9b545b668265f9cc7a0fc9019249467972d034afede8ecc7db",
+    (64, "imported"): "1c7c80a64adf59b153da5e7c27475858d0fc967e8395554290f64f75f5996912",
+    (81, "local-fswap"): "955f73b284afb374bcc600e0175357084f5f10440a0c6c464508ca949596b2e9",
+    (81, "cx-ladder"): "841adf7bb86f1de55b5698b6b4be7d23ed9797682089ab20342d700183c0b2c7",
+    (81, "graph-decimated"): "a16038944fe2d3c1e15ebda717184c6b8cd56fae11072dbad351f463a8f195ad",
+    (81, "imported"): "300bbad891801f3c029ffa6ef580bb814c2f946c3ad9bcf844ce7b0b58039243",
+}
+
+
+@pytest.mark.parametrize("n, strategy", sorted(_COMPILE_PINS))
+def test_compiled_circuits_pinned(n, strategy):
+    c = fft_circuit(n, fft_radix(n), InterleaveStrategy(strategy))
+    digest = hashlib.sha256((format_circuit(c) + repr(c.meta)).encode()).hexdigest()
+    assert digest == _COMPILE_PINS[(n, strategy)]
+
+
+def test_decimate_runs_once_per_distinct_interleave(monkeypatch):
+    calls = []
+    decimate = fermispec.fft.decimate
+
+    def counted_decimate(*args, **kwargs):
+        calls.append(args[0])
+        return decimate(*args, **kwargs)
+
+    monkeypatch.setattr(fermispec.fft, "decimate", counted_decimate)
+    for n, distinct in ((27, 3), (64, 9), (81, 5)):
+        calls.clear()
+        c = fft_circuit(n, fft_radix(n), InterleaveStrategy.GRAPH_DECIMATED)
+        assert len(calls) == distinct, n
+        # every copy still gets its own block record
+        assert len(c.meta["interleave_blocks"]) > distinct
+
+
+def test_corrupted_copy_of_repeated_interleave_fails_certification():
+    c = fft_circuit(27, 3, InterleaveStrategy.GRAPH_DECIMATED)
+    blocks = c.meta["interleave_blocks"]
+    seen = set()
+    for b, (start, end, edges) in enumerate(blocks):
+        if (end - start, len(edges)) in seen:
+            break    # the second copy of an interleave already emitted
+        seen.add((end - start, len(edges)))
+    # b is not the last block, so the later spans must shift too
+    assert b < len(blocks) - 1
+    i = next(i for i in range(start, end) if c.gates[i].kind is GateKind.CZ)
+    shifted = tuple((s - (s > i), e - (e > i), ed) for (s, e, ed) in blocks)
+    broken = Circuit(c.num_qubits, c.gates[:i] + c.gates[i + 1:],
+                     {**c.meta, "interleave_blocks": shifted})
+    single_particle_transfer(c)
+    with pytest.raises(ValueError, match="does not match its CZ graph"):
+        single_particle_transfer(broken)
 
 
 def _negate_first_twiddle(c: Circuit) -> Circuit:

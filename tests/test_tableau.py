@@ -17,6 +17,13 @@ from strategies import clifford_circuits, clifford_circuits_8q
 
 def test_identity_tableau():
     assert tableau_of(Circuit(3, ())) == CliffordTableau(3)
+    for n in (1, 3, 27):
+        t = CliffordTableau(n)
+        x, z = np.zeros((2 * n, n), np.uint8), np.zeros((2 * n, n), np.uint8)
+        for i in range(n):
+            x[i, i] = z[n + i, i] = 1
+        assert t.x.dtype == t.z.dtype == t.sign.dtype == np.uint8
+        assert np.array_equal(t.x, x) and np.array_equal(t.z, z) and not t.sign.any()
 
 
 def test_cx_self_inverse():
