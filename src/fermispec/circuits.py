@@ -6,6 +6,12 @@ denotes exp(i*(X_a X_b + Y_a Y_b)*theta/2), so on the span{|01>,|10>} it acts as
 [[cos t, i sin t], [i sin t, cos t]].  A GIVENS costs two native two-qubit gates
 on hardware and is counted as such by `two_qubit_count` / `two_qubit_depth`.
 
+This module is the one definition of a gate: its arity, its angle, its
+inverse (`invert`) and its dense 2x2 or 4x4 unitary (`gate_matrix`).  The
+`sector` engine, the Clifford tableau and the dense `statevector` oracle all
+read `gate_matrix` from here, so no runtime module imports `statevector`;
+only `verify`, which the CLI runs, and the tests do.
+
 BARRIER takes no qubits and cuts commutation-based layering globally; in the
 text format it is a blank line.
 """
@@ -16,6 +22,8 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Sequence
+
+import numpy as np
 
 ANGLE_TOL = 1e-12
 
@@ -138,6 +146,8 @@ class Circuit:
     meta: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
+        if self.num_qubits < 0:
+            raise ValueError(f"num_qubits must be >= 0, got {self.num_qubits}")
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             if any(q >= self.num_qubits for q in g.qubits):
@@ -203,6 +213,51 @@ def _gate_inverse(g: Gate) -> tuple[Gate, ...]:
         # CY^2 = Z on the control, so CY^-1 = CY . Z_control
         return (g, Gate(GateKind.Z, (g.qubits[0],)))
     raise AssertionError(f"no inverse rule for {g.kind}")
+
+
+_1Q = {
+    GateKind.X: np.array([[0, 1], [1, 0]], dtype=complex),
+    GateKind.Z: np.diag([1, -1]).astype(complex),
+    GateKind.S: np.diag([1, 1j]).astype(complex),
+    GateKind.SDG: np.diag([1, -1j]).astype(complex),
+}
+
+_CZ = np.diag([1, 1, 1, -1]).astype(complex)
+_SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
+                 dtype=complex)
+_FSWAP = _SWAP @ _CZ
+_CX = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
+               dtype=complex)
+# controlled-iY = CZ . CX
+_CY = _CZ @ _CX
+
+
+def gate_matrix(gate: Gate) -> np.ndarray:
+    """Dense 2x2 or 4x4 unitary of a gate (two-qubit basis |q_a q_b>)."""
+    k = gate.kind
+    if k in _1Q:
+        return _1Q[k]
+    if k is GateKind.RZ:
+        return np.diag([np.exp(-0.5j * gate.angle), np.exp(0.5j * gate.angle)])
+    if k is GateKind.CZ:
+        return _CZ
+    if k is GateKind.CX:
+        return _CX
+    if k is GateKind.CY:
+        return _CY
+    if k is GateKind.SWAP:
+        return _SWAP
+    if k is GateKind.FSWAP:
+        return _FSWAP
+    if k is GateKind.GIVENS:
+        c, sn = np.cos(gate.angle), np.sin(gate.angle)
+        m = np.eye(4, dtype=complex)
+        m[1, 1] = c
+        m[1, 2] = 1j * sn
+        m[2, 1] = 1j * sn
+        m[2, 2] = c
+        return m
+    raise ValueError(f"no matrix for {k}")
 
 
 def invert(circuit: Circuit) -> Circuit:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Real
 
 import numpy as np
 
@@ -50,6 +51,8 @@ class CZGraph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
+        if self.num_qubits < 0:
+            raise ValueError(f"num_qubits must be >= 0, got {self.num_qubits}")
         object.__setattr__(self, "edges", frozenset(_norm_edge(e) for e in self.edges))
         for (a, b) in self.edges:
             if not (0 <= a < self.num_qubits and 0 <= b < self.num_qubits):
@@ -139,7 +142,10 @@ def apply_rule(graph: CZGraph, step: DecimationStep) -> CZGraph:
 # --------------------------------------------------------------------------
 
 def check_depth_penalty(depth_penalty: float) -> None:
-    """Raise ValueError unless the depth penalty is a finite number (any sign)."""
+    """Raise ValueError unless the depth penalty is a finite real number (any
+    sign) and not a bool."""
+    if isinstance(depth_penalty, bool) or not isinstance(depth_penalty, Real):
+        raise ValueError(f"depth_penalty must be a real number, got {depth_penalty!r}")
     if not math.isfinite(depth_penalty):
         raise ValueError(f"depth_penalty must be finite, got {depth_penalty}")
 

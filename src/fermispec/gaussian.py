@@ -1,10 +1,9 @@
 """Single-particle (mode) transfer matrices and free-fermion Gaussian states.
 
 A Gaussian state is its correlation matrix C[i, j] = <c_i^dag c_j>, held as
-a plain complex array.  A propagator may be formed as one block T[rows, cols]
-of the transfer, and evolution through a block of columns T[:, S] returns
-only the correlation block on the modes S.  Momentum occupations are read
-with FFTs, without forming the DFT matrix.
+a plain complex array.  Evolution through a block of columns T[:, S] of a
+transfer returns only the correlation block on the modes S.  Momentum
+occupations are read with FFTs, without forming the DFT matrix.
 
 The transfer of a gate-level circuit is read off its zero- and one-particle
 sectors, run by the `sector` engine (`extract_mode_transform`).
@@ -150,16 +149,11 @@ def basis_product(left: np.ndarray, diag: np.ndarray, right: np.ndarray) -> np.n
     return out
 
 
-def mode_propagator(h: np.ndarray, t: float, rows=slice(None),
-                    cols=slice(None)) -> np.ndarray:
-    """Block T[rows, cols] of the transfer T = exp(-i t h) of exp(+i H t).
-
-    With h = v diag(w) v^dag (Hermitian eigendecomposition) the block is
-    (v[rows] * e^{-i t w}) @ v[cols]^dag, so only the rows and columns asked
-    for are formed; the defaults give the full matrix.
-    """
+def mode_propagator(h: np.ndarray, t: float) -> np.ndarray:
+    """The transfer T = exp(-i t h) of exp(+i H t): with the Hermitian
+    eigendecomposition h = v diag(w) v^dag it is (v * e^{-i t w}) @ v^dag."""
     w, v = np.linalg.eigh(h)
-    return basis_product(v[rows], np.exp(-1j * t * w), v[cols].conj().T)
+    return basis_product(v, np.exp(-1j * t * w), v.conj().T)
 
 
 def coupled_transfer(levels: np.ndarray, epsilon: float, omega: float,

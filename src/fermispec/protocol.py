@@ -109,7 +109,10 @@ class ProtocolConfig:
         return np.asarray(self.initial_state, dtype=float)
 
     def snapshot(self) -> dict:
-        d = asdict(self)
+        """The fields as JSON-ready values: numpy scalars become the Python
+        numbers they hold, and explicit rho_k a list of floats."""
+        d = {k: v.item() if isinstance(v, np.generic) else v
+             for k, v in asdict(self).items()}
         if not isinstance(d["initial_state"], str):
             d["initial_state"] = list(map(float, d["initial_state"]))
         return d
@@ -129,8 +132,9 @@ class SpectralGrid:
         if self.values.shape != (len(self.k), len(self.omega)):
             raise ValueError("values must have shape (len(k), len(omega))")
 
-    def in_unit_interval(self, tol: float = 1e-10) -> bool:
-        return bool(self.values.min() >= -tol and self.values.max() <= 1 + tol)
+    def in_unit_interval(self) -> bool:
+        """Every value lies in [0, 1], to 1e-10."""
+        return bool(self.values.min() >= -1e-10 and self.values.max() <= 1 + 1e-10)
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -258,6 +262,7 @@ def nk_exact_free(config: ProtocolConfig, omegas) -> SpectralGrid:
 def strong_coupling_leading(config: ProtocolConfig, omegas) -> SpectralGrid:
     """Leading order in the hopping: sin^2(t*Omega0) eps^2/(w^2+eps^2) times
     rho_k (empty environment) or 1 - rho_k (full), as in `nk_exact_free`."""
+    _require_free(config, "strong_coupling_leading")
     omegas = _omega_grid(omegas)
     ks = config.momenta()
     rho = config.rho()

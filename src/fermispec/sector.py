@@ -37,8 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuits import Circuit, GateKind
-from .statevector import gate_matrix
+from .circuits import Circuit, GateKind, gate_matrix
 
 _SWAPPED = [0, 2, 1, 3]    # two-qubit basis order with the qubits exchanged
 
@@ -92,6 +91,8 @@ class Basis:
     """
 
     def __init__(self, num_qubits: int, particle_numbers=None):
+        if num_qubits < 0:
+            raise ValueError(f"num_qubits must be >= 0, got {num_qubits}")
         self.num_qubits = num_qubits
         if particle_numbers is None:
             self.bits = np.arange(2 ** num_qubits, dtype=np.int64)

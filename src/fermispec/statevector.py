@@ -1,71 +1,26 @@
 """Dense statevector reference simulator (hard cap 20 qubits).
 
 States are numpy arrays of shape (2,)*n, optionally with one trailing batch
-axis.  Qubit 0 is the first tensor axis (most significant bit of the flat
-index).  `apply_gate` contracts a gate's `gate_matrix`, the same definition
-the tableau, single-particle and `sector` simulators read, over the gate's
-qubit axes and writes the result back in place: one matrix product per gate,
-with no shortcut for any gate kind.  Gates act at the qubit level;
-Jordan-Wigner bookkeeping is the caller's responsibility.  No benchmark
-workload and no protocol path applies a gate here; through `sector` and
-`tableau` they read only `gate_matrix`.  The protocol builds its start
-states and runs its number-conserving circuits in their particle-number
-sectors (`sector.py`), bounded by their size rather than by QUBIT_CAP,
-which guards only the dense register here.  This gate-level path and the
-dense JW operators below are the oracles the tests, and for the gates
-`fermispec verify`, hold that sector code to.
+axis; `apply_gate` and `occupations` take n as an argument.
+Qubit 0 is the first tensor axis (most significant bit of the flat index).
+`apply_gate` contracts a gate's `circuits.gate_matrix`, the one gate table
+the tableau and `sector` simulators read too, over the gate's qubit axes and
+writes the result back in place: one matrix product per gate, with no
+shortcut for any gate kind.  Gates act at the qubit level; Jordan-Wigner
+bookkeeping is the caller's responsibility.  No runtime module imports this
+one: the protocol runs its start states and number-conserving circuits in
+their particle-number sectors (`sector.py`), bounded by their size rather
+than by QUBIT_CAP, which guards only the dense register here.  This
+gate-level path and the dense JW operators below are the oracles the tests,
+and for the gates `fermispec verify`, hold that sector code to.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .circuits import Circuit, Gate, GateKind
+from .circuits import Circuit, Gate, GateKind, gate_matrix
 
 QUBIT_CAP = 20
-
-_1Q = {
-    GateKind.X: np.array([[0, 1], [1, 0]], dtype=complex),
-    GateKind.Z: np.diag([1, -1]).astype(complex),
-    GateKind.S: np.diag([1, 1j]).astype(complex),
-    GateKind.SDG: np.diag([1, -1j]).astype(complex),
-}
-
-_CZ = np.diag([1, 1, 1, -1]).astype(complex)
-_SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
-                 dtype=complex)
-_FSWAP = _SWAP @ _CZ
-_CX = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-               dtype=complex)
-# controlled-iY = CZ . CX
-_CY = _CZ @ _CX
-
-
-def gate_matrix(gate: Gate) -> np.ndarray:
-    """Dense 2x2 or 4x4 unitary of a gate (two-qubit basis |q_a q_b>)."""
-    k = gate.kind
-    if k in _1Q:
-        return _1Q[k]
-    if k is GateKind.RZ:
-        return np.diag([np.exp(-0.5j * gate.angle), np.exp(0.5j * gate.angle)])
-    if k is GateKind.CZ:
-        return _CZ
-    if k is GateKind.CX:
-        return _CX
-    if k is GateKind.CY:
-        return _CY
-    if k is GateKind.SWAP:
-        return _SWAP
-    if k is GateKind.FSWAP:
-        return _FSWAP
-    if k is GateKind.GIVENS:
-        c, sn = np.cos(gate.angle), np.sin(gate.angle)
-        m = np.eye(4, dtype=complex)
-        m[1, 1] = c
-        m[1, 2] = 1j * sn
-        m[2, 1] = 1j * sn
-        m[2, 2] = c
-        return m
-    raise ValueError(f"no matrix for {k}")
 
 
 def zero_state(num_qubits: int) -> np.ndarray:
@@ -80,15 +35,7 @@ def basis_state(num_qubits: int, bits) -> np.ndarray:
     return psi
 
 
-def _resolve_qubits(state: np.ndarray, num_qubits) -> int:
-    # a trailing batch axis of size 2 is ambiguous; callers pass num_qubits then
-    if num_qubits is not None:
-        return num_qubits
-    n = state.ndim
-    return n - 1 if n and state.shape[-1] != 2 else n
-
-
-def apply_gate(state: np.ndarray, gate: Gate, num_qubits: int | None = None) -> np.ndarray:
+def apply_gate(state: np.ndarray, gate: Gate, num_qubits: int) -> np.ndarray:
     """Apply a gate in place from its gate_matrix and return the state.
 
     The gate's qubit axes are moved to the front and flattened into the row
@@ -97,9 +44,8 @@ def apply_gate(state: np.ndarray, gate: Gate, num_qubits: int | None = None) -> 
     """
     if gate.kind is GateKind.BARRIER:
         return state
-    n = _resolve_qubits(state, num_qubits)
-    if max(gate.qubits) >= n:
-        raise IndexError(f"gate {gate} out of range for {n} qubits")
+    if max(gate.qubits) >= num_qubits:
+        raise IndexError(f"gate {gate} out of range for {num_qubits} qubits")
     view = np.moveaxis(state, gate.qubits, range(len(gate.qubits)))
     m = gate_matrix(gate)
     np.copyto(view, (m @ view.reshape(len(m), -1)).reshape(view.shape))
@@ -127,16 +73,11 @@ def circuit_unitary(circuit: Circuit) -> np.ndarray:
     return run_circuit(circuit, np.eye(dim).reshape((2,) * n + (dim,))).reshape(dim, dim)
 
 
-def occupations(state: np.ndarray, num_qubits: int | None = None) -> np.ndarray:
+def occupations(state: np.ndarray, num_qubits: int) -> np.ndarray:
     """<n_q> for every qubit q; batched states return shape (n, batch)."""
-    n = _resolve_qubits(state, num_qubits)
     p = np.abs(state) ** 2
-    out = []
-    for q in range(n):
-        taken = np.take(p, 1, axis=q)
-        axes = tuple(range(n - 1))  # remaining qubit axes; batch axis survives
-        out.append(taken.sum(axis=axes))
-    return np.array(out)
+    rest = tuple(range(num_qubits - 1))  # remaining qubit axes; batch axis survives
+    return np.array([np.take(p, 1, axis=q).sum(axis=rest) for q in range(num_qubits)])
 
 
 def unitaries_equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:

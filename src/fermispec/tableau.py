@@ -22,8 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuits import PARAMETRIC_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, GateKind
-from .statevector import gate_matrix
+from .circuits import (PARAMETRIC_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, GateKind,
+                       gate_matrix)
 
 _HALF_PI = math.pi / 2
 
@@ -121,10 +121,6 @@ class CliffordTableau:
                 and np.array_equal(self.x, other.x)
                 and np.array_equal(self.z, other.z)
                 and np.array_equal(self.sign, other.sign))
-
-    def __hash__(self):
-        return hash((self.num_qubits, self.x.tobytes(), self.z.tobytes(),
-                     self.sign.tobytes()))
 
     def __repr__(self):
         return f"CliffordTableau(num_qubits={self.num_qubits})"

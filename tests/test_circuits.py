@@ -26,6 +26,12 @@ def test_gate_validation():
         Circuit(2, (cz(0, 2),))
 
 
+def test_negative_qubit_count_rejected():
+    with pytest.raises(ValueError, match="num_qubits must be >= 0, got -5"):
+        Circuit(-5, ())
+    assert len(Circuit(0, ())) == 0
+
+
 def test_angle_tolerance_equality():
     assert rz(0.5, 0) == rz(0.5 + 1e-13, 0)
     assert rz(0.5, 0) != rz(0.5 + 1e-9, 0)

@@ -298,6 +298,21 @@ def test_non_finite_depth_penalty_rejected(penalty):
         FFTPlan(9, 3, InterleaveStrategy.GRAPH_DECIMATED, penalty)
 
 
+@pytest.mark.parametrize("penalty", ["0.5", None, True, np.bool_(False), 1j])
+def test_non_real_depth_penalty_rejected(penalty):
+    g = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+    with pytest.raises(ValueError, match="depth_penalty must be a real number"):
+        decimate(g, penalty)
+    with pytest.raises(ValueError, match="depth_penalty must be a real number"):
+        FFTPlan(9, 3, InterleaveStrategy.GRAPH_DECIMATED, penalty)
+
+
+def test_negative_qubit_count_rejected():
+    with pytest.raises(ValueError, match="num_qubits must be >= 0, got -2"):
+        CZGraph(-2, frozenset())
+    assert CZGraph(0, frozenset()).num_edges == 0
+
+
 # sha256 of format_circuit(decimate(g, p)): per n, the four _seeded_graphs(n)
 # at p in {0, 0.5, 2}; per interleave, the default p.  Any change to a chosen
 # move, a tie-break or an emitted gate changes a digest.

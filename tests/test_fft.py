@@ -311,10 +311,10 @@ def test_ground_state_momenta_count():
 def test_prep_vacuum_and_full():
     n = 4
     empty = ground_state_prep_circuit(n, [])
-    occ = occupations(run_circuit(empty))
+    occ = occupations(run_circuit(empty), n)
     assert np.max(np.abs(occ)) < 1e-12
     full = ground_state_prep_circuit(n, range(n))
-    occ = occupations(run_circuit(full))
+    occ = occupations(run_circuit(full), n)
     assert np.max(np.abs(occ - 1)) < 1e-12
 
 
@@ -325,7 +325,7 @@ def test_prep_matches_momentum_state():
     prep = ground_state_prep_circuit(n, filled)
     state = run_circuit(prep)
     fwd = fft_circuit(n, 2)
-    occ = occupations(run_circuit(fwd, state))
+    occ = occupations(run_circuit(fwd, state), n)
     want = np.zeros(n)
     want[filled] = 1
     assert np.max(np.abs(occ - want)) < 1e-10

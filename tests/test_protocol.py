@@ -1,4 +1,5 @@
 import hashlib
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -243,6 +244,11 @@ def test_strong_coupling_exact_at_nu_zero():
     assert verify.strong_coupling_exact([cfg, replace(cfg, environment="full")], OMEGAS, 1e-12)
     wrong = verify.strong_coupling_exact([replace(cfg, nu=1.0)], OMEGAS, 1e-12)
     assert not wrong and "N=9, nu=1" in wrong.detail
+
+
+def test_strong_coupling_requires_free_fermions():
+    with pytest.raises(ValueError, match="requires V = 0"):
+        strong_coupling_leading(ProtocolConfig(4, 0.1, interaction=2.0), [0.0])
 
 
 def test_strong_coupling_full_rabi():
@@ -952,7 +958,7 @@ def _gate_level_environment_grid(config, omegas):
         for filling, state in (("empty", empty), ("full", full)):
             for _ in range(config.trotter_steps):
                 state = sv.run_circuit(step, state)
-            occ = sv.occupations(sv.run_circuit(readout, state))[n:]
+            occ = sv.occupations(sv.run_circuit(readout, state), 2 * n)[n:]
             vals[:, iw] += occ if filling == "empty" else 1 - occ
     return SpectralGrid(config.momenta(), omegas, vals, "gate-level")
 
@@ -1017,6 +1023,20 @@ def test_config_takes_only_sites_and_coupling_positionally():
     cfg = ProtocolConfig(4, 0.3, t=2.0, initial_state=[1, 0, 0, 1])
     assert "omega" not in cfg.snapshot()
     assert nk_gaussian(cfg, [0.5]).meta["config"] == cfg.snapshot()
+
+
+def test_numpy_typed_config_meta_is_json():
+    """numpy scalars in a config reach the grid's meta as the Python numbers
+    they hold, so the meta dumps to JSON."""
+    cfg = ProtocolConfig(np.int64(4), np.float32(0.3), t=np.float32(2.0),
+                         trotter_steps=np.int32(3), initial_state=np.array([1, 0, 0, 1]))
+    got = json.loads(json.dumps(nk_gaussian(cfg, [0.5]).meta))["config"]
+    assert got == {"n_sites": 4, "epsilon": float(np.float32(0.3)), "t": 2.0, "nu": 1.0,
+                   "interaction": 0.0, "trotter_steps": 3, "environment": "empty",
+                   "initial_state": [1.0, 0.0, 0.0, 1.0]}
+    snap = cfg.snapshot()
+    assert all(type(snap[name]) is want for name, want in (
+        ("n_sites", int), ("epsilon", float), ("t", float), ("trotter_steps", int)))
 
 
 _OMEGA_ENTRY_POINTS = {

@@ -42,6 +42,12 @@ def test_basis_rejects_impossible_particle_numbers():
         sector.Basis(3, [4])
 
 
+@pytest.mark.parametrize("ks", [None, [0]])
+def test_basis_rejects_negative_qubit_count(ks):
+    with pytest.raises(ValueError, match="num_qubits must be >= 0, got -1"):
+        sector.Basis(-1, ks)
+
+
 def test_basis_of_any_width():
     """Up to 63 qubits the bitstrings are int64 (qubit 0 of 63 is bit 62, the
     top bit of a nonnegative int64); wider registers hold Python ints."""

@@ -1,12 +1,32 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 
+import fermispec
 from fermispec.circuits import (PARAMETRIC_KINDS, TWO_QUBIT_KINDS, Circuit, Gate,
-                                GateKind, cx, cy, cz, givens, rz, s, swap, x, z)
+                                GateKind, cx, cy, cz, gate_matrix, givens, rz, s, swap,
+                                x, z)
 from fermispec import statevector as sv
 
 from strategies import any_circuits
+
+
+def test_runtime_modules_do_not_load_statevector():
+    """The dense statevector is an oracle: the package and every runtime
+    module import without it, since the gate table lives in circuits."""
+    code = ("import sys\n"
+            "import fermispec\n"
+            "from fermispec import circuits, czgraph, tableau, sector, gaussian, fft, protocol\n"
+            "assert 'fermispec.statevector' not in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(fermispec.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_z_on_zero():
@@ -16,20 +36,20 @@ def test_z_on_zero():
 
 def test_cz_on_11():
     psi = sv.basis_state(2, (1, 1))
-    out = sv.apply_gate(psi, cz(0, 1))
+    out = sv.apply_gate(psi, cz(0, 1), 2)
     assert np.allclose(out, -sv.basis_state(2, (1, 1)))
 
 
 def test_real_state_is_refused():
     """A gate never drops the imaginary part of its result into a real state."""
     with pytest.raises(TypeError):
-        sv.apply_gate(np.array([0.0, 1.0]), s(0))
+        sv.apply_gate(np.array([0.0, 1.0]), s(0), 1)
 
 
 def test_givens_convention():
     # GIVENS(pi/4) on |01> -> cos(pi/4)|01> + i sin(pi/4)|10>
     psi = sv.basis_state(2, (0, 1))
-    out = sv.apply_gate(psi, givens(np.pi / 4, 0, 1))
+    out = sv.apply_gate(psi, givens(np.pi / 4, 0, 1), 2)
     want = (np.cos(np.pi / 4) * sv.basis_state(2, (0, 1))
             + 1j * np.sin(np.pi / 4) * sv.basis_state(2, (1, 0)))
     assert np.allclose(out, want)
@@ -41,29 +61,29 @@ def test_givens_matches_matrix_exponential():
     yy = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
     for theta in (0.3, -1.1, np.pi / 4):
         want = expm(1j * (xx + yy) * theta / 2)
-        got = sv.gate_matrix(givens(theta, 0, 1))
+        got = gate_matrix(givens(theta, 0, 1))
         assert np.max(np.abs(want - got)) < 1e-12
 
 
 def test_cy_equals_cz_after_cx():
     u = sv.circuit_unitary(Circuit(2, (cx(0, 1), cz(0, 1))))
-    assert np.allclose(u, sv.gate_matrix(cy(0, 1)))
+    assert np.allclose(u, gate_matrix(cy(0, 1)))
     # one qubit: the identity batch has the shape (2, 2) of a 2-qubit register
     gates = (x(0), s(0), rz(0.3, 0))
-    want = np.linalg.multi_dot([sv.gate_matrix(g) for g in reversed(gates)])
+    want = np.linalg.multi_dot([gate_matrix(g) for g in reversed(gates)])
     assert np.allclose(sv.circuit_unitary(Circuit(1, gates)), want)
 
 
 def test_fswap_is_swap_then_cz():
     from fermispec.circuits import fswap
-    got = sv.gate_matrix(fswap(0, 1))
-    want = sv.gate_matrix(swap(0, 1)) @ sv.gate_matrix(cz(0, 1))
+    got = gate_matrix(fswap(0, 1))
+    want = gate_matrix(swap(0, 1)) @ gate_matrix(cz(0, 1))
     assert np.allclose(got, want)
 
 
 def _einsum_apply(state, gate):
     """Contract gate_matrix over the gate's qubit axes of a (batched) state."""
-    op = sv.gate_matrix(gate).reshape((2,) * (2 * len(gate.qubits)))
+    op = gate_matrix(gate).reshape((2,) * (2 * len(gate.qubits)))
     axes = "abcdefghijklmnopqrstuvwxyz"[:state.ndim]
     new = "ABCD"[:len(gate.qubits)]
     out = list(axes)
@@ -83,13 +103,13 @@ def test_apply_gate_matches_einsum_oracle(kind):
         for batch in ((), (3,), (2,)):
             angle = float(rng.uniform(-4, 4)) if kind in PARAMETRIC_KINDS else None
             gate = Gate(kind, qubits, angle)
-            matrix = sv.gate_matrix(gate).copy()
+            matrix = gate_matrix(gate).copy()
             shape = (2,) * n + batch
             psi = rng.normal(size=shape) + 1j * rng.normal(size=shape)
             want = _einsum_apply(psi, gate)
             got = sv.apply_gate(psi.copy(), gate, n)
             assert np.max(np.abs(got - want)) < 1e-12, (gate, batch)
-            assert np.array_equal(sv.gate_matrix(gate), matrix)
+            assert np.array_equal(gate_matrix(gate), matrix)
 
 
 def test_norm_preserved_random():
@@ -103,7 +123,7 @@ def test_norm_preserved_random():
 
 def test_occupations():
     c = Circuit(3, (x(1),))
-    occ = sv.occupations(sv.run_circuit(c))
+    occ = sv.occupations(sv.run_circuit(c), 3)
     assert np.allclose(occ, [0, 1, 0])
 
 

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermispec.circuits import (PARAMETRIC_KINDS, TWO_QUBIT_KINDS, Circuit, Gate,
-                                GateKind, cx, cz, givens, rz, s, z)
-from fermispec.statevector import circuit_unitary, gate_matrix, unitaries_equal_up_to_phase
+                                GateKind, cx, cz, gate_matrix, givens, rz, s, z)
+from fermispec.statevector import circuit_unitary, unitaries_equal_up_to_phase
 from fermispec.tableau import (CliffordTableau, NonCliffordGateError, _cached_table,
                                tableau_of, tableau_of_cz_edges)
 
@@ -28,6 +28,13 @@ def test_identity_tableau():
 
 def test_cx_self_inverse():
     assert tableau_of(Circuit(2, (cx(0, 1), cx(0, 1)))) == CliffordTableau(2)
+
+
+def test_tableau_is_unhashable():
+    """A tableau is mutable and compares by value, so it has no hash."""
+    t = tableau_of(Circuit(2, (cx(0, 1),)))
+    with pytest.raises(TypeError):
+        hash(t)
 
 
 def test_simple_inequivalence():
