@@ -21,6 +21,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Integral
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -138,6 +139,15 @@ def barrier() -> Gate:
     return Gate(GateKind.BARRIER, ())
 
 
+def require_qubit_count(num_qubits) -> None:
+    """Raise ValueError naming `num_qubits` unless it is a non-negative
+    integer (a bool is not one)."""
+    if isinstance(num_qubits, bool) or not isinstance(num_qubits, Integral):
+        raise ValueError(f"num_qubits must be an integer, got {num_qubits!r}")
+    if num_qubits < 0:
+        raise ValueError(f"num_qubits must be >= 0, got {num_qubits}")
+
+
 @dataclass(frozen=True)
 class Circuit:
     """Ordered gate list on `num_qubits` qubits; first gate applies first."""
@@ -146,8 +156,7 @@ class Circuit:
     meta: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.num_qubits < 0:
-            raise ValueError(f"num_qubits must be >= 0, got {self.num_qubits}")
+        require_qubit_count(self.num_qubits)
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             if any(q >= self.num_qubits for q in g.qubits):

@@ -34,7 +34,7 @@ from numbers import Real
 
 import numpy as np
 
-from .circuits import Circuit, Gate, cz, cx, cy, z
+from .circuits import Circuit, Gate, cz, cx, cy, require_qubit_count, z
 from .tableau import CliffordTableau, tableau_of, tableau_of_cz_edges
 
 
@@ -51,8 +51,7 @@ class CZGraph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        if self.num_qubits < 0:
-            raise ValueError(f"num_qubits must be >= 0, got {self.num_qubits}")
+        require_qubit_count(self.num_qubits)
         object.__setattr__(self, "edges", frozenset(_norm_edge(e) for e in self.edges))
         for (a, b) in self.edges:
             if not (0 <= a < self.num_qubits and 0 <= b < self.num_qubits):

@@ -30,6 +30,19 @@ the transfer's blocks are
 
 (`coupled_transfer`), and one eigendecomposition of H_s serves every omega.
 `mode_propagator(coupled_hamiltonian(...))` is the dense 2N x 2N oracle.
+
+The environment's momentum occupations after the transfer are read in the
+same eigenbasis (`eigenbasis_occupations`).  With F = `dft_matrix(N)`, any
+Hermitian start correlation C of the system and Q = U^T F, the environment
+block T_se^T C conj(T_se) has the momentum diagonal
+
+    n(k) = Re sum_m V[m, k] (D conj(V))[m, k],   V = diag(beta) Q,  D = U^T C U,
+
+so D and Q are formed once per U (Q as sqrt(N) times the inverse FFT along
+the rows of U^T) and each omega costs one N x N complex product.  A filled
+environment adds the diagonal of T_ee T_ee^dag read through F,
+sum_m |gamma_m|^2 |Q[m, k]|^2.  `evolve_gaussian` followed by
+`momentum_occupations` is its oracle.
 """
 from __future__ import annotations
 
@@ -167,3 +180,14 @@ def coupled_transfer(levels: np.ndarray, epsilon: float, omega: float,
     s = t * np.sinc(r * t / np.pi)
     g = np.exp(-0.5j * t * (levels + omega))
     return -1j * e * s * g, g * (np.cos(r * t) + 1j * delta * s)
+
+
+def eigenbasis_occupations(d: np.ndarray, q: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Momentum diagonal of the environment block T_se^T C conj(T_se), with
+    T_se = U diag(beta) U^T, read from D = U^T C U and Q = U^T F (see the
+    module docstring): Re sum_m V[m, k] (D conj(V))[m, k], V = diag(beta) Q.
+    D is Hermitian, so this is the real part of its conjugate,
+    sum_m conj(V[m, k]) (D^T V)[m, k], which `np.vecdot` forms without
+    conjugating V."""
+    v = beta[:, None] * q
+    return np.vecdot(v, d.T @ v, axis=0).real

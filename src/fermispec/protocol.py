@@ -39,9 +39,8 @@ from .circuits import Circuit, Gate, cx, cz, givens, remap, rz
 from .fft import (InterleaveStrategy, fft_circuit, fft_radix, ground_state_momenta,
                   ground_state_prep_circuit, interleave_circuit,
                   interleave_permutation)
-from .gaussian import (basis_product, chain_bonds, chain_hopping, coupled_transfer,
-                       evolve_gaussian, momentum_occupations,
-                       state_from_momentum_occupations)
+from .gaussian import (chain_bonds, chain_hopping, coupled_transfer,
+                       eigenbasis_occupations, state_from_momentum_occupations)
 from . import sector
 
 
@@ -286,30 +285,36 @@ def nk_gaussian(config: ProtocolConfig, omegas) -> SpectralGrid:
 
     The initial correlation (momentum-diagonal system, empty or full
     environment) has no system-environment block, so the evolved environment
-    block is the system block carried through T_se, plus, for the full
-    environment, the filled block carried through T_ee, which is
-    U diag(|gamma|^2) U^T.  The real-space hopping H_s = U diag(lambda) U^T is
-    diagonalized once per call; each omega then forms T_se = U diag(beta) U^T
-    from `coupled_transfer` and costs O(N^3).  The environment block's
-    momentum diagonal is read by FFT; the filled environment reports 1 - n(k).
+    block is the system block C carried through T_se, plus, for the full
+    environment, the filled block carried through T_ee.  Once per call the
+    real-space hopping H_s = U diag(lambda) U^T is diagonalized, and C and the
+    DFT are brought into its eigenbasis as D = U^T C U and Q = U^T F.  Each
+    omega then takes (beta, gamma) from `coupled_transfer` and reads n(k)
+    with `eigenbasis_occupations`, one N x N complex product; the filled
+    environment adds |gamma|^2 @ |Q|^2 and reports 1 - n(k).
     """
     _require_free(config, "nk_gaussian")
     omegas = _omega_grid(omegas)
     n = config.n_sites
-    # N x N arrays held at once: the real U and eight complex ones (start
-    # state, DFT, T_se, three evolve and two FFT temporaries)
-    _require_memory((8 + 8 * 16) * n * n, f"nk_gaussian at N = {n} would hold its N x N arrays")
+    # N x N arrays, counted as if held at once: the real U and |Q|^2 and six
+    # complex ones (start state, DFT, Q, D, and per omega V and D^T V)
+    _require_memory((2 * 8 + 6 * 16) * n * n,
+                    f"nk_gaussian at N = {n} would hold its N x N arrays")
     ks = config.momenta()
     sys0 = state_from_momentum_occupations(config.rho())
     levels, u = np.linalg.eigh(chain_hopping(n, config.nu))
+    d = np.empty_like(sys0)         # U^T C U; U is real, so real products
+    d.real = u.T @ sys0.real @ u
+    d.imag = u.T @ sys0.imag @ u
+    del sys0                        # free C: only D is read from here on
+    q = np.fft.ifft(u.T, axis=1)
+    q *= math.sqrt(n)
+    filled = np.abs(q) ** 2 if config.environment == "full" else None
     vals = np.zeros((n, len(omegas)))
     for iw, om in enumerate(omegas):
         beta, gamma = coupled_transfer(levels, config.epsilon, om, config.t)
-        env_corr = evolve_gaussian(sys0, basis_product(u, beta, u.T))
-        if config.environment == "full":
-            env_corr += basis_product(u, np.abs(gamma) ** 2, u.T)
-        nk = momentum_occupations(env_corr)
-        vals[:, iw] = nk if config.environment == "empty" else 1 - nk
+        nk = eigenbasis_occupations(d, q, beta)
+        vals[:, iw] = nk if filled is None else 1 - nk - np.abs(gamma) ** 2 @ filled
     return SpectralGrid(ks, omegas, vals, "gaussian", {"config": config.snapshot()})
 
 

@@ -32,6 +32,12 @@ def test_negative_qubit_count_rejected():
     assert len(Circuit(0, ())) == 0
 
 
+@pytest.mark.parametrize("count", [2.5, 2.0, True, "2"])
+def test_non_integer_qubit_count_rejected(count):
+    with pytest.raises(ValueError, match=f"num_qubits must be an integer, got {count!r}"):
+        Circuit(count, (cz(0, 1),))
+
+
 def test_angle_tolerance_equality():
     assert rz(0.5, 0) == rz(0.5 + 1e-13, 0)
     assert rz(0.5, 0) != rz(0.5 + 1e-9, 0)

@@ -313,6 +313,12 @@ def test_negative_qubit_count_rejected():
     assert CZGraph(0, frozenset()).num_edges == 0
 
 
+@pytest.mark.parametrize("count", [True, 2.0, 2.5])
+def test_non_integer_qubit_count_rejected(count):
+    with pytest.raises(ValueError, match=f"num_qubits must be an integer, got {count!r}"):
+        CZGraph(count, frozenset())
+
+
 # sha256 of format_circuit(decimate(g, p)): per n, the four _seeded_graphs(n)
 # at p in {0, 0.5, 2}; per interleave, the default p.  Any change to a chosen
 # move, a tie-break or an emitted gate changes a digest.

@@ -48,6 +48,13 @@ def test_basis_rejects_negative_qubit_count(ks):
         sector.Basis(-1, ks)
 
 
+@pytest.mark.parametrize("ks", [None, [1]])
+@pytest.mark.parametrize("count", [3.0, 2.5, False])
+def test_basis_rejects_non_integer_qubit_count(count, ks):
+    with pytest.raises(ValueError, match=f"num_qubits must be an integer, got {count!r}"):
+        sector.Basis(count, ks)
+
+
 def test_basis_of_any_width():
     """Up to 63 qubits the bitstrings are int64 (qubit 0 of 63 is bit 62, the
     top bit of a nonnegative int64); wider registers hold Python ints."""
