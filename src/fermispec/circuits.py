@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from numbers import Integral
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -289,7 +289,29 @@ def remap(circuit: Circuit, qubit_map: Sequence[int], num_qubits: int) -> Circui
 # blank line = barrier, '#' starts a comment.
 # ---------------------------------------------------------------------------
 
-_GATE_RE = re.compile(r"([A-Za-z]+)\s*\(([^()]*)\)")
+_GATE_RE = re.compile(r"\s*([A-Za-z]+)\s*\(([^()]*)\)")
+_GATES_LINE_RE = re.compile(rf"(?:{_GATE_RE.pattern})+\s*")
+_HEADER_RE = re.compile(r"\s*qubits:\s*([0-9]+)\s*")
+
+
+def listing_qubits(text: str, indices: Iterable[int], num_qubits: int | None) -> int:
+    """Register size of a gate or edge listing: an explicit `num_qubits`, else
+    the listing's `# qubits: n` header, else max(1, 1 + the highest of
+    `indices`).  A comment that holds `qubits:` is the header; a malformed
+    header, or a second one, raises ValueError naming its line."""
+    declared = None
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        comment = raw.partition("#")[2]
+        if "qubits:" not in comment:
+            continue
+        m = _HEADER_RE.fullmatch(comment)
+        if m is None or declared is not None:
+            what = "a second" if m else "expected a"
+            raise ValueError(f"line {lineno}: {what} '# qubits: n' header, got {raw.strip()!r}")
+        declared = int(m.group(1))
+    if num_qubits is None and declared is None:
+        return max(1, 1 + max(indices, default=-1))
+    return declared if num_qubits is None else num_qubits
 
 
 def format_circuit(circuit: Circuit) -> str:
@@ -309,42 +331,31 @@ def parse_circuit(text: str, num_qubits: int | None = None) -> Circuit:
     """Parse the text format; accepts several gate tokens on one line.
 
     Interior blank lines become barriers (matching the layer separators of
-    shipped gate listings); leading/trailing blank lines are ignored.
+    shipped gate listings); leading/trailing blank lines and comment lines
+    are ignored.  Text before a '#' that is not gate tokens raises
+    ValueError naming its line; the register size is `listing_qubits`.
     """
     gates: list[Gate] = []
-    declared = num_qubits
     pending_blank = False
-    seen_any = False
-    for raw in text.splitlines():
-        line = raw.strip()
-        if line.startswith("#"):
-            m = re.search(r"qubits:\s*(\d+)", line)
-            if m and declared is None:
-                declared = int(m.group(1))
-            continue
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.partition("#")[0].strip()
         if not line:
-            if seen_any:
-                pending_blank = True
+            pending_blank |= bool(gates) and not raw.strip()    # a comment line is no barrier
             continue
+        if not _GATES_LINE_RE.fullmatch(line):
+            raise ValueError(f"line {lineno}: expected gates such as CZ(0,1), got {line!r}")
         if pending_blank:
             gates.append(barrier())
             pending_blank = False
         for name, args in _GATE_RE.findall(line):
-            kind = GateKind(name.upper())
-            parts = [p.strip() for p in args.split(",") if p.strip()]
-            if kind in PARAMETRIC_KINDS:
-                angle = float(parts[0])
-                qubits = tuple(int(p) for p in parts[1:])
-                gates.append(Gate(kind, qubits, angle))
-            elif kind is GateKind.BARRIER:
-                gates.append(barrier())
-            else:
-                gates.append(Gate(kind, tuple(int(p) for p in parts)))
-            seen_any = True
-    n = declared
-    if n is None:
-        n = 1 + max((q for g in gates for q in g.qubits), default=-1)
-        n = max(n, 1)
+            try:
+                kind = GateKind(name.upper())
+                parts = args.split(",") if args.strip() else []
+                angle = float(parts.pop(0)) if parts and kind in PARAMETRIC_KINDS else None
+                gates.append(Gate(kind, tuple(map(int, parts)), angle))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+    n = listing_qubits(text, (q for g in gates for q in g.qubits), num_qubits)
     return Circuit(n, tuple(gates))
 
 

@@ -34,7 +34,7 @@ from numbers import Real
 
 import numpy as np
 
-from .circuits import Circuit, Gate, cz, cx, cy, require_qubit_count, z
+from .circuits import Circuit, Gate, cz, cx, cy, listing_qubits, require_qubit_count, z
 from .tableau import CliffordTableau, tableau_of, tableau_of_cz_edges
 
 
@@ -222,27 +222,22 @@ def verify_equivalence(circuit: Circuit, graph: CZGraph) -> bool:
 # --------------------------------------------------------------------------
 
 def parse_edge_list(text: str, num_qubits: int | None = None) -> CZGraph:
-    """Parse the edge-list format; an explicit `num_qubits` wins over a
-    `# qubits:` header, as in `parse_circuit`."""
-    edges = []
-    declared = num_qubits
+    """Parse the edge-list format; the register size is `listing_qubits`, as
+    in `parse_circuit`.  A malformed line, or an edge listed twice in either
+    order (CZ squares to the identity), raises ValueError naming its line."""
+    edges: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.partition("#")[0].strip()
         if not line:
-            if "qubits:" in raw and num_qubits is None:
-                value = raw.split("qubits:")[1].strip()
-                if not value.isdecimal():
-                    raise ValueError(f"line {lineno}: expected '# qubits: n', got {raw.strip()!r}")
-                declared = int(value)
             continue
         fields = line.split()
         if len(fields) != 2 or not all(f.isdecimal() for f in fields):
             raise ValueError(f"line {lineno}: expected 'i j', got {line!r}")
-        edges.append((int(fields[0]), int(fields[1])))
-    n = declared
-    if n is None:
-        n = 1 + max((q for e in edges for q in e), default=-1)
-        n = max(n, 1)
+        a, b = int(fields[0]), int(fields[1])
+        if (a, b) in edges or (b, a) in edges:
+            raise ValueError(f"line {lineno}: repeated edge ({a}, {b})")
+        edges.add((a, b))
+    n = listing_qubits(text, (q for e in edges for q in e), num_qubits)
     return graph_from_edges(n, edges)
 
 

@@ -36,7 +36,7 @@ import numpy as np
 from .circuits import (Circuit, Gate, GateKind, cz, cx, fswap, givens, remap,
                        rz, s, sdg, x, z, parse_circuit, invert)
 from .czgraph import CZGraph, check_depth_penalty, decimate, graph_from_edges
-from .gaussian import extract_mode_transform
+from .gaussian import band_energies, extract_mode_transform
 from .tableau import tableau_of, tableau_of_cz_edges
 
 _BETA = math.acos(1 / math.sqrt(3))
@@ -362,9 +362,8 @@ def single_particle_transfer(circuit: Circuit) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 def ground_state_momenta(num_modes: int, nu: float) -> tuple[int, ...]:
-    """Momentum indices with single-particle energy 2*nu*cos(2*pi*j/N) < 0."""
-    ks = 2 * np.pi * np.arange(num_modes) / num_modes
-    return tuple(int(j) for j in np.nonzero(2 * nu * np.cos(ks) < 0)[0])
+    """Momentum indices j with single-particle energy `band_energies`[j] < 0."""
+    return tuple(int(j) for j in np.nonzero(band_energies(num_modes, nu) < 0)[0])
 
 
 def ground_state_prep_circuit(num_modes: int, filled_momenta) -> Circuit:

@@ -118,8 +118,16 @@ def momentum_occupations(corr: np.ndarray) -> np.ndarray:
 
 def chain_bonds(n: int) -> range:
     """Nearest-neighbour bonds (j, j+1 mod n) of the periodic chain; two sites
-    share a single bond."""
+    share a single bond, so `band_energies` halves there."""
     return range(n if n > 2 else n - 1)
+
+
+def band_energies(num_sites: int, nu: float) -> np.ndarray:
+    """Levels of `chain_hopping` at k = 2 pi m / N, in m order: each of the
+    `chain_bonds` adds nu (e^{ik} + e^{-ik}) / N, so 2 nu cos k for N >= 3
+    and, with the one bond of N = 2, nu cos k."""
+    ks = 2 * np.pi * np.arange(num_sites) / num_sites
+    return (2 * len(chain_bonds(num_sites)) / num_sites) * nu * np.cos(ks)
 
 
 def chain_hopping(num_sites: int, nu: float) -> np.ndarray:
@@ -150,23 +158,11 @@ def coupled_hamiltonian(num_sites: int, nu: float, epsilon: float,
     return h
 
 
-def basis_product(left: np.ndarray, diag: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """(left * diag) @ right: left diag(diag) right.  With real left and right
-    and a complex diag it is two real products, one per part of diag, at half
-    the flops of one complex product."""
-    if np.iscomplexobj(left) or np.iscomplexobj(right) or not np.iscomplexobj(diag):
-        return (left * diag) @ right
-    out = np.empty((left.shape[0], right.shape[1]), dtype=complex)
-    out.real = (left * diag.real) @ right
-    out.imag = (left * diag.imag) @ right
-    return out
-
-
 def mode_propagator(h: np.ndarray, t: float) -> np.ndarray:
     """The transfer T = exp(-i t h) of exp(+i H t): with the Hermitian
     eigendecomposition h = v diag(w) v^dag it is (v * e^{-i t w}) @ v^dag."""
     w, v = np.linalg.eigh(h)
-    return basis_product(v, np.exp(-1j * t * w), v.conj().T)
+    return (v * np.exp(-1j * t * w)) @ v.conj().T
 
 
 def coupled_transfer(levels: np.ndarray, epsilon: float, omega: float,

@@ -15,12 +15,13 @@ completely filled environment measures <1 - n(k)> and yields the hole part
 A-.  For the free hopping Hamiltonian H_sys = nu * sum_j (c_j^dag c_{j+1}
 + h.c.) the outcome is known in closed form:
 
-    <n(k)> = eps^2 sin^2(t*Omega) / (eps^2 + (omega - 2 nu cos k)^2) * rho_k,
-    Omega  = sqrt(eps^2 + (omega - 2 nu cos k)^2) / 2,
+    <n(k)> = eps^2 sin^2(t*Omega) / (eps^2 + (omega - e_k)^2) * rho_k,
+    Omega  = sqrt(eps^2 + (omega - e_k)^2) / 2,
 
-with the hole density 1 - rho_k replacing rho_k in the filled-environment
-reading (the two-mode strong-coupling solution fixes this; the functional
-form is unchanged).
+with the band e_k = 2 nu cos k (`gaussian.band_energies`; nu cos k at N = 2,
+whose two sites share one bond) and the hole density 1 - rho_k replacing
+rho_k in the filled-environment reading (the two-mode strong-coupling
+solution fixes this; the functional form is unchanged).
 
 Everything (Fourier signs, Heisenberg direction, JW ordering c_0,d_0,c_1,...)
 is pinned by requiring the Gaussian simulation, the closed form, and the
@@ -39,7 +40,7 @@ from .circuits import Circuit, Gate, cx, cz, givens, remap, rz
 from .fft import (InterleaveStrategy, fft_circuit, fft_radix, ground_state_momenta,
                   ground_state_prep_circuit, interleave_circuit,
                   interleave_permutation)
-from .gaussian import (chain_bonds, chain_hopping, coupled_transfer,
+from .gaussian import (band_energies, chain_bonds, chain_hopping, coupled_transfer,
                        eigenbasis_occupations, state_from_momentum_occupations)
 from . import sector
 
@@ -193,11 +194,9 @@ class DeltaLineSpectrum:
 
     @staticmethod
     def _free_band(config: ProtocolConfig, weights: np.ndarray) -> "DeltaLineSpectrum":
-        """One line per k at the band energy 2 nu cos k."""
-        ks = config.momenta()
-        return DeltaLineSpectrum(
-            ks, [np.array([2 * config.nu * np.cos(kk)]) for kk in ks],
-            [np.array([wk]) for wk in weights])
+        """One line per k at the band energy `band_energies`."""
+        centers = band_energies(config.n_sites, config.nu)
+        return DeltaLineSpectrum(config.momenta(), list(centers[:, None]), list(weights[:, None]))
 
 
 def convolve_kernel(spectrum: DeltaLineSpectrum, kern: Kernel,
@@ -241,39 +240,36 @@ def _require_free(config: ProtocolConfig, what: str) -> None:
         raise ValueError(f"{what} requires V = 0 (free fermions)")
 
 
-def nk_exact_free(config: ProtocolConfig, omegas) -> SpectralGrid:
-    """Closed-form environment occupation for the free hopping Hamiltonian."""
-    _require_free(config, "nk_exact_free")
+def _two_level(config: ProtocolConfig, omegas, band: np.ndarray, what: str,
+               method: str) -> SpectralGrid:
+    """Per k the two-level Rabi form eps^2 sin^2(t*Omega) / (eps^2 + delta^2),
+    delta = omega - band[k], times rho_k (empty environment) or 1 - rho_k
+    (full); 0 where eps = delta = 0."""
+    _require_free(config, what)
     omegas = _omega_grid(omegas)
     ks = config.momenta()
     rho = config.rho()
     weight = rho if config.environment == "empty" else 1 - rho
-    delta = omegas[None, :] - 2 * config.nu * np.cos(ks)[:, None]
+    delta = omegas[None, :] - band[:, None]
     rabi2 = config.epsilon ** 2 + delta ** 2
     omega_big = 0.5 * np.sqrt(rabi2)
     with np.errstate(invalid="ignore", divide="ignore"):
         vals = config.epsilon ** 2 * np.sin(config.t * omega_big) ** 2 / rabi2
     vals = np.where(rabi2 == 0, 0.0, vals) * weight[:, None]
-    return SpectralGrid(ks, omegas, vals, "exact-free",
-                        {"config": config.snapshot()})
+    return SpectralGrid(ks, omegas, vals, method, {"config": config.snapshot()})
+
+
+def nk_exact_free(config: ProtocolConfig, omegas) -> SpectralGrid:
+    """Closed-form environment occupation for the free hopping Hamiltonian."""
+    return _two_level(config, omegas, band_energies(config.n_sites, config.nu),
+                      "nk_exact_free", "exact-free")
 
 
 def strong_coupling_leading(config: ProtocolConfig, omegas) -> SpectralGrid:
     """Leading order in the hopping: sin^2(t*Omega0) eps^2/(w^2+eps^2) times
     rho_k (empty environment) or 1 - rho_k (full), as in `nk_exact_free`."""
-    _require_free(config, "strong_coupling_leading")
-    omegas = _omega_grid(omegas)
-    ks = config.momenta()
-    rho = config.rho()
-    weight = rho if config.environment == "empty" else 1 - rho
-    omega0 = 0.5 * np.sqrt(omegas ** 2 + config.epsilon ** 2)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        factor = (config.epsilon ** 2 * np.sin(config.t * omega0) ** 2
-                  / (omegas ** 2 + config.epsilon ** 2))
-    factor = np.nan_to_num(factor)
-    vals = weight[:, None] * factor[None, :]
-    return SpectralGrid(ks, omegas, vals, "strong-coupling",
-                        {"config": config.snapshot()})
+    return _two_level(config, omegas, np.zeros(config.n_sites),
+                      "strong_coupling_leading", "strong-coupling")
 
 
 # --------------------------------------------------------------------------
@@ -410,9 +406,7 @@ def _system_hamiltonian(config: ProtocolConfig, basis: sector.Basis) -> np.ndarr
         lo, hi = min(a, b), max(a, b)
         i01, i10 = basis.pair(lo, hi)
         between = sum(1 << (n - 1 - q) for q in range(lo + 1, hi))
-        # bitwise_count returns uint8, on which 1 - 2 * odd would wrap
-        odd = np.bitwise_count(basis.bits[i01] & between).astype(np.int64) & 1
-        h[i01, i10] = h[i10, i01] = config.nu * (1 - 2 * odd)
+        h[i01, i10] = h[i10, i01] = config.nu * sector.parity_sign(basis.bits[i01] & between)
         if config.interaction != 0:
             diag += config.interaction * (basis.occupied(a) & basis.occupied(b))
     np.fill_diagonal(h, diag)
@@ -510,7 +504,7 @@ def _sector_start(config: ProtocolConfig, environments: Sequence[str], state: tu
     env_bits = sum(1 << (2 * p) for p in range(n))
     # site j (bit p = n-1-j) has N - j = p + 1 odd when p is even
     z_string = sum(1 << p for p in range(0, n, 2))
-    filled_amps = amps * (1 - 2 * (np.bitwise_count(bits & z_string) & 1).astype(np.int64))
+    filled_amps = amps * sector.parity_sign(bits & z_string)
     numbers = basis.particle_numbers()
     masks = [numbers == k for k in sectors]
     start = np.zeros(len(basis), dtype=complex)

@@ -81,6 +81,12 @@ def _bitstrings(num_qubits: int, k: int, dtype: np.dtype) -> np.ndarray:
     return level[k]
 
 
+def parity_sign(x: np.ndarray) -> np.ndarray:
+    """(-1)^popcount(x) as int64, for int64 or object (Python int) bitstrings.
+    `np.bitwise_count` returns uint8, on which 1 - 2 * odd would wrap."""
+    return 1 - 2 * (np.bitwise_count(x).astype(np.int64) & 1)
+
+
 class Basis:
     """Sorted occupation bitstrings of `num_qubits` qubits.
 
@@ -146,9 +152,7 @@ class Basis:
             dst = np.minimum(np.searchsorted(self.bits, partner), len(self.bits) - 1)
             keep = self.bits[dst] == partner
             src, dst = src[keep], dst[keep]
-            # bitwise_count returns uint8, on which 1 - 2 * odd would wrap
-            before = np.bitwise_count(self.bits[src] >> (self.num_qubits - q)).astype(np.int64)
-            self._lowerings[q] = (src, dst, 1 - 2 * (before & 1))
+            self._lowerings[q] = (src, dst, parity_sign(self.bits[src] >> (self.num_qubits - q)))
         return self._lowerings[q]
 
 

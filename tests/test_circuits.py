@@ -118,11 +118,32 @@ def test_parse_angle_gates():
     (lambda: parse_circuit("RZ(0.5,0)\nGIVENS(inf,0,1)"), "GIVENS angle must be finite, got inf"),
     (lambda: rz(float("nan"), 0), "RZ angle must be finite, got nan"),
     (lambda: givens(-np.inf, 0, 1), "GIVENS angle must be finite, got -inf"),
-], ids=["parse-rz-nan", "parse-givens-inf", "rz-nan", "givens-minus-inf"])
+    (lambda: parse_circuit("CZ(0,1)\nCZ[0,1]\n"), "line 2: expected gates"),
+    (lambda: parse_circuit("CZ(0,1)\nCZ(1,2) junk\n"), "line 2: expected gates"),
+    (lambda: parse_circuit("CZ(0,1)\n# qubits: x\n"), "line 2: expected a '# qubits: n'"),
+    (lambda: parse_circuit("# qubits: 3\n# qubits: 4\n"), "line 2: a second '# qubits: n'"),
+    (lambda: parse_circuit("CZ(0,1)\nFOO(0)\n"), "line 2: 'FOO' is not a valid GateKind"),
+    (lambda: parse_circuit("CZ(0,1)\nCZ(0,,1)\n"), "line 2: invalid literal for int"),
+    (lambda: parse_circuit("CZ(0,1)\nRZ()\n"), "line 2: RZ is a single-qubit gate"),
+    (lambda: parse_circuit("CZ(0,1)\nBARRIER(1)\n"), "line 2: BARRIER takes no qubit"),
+], ids=["parse-rz-nan", "parse-givens-inf", "rz-nan", "givens-minus-inf", "parse-brackets",
+        "parse-trailing-text", "parse-bad-header", "parse-second-header", "parse-unknown-gate",
+        "parse-empty-operand", "parse-no-angle", "parse-barrier-operand"])
 def test_non_finite_angle_rejected(build, message):
-    """A NaN or infinite angle fails where the gate is built, naming it."""
+    """A NaN or infinite angle fails where the gate is built, naming it; so
+    does each malformed line of a listing, naming the line: text that is not
+    a gate token, a bad operand, and a malformed or second header."""
     with pytest.raises(ValueError, match=message):
         build()
+
+
+def test_circuit_header_and_comments():
+    """Text after '#' is a comment, a comment line is not a barrier, the
+    header sizes the register and an explicit num_qubits wins over it."""
+    text = "CZ(0,1) # first\n# a note\nCZ(1,2)\n# qubits: 5\n"
+    assert parse_circuit(text) == Circuit(5, (cz(0, 1), cz(1, 2)))
+    assert parse_circuit(text, num_qubits=7).num_qubits == 7
+    assert parse_circuit("CZ(0,1)\n").num_qubits == 2
 
 
 def test_imported_listing_gate_mix():

@@ -109,6 +109,17 @@ def test_optimize_cz_bad_graph(tmp_path, capsys):
     assert "bad graph: line 2" in capsys.readouterr().err
 
 
+def test_optimize_cz_repeated_edge(tmp_path, capsys):
+    """An edge listed twice, in either order, is refused: the tableau of the
+    edge list would cancel the pair (CZ^2 = I) while the graph keeps it."""
+    gpath = tmp_path / "g.txt"
+    gpath.write_text("0 1\n1 2\n1 0\n")
+    rc = main(["optimize-cz", "--graph", str(gpath), "--out", str(tmp_path / "opt.txt")])
+    assert rc == 2
+    assert "bad graph: line 3: repeated edge (1, 0)" in capsys.readouterr().err
+    assert not (tmp_path / "opt.txt").exists()
+
+
 @pytest.mark.parametrize("subcommand, flag, prefix", [
     ("simulate-spectral", "--config", "bad config: "),
     ("compare-trotter", "--config", "bad config: "),

@@ -408,7 +408,9 @@ def test_edge_list_explicit_qubits_win_over_header():
 
 
 @pytest.mark.parametrize("text", ["0 1\n2\n", "0 1\n1 x\n", "0 1\n1 2 3\n",
-                                  "0 1\n# qubits: x\n", "0 1\n1 \u00b2\n"])
+                                  "0 1\n# qubits: x\n", "0 1\n1 \u00b2\n",
+                                  "0 1\n1 0\n", "0 1\n0 1 # again\n",
+                                  "# qubits: 3\n# qubits: 4\n0 1\n", "0 1\n# total qubits: 2\n"])
 def test_edge_list_malformed_line_names_it(text):
     with pytest.raises(ValueError, match="line 2"):
         parse_edge_list(text)

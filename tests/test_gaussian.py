@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from fermispec import verify
 from fermispec.circuits import Circuit, cx, x
 from fermispec.fft import base_fft, fft_circuit
-from fermispec.gaussian import (basis_product, chain_hopping, coupled_hamiltonian,
+from fermispec.gaussian import (band_energies, chain_hopping, coupled_hamiltonian,
                                 coupled_transfer, dft_matrix, eigenbasis_occupations,
                                 evolve_gaussian, extract_mode_transform, mode_propagator,
                                 momentum_occupations, state_from_momentum_occupations)
@@ -150,17 +150,17 @@ def test_evolve_column_block_is_block_of_square(cols):
 @pytest.mark.parametrize("cols", [slice(0, None, 2), slice(1, None, 2), slice(None), [2, 7]])
 @pytest.mark.parametrize("kind", ["coupled", "complex"])
 def test_mode_propagator_block_matches_full(kind, rows, cols):
-    """A block of the transfer, formed alone by basis_product from rows of the
-    eigenvectors, equals that block of the full transfer, for a real coupled h
-    (two real products) and a complex h; the full transfer equals scipy's
-    matrix exponential."""
+    """A block of the transfer, formed alone from rows of the eigenvectors as
+    (v[rows] * e^{-i t w}) @ v[cols]^dag, equals that block of the full
+    transfer, for a real coupled h and a complex h; the full transfer equals
+    scipy's matrix exponential."""
     from scipy.linalg import expm
     h = (coupled_hamiltonian(4, 0.9, 0.3, 0.5) if kind == "coupled"
          else _random_hermitian(8, np.random.default_rng(8)))
     full = mode_propagator(h, 1.9)
     assert np.max(np.abs(full - expm(-1.9j * h))) <= 1e-12
     w, v = np.linalg.eigh(h)
-    block = basis_product(v[rows], np.exp(-1.9j * w), v[cols].conj().T)
+    block = (v[rows] * np.exp(-1.9j * w)) @ v[cols].conj().T
     want = full[rows][:, cols]
     assert block.shape == want.shape
     assert np.max(np.abs(block - want)) <= 1e-12
@@ -222,6 +222,16 @@ def test_propagator_unitary():
     assert np.max(np.abs(t.conj().T @ t - np.eye(8))) < 1e-12
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("nu", [1.0, -0.7, 0.0])
+def test_band_energies_are_momentum_diagonal_of_chain_hopping(n, nu):
+    """band_energies(N, nu) is diag(F^dag H_s F) of the chain hopping, read
+    with dft_matrix; at N = 2 the one bond gives nu cos k."""
+    f = dft_matrix(n)
+    want = np.diagonal(f.conj().T @ chain_hopping(n, nu) @ f)
+    assert np.max(np.abs(band_energies(n, nu) - want)) <= 1e-12
+
+
 @pytest.mark.parametrize("n, nu, eps, omega, t", [
     (2, 0.8, 0.45, 0.3, 4.2),     # one bond
     (5, 0.0, 0.45, 0.7, 4.2),     # H_s = 0, fully degenerate
@@ -240,8 +250,8 @@ def test_coupled_transfer_matches_mode_propagator(n, nu, eps, omega, t):
     levels, u = np.linalg.eigh(h_s)
     beta, gamma = coupled_transfer(levels, eps, omega, t)
     full = mode_propagator(h, t)
-    assert np.max(np.abs(basis_product(u, beta, u.T) - full[0::2, 1::2])) <= 1e-12
-    assert np.max(np.abs(basis_product(u, gamma, u.T) - full[1::2, 1::2])) <= 1e-12
+    assert np.max(np.abs((u * beta) @ u.T - full[0::2, 1::2])) <= 1e-12
+    assert np.max(np.abs((u * gamma) @ u.T - full[1::2, 1::2])) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 31])
@@ -262,9 +272,9 @@ def test_eigenbasis_occupations_match_evolve_and_fft(n, nu, env):
     d, q = u.T @ corr @ u, u.T @ dft_matrix(n)
     for omega in (0.37, levels[-1]):
         beta, gamma = coupled_transfer(levels, 0.45, omega, 5.0)
-        env_corr = evolve_gaussian(corr, basis_product(u, beta, u.T))
+        env_corr = evolve_gaussian(corr, (u * beta) @ u.T)
         got = eigenbasis_occupations(d, q, beta)
         if env == "full":
-            env_corr += basis_product(u, np.abs(gamma) ** 2, u.T)
+            env_corr += (u * np.abs(gamma) ** 2) @ u.T
             got += np.abs(gamma) ** 2 @ np.abs(q) ** 2
         assert np.max(np.abs(got - momentum_occupations(env_corr))) <= 1e-12, omega

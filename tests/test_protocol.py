@@ -49,10 +49,13 @@ def test_exact_free_rejects_interacting():
 
 
 def test_gaussian_matches_exact_both_fills():
+    """Also at N = 2, whose one bond gives the band nu cos k."""
     rho = RNG.random(10)
     configs = [_cfg(n_sites=10, epsilon=0.45, t=4.2, nu=0.8, environment=env,
                     initial_state=rho) for env in ("empty", "full")]
-    assert verify.gaussian_matches_closed_form(configs, OMEGAS, 1e-12)
+    pairs = [_cfg(n_sites=2, epsilon=0.3, nu=nu, environment=env, initial_state=[0.7, 0.2])
+             for nu in (1.0, -1.0) for env in ("empty", "full")]
+    assert verify.gaussian_matches_closed_form(configs + pairs, OMEGAS, 1e-12)
     wrong = verify.grids_match(  # the Gaussian grid of the other filling
         nk_exact_free, lambda c, w: nk_gaussian(replace(c, environment="full"), w),
         configs[:1], OMEGAS, 1e-12, "max |closed form - Gaussian|")
@@ -834,12 +837,14 @@ def test_trotterized_baseline_converges_to_continuous_at_same_omega(V, order):
 
 
 def test_lehmann_reference_free_case():
-    cfg = _cfg(n_sites=6, epsilon=0.0, t=4.0, initial_state=[1, 1, 0, 0, 1, 0])
-    ref = reference_windowed_spectral(cfg, OMEGAS)
-    kern = Kernel(cfg.t)
-    plus = convolve_kernel(DeltaLineSpectrum.free_particle(cfg), kern, OMEGAS)
-    minus = convolve_kernel(DeltaLineSpectrum.free_hole(cfg), kern, OMEGAS)
-    assert np.max(np.abs(ref.values - plus.values - minus.values)) < 1e-10
+    """Also at N = 2 in its ground state, whose one bond gives the band nu cos k."""
+    for cfg in [_cfg(n_sites=6, epsilon=0.0, t=4.0, initial_state=[1, 1, 0, 0, 1, 0]),
+                *(_cfg(n_sites=2, epsilon=0.0, t=4.0, nu=nu) for nu in (1.0, -1.0))]:
+        ref = reference_windowed_spectral(cfg, OMEGAS)
+        kern = Kernel(cfg.t)
+        plus = convolve_kernel(DeltaLineSpectrum.free_particle(cfg), kern, OMEGAS)
+        minus = convolve_kernel(DeltaLineSpectrum.free_hole(cfg), kern, OMEGAS)
+        assert np.max(np.abs(ref.values - plus.values - minus.values)) < 1e-10, cfg
 
 
 def _dense_lehmann_lines(config):
