@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from numbers import Integral
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -294,11 +294,12 @@ _GATES_LINE_RE = re.compile(rf"(?:{_GATE_RE.pattern})+\s*")
 _HEADER_RE = re.compile(r"\s*qubits:\s*([0-9]+)\s*")
 
 
-def listing_qubits(text: str, indices: Iterable[int], num_qubits: int | None) -> int:
-    """Register size of a gate or edge listing: an explicit `num_qubits`, else
-    the listing's `# qubits: n` header, else max(1, 1 + the highest of
-    `indices`).  A comment that holds `qubits:` is the header; a malformed
-    header, or a second one, raises ValueError naming its line."""
+def listing_qubits(text: str, num_qubits: int | None) -> int | None:
+    """Register size a gate or edge listing fixes before its lines are read:
+    an explicit `num_qubits`, else the listing's `# qubits: n` header, else
+    None, and the parser takes max(1, 1 + the highest index).  A comment
+    that holds `qubits:` is the header; a malformed header, or a second one,
+    raises ValueError naming its line."""
     declared = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         comment = raw.partition("#")[2]
@@ -309,8 +310,6 @@ def listing_qubits(text: str, indices: Iterable[int], num_qubits: int | None) ->
             what = "a second" if m else "expected a"
             raise ValueError(f"line {lineno}: {what} '# qubits: n' header, got {raw.strip()!r}")
         declared = int(m.group(1))
-    if num_qubits is None and declared is None:
-        return max(1, 1 + max(indices, default=-1))
     return declared if num_qubits is None else num_qubits
 
 
@@ -332,9 +331,11 @@ def parse_circuit(text: str, num_qubits: int | None = None) -> Circuit:
 
     Interior blank lines become barriers (matching the layer separators of
     shipped gate listings); leading/trailing blank lines and comment lines
-    are ignored.  Text before a '#' that is not gate tokens raises
-    ValueError naming its line; the register size is `listing_qubits`.
+    are ignored.  Text before a '#' that is not gate tokens, and a gate
+    outside a register size that `listing_qubits` fixes, raise ValueError
+    naming the line.
     """
+    n = listing_qubits(text, num_qubits)
     gates: list[Gate] = []
     pending_blank = False
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -355,7 +356,10 @@ def parse_circuit(text: str, num_qubits: int | None = None) -> Circuit:
                 gates.append(Gate(kind, tuple(map(int, parts)), angle))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
-    n = listing_qubits(text, (q for g in gates for q in g.qubits), num_qubits)
+            if n is not None and any(q >= n for q in gates[-1].qubits):
+                raise ValueError(f"line {lineno}: gate {gates[-1]} out of range for {n} qubits")
+    if n is None:
+        n = max(1, 1 + max((q for g in gates for q in g.qubits), default=-1))
     return Circuit(n, tuple(gates))
 
 

@@ -223,8 +223,10 @@ def verify_equivalence(circuit: Circuit, graph: CZGraph) -> bool:
 
 def parse_edge_list(text: str, num_qubits: int | None = None) -> CZGraph:
     """Parse the edge-list format; the register size is `listing_qubits`, as
-    in `parse_circuit`.  A malformed line, or an edge listed twice in either
-    order (CZ squares to the identity), raises ValueError naming its line."""
+    in `parse_circuit`.  A malformed line, a self-loop, an edge outside a
+    register size the listing fixes, or an edge listed twice in either order
+    (CZ squares to the identity), raises ValueError naming its line."""
+    n = listing_qubits(text, num_qubits)
     edges: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.partition("#")[0].strip()
@@ -234,10 +236,15 @@ def parse_edge_list(text: str, num_qubits: int | None = None) -> CZGraph:
         if len(fields) != 2 or not all(f.isdecimal() for f in fields):
             raise ValueError(f"line {lineno}: expected 'i j', got {line!r}")
         a, b = int(fields[0]), int(fields[1])
+        if a == b:
+            raise ValueError(f"line {lineno}: self-loop ({a}, {b}) is not allowed")
+        if n is not None and max(a, b) >= n:
+            raise ValueError(f"line {lineno}: edge ({a}, {b}) out of range for {n} qubits")
         if (a, b) in edges or (b, a) in edges:
             raise ValueError(f"line {lineno}: repeated edge ({a}, {b})")
         edges.add((a, b))
-    n = listing_qubits(text, (q for e in edges for q in e), num_qubits)
+    if n is None:
+        n = max(1, 1 + max((q for e in edges for q in e), default=-1))
     return graph_from_edges(n, edges)
 
 

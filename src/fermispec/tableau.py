@@ -11,19 +11,28 @@ conjugation table, cached per (kind, quarter turns), holds the image of each
 local Pauli P_a as the one Pauli Q_b with tr(Q_b u P_a u^dag) / 2^nq = +-1,
 read from all 4^nq x 4^nq coefficients of the dense 1- or 2-qubit matrix at
 once.  This keeps the gate set open (RZ/GIVENS at Clifford angles included)
-and rejects non-Clifford gates when their table is built.  A gate updates the
-tableau through its table, reading 2 bits (x, z) per gate qubit.  A CZ graph
-needs no gates at all: its tableau has a closed form (`tableau_of_cz_edges`).
+and rejects non-Clifford gates when their table is built.
+
+The tableau is bit-packed (Aaronson and Gottesman, PRA 70, 052328, 2004):
+each qubit's x and z columns are Python ints with bit r for row r, and the
+2n signs are one more int.  A second cache compiles each table once into a
+program on those columns.  Conjugation is GF(2)-linear on the (x, z) bits,
+so each output bit is the XOR of a fixed set of the gate's 2 nq input bits;
+the sign flip is a GF(2) polynomial in them, its algebraic normal form read
+off the table by a Moebius transform.  A gate then updates all 2n rows at
+once with a few int XORs and ANDs.  A CZ graph needs no gates at all: its
+tableau has a closed form (`tableau_of_cz_edges`).
 """
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 
 import numpy as np
 
 from .circuits import (PARAMETRIC_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, GateKind,
-                       gate_matrix)
+                       gate_matrix, require_qubit_count)
 
 _HALF_PI = math.pi / 2
 
@@ -74,28 +83,87 @@ def _cached_table(kind: GateKind, quarter_turns):
     return _conjugation_table(gate_matrix(Gate(kind, qubits, angle)), len(qubits))
 
 
+@lru_cache(maxsize=None)
+def _compiled_table(kind: GateKind, quarter_turns):
+    """The table as a program on the gate's 2 nq input bits (x, z per gate
+    qubit, the first most significant): for each output bit, the input bits
+    it XORs; and the sign flip as the input-bit monomials (ANDs) it XORs."""
+    bits_out, sign_out = (a.tolist() for a in _cached_table(kind, quarter_turns))
+    m = len(bits_out[0])
+    inputs = [[idx >> (m - 1 - i) & 1 for i in range(m)] for idx in range(len(sign_out))]
+    linear = tuple(tuple(i for i in range(m) if bits_out[1 << (m - 1 - i)][j])
+                   for j in range(m))
+    anf = list(sign_out)
+    for b in range(m):    # Moebius transform: anf[S] = XOR of sign_out[T] over T within S
+        for idx in range(len(anf)):
+            if idx >> b & 1:
+                anf[idx] ^= anf[idx ^ 1 << b]
+    monomials = tuple(tuple(i for i in range(m) if bits[i])
+                      for bits, a in zip(inputs, anf) if a)
+    for bits, want_bits, want_sign in zip(inputs, bits_out, sign_out):
+        assert [sum(bits[i] for i in t) % 2 for t in linear] == want_bits
+        assert sum(all(bits[i] for i in mono) for mono in monomials) % 2 == want_sign
+    return linear, monomials
+
+
+def _unpack(columns, rows: int) -> np.ndarray:
+    """(rows, len(columns)) uint8 array whose [r, c] is bit r of columns[c]."""
+    nbytes = (rows + 7) // 8
+    raw = np.frombuffer(b"".join(c.to_bytes(nbytes, "little") for c in columns), np.uint8)
+    bits = np.unpackbits(raw.reshape(len(columns), nbytes), axis=1, count=rows,
+                         bitorder="little")
+    out = np.ascontiguousarray(bits.T)
+    out.flags.writeable = False
+    return out
+
+
 class CliffordTableau:
-    """Symplectic tableau with sign bits; mutable, composed gate by gate."""
+    """Symplectic tableau with sign bits; mutable, composed gate by gate.
+
+    `x`, `z` and `sign` are read-only (2n, n), (2n, n) and (2n,) uint8 copies
+    of the packed columns.
+    """
 
     def __init__(self, num_qubits: int):
-        n = num_qubits
-        self.num_qubits = n
-        self.x = np.zeros((2 * n, n), dtype=np.uint8)
-        self.z = np.zeros((2 * n, n), dtype=np.uint8)
-        self.sign = np.zeros(2 * n, dtype=np.uint8)
-        self.x[:n] = self.z[n:] = np.eye(n, dtype=np.uint8)
+        require_qubit_count(num_qubits)
+        n = self.num_qubits = num_qubits
+        self._x = [1 << q for q in range(n)]
+        self._z = [1 << (n + q) for q in range(n)]
+        self._sign = 0
+
+    @property
+    def x(self) -> np.ndarray:
+        return _unpack(self._x, 2 * self.num_qubits)
+
+    @property
+    def z(self) -> np.ndarray:
+        return _unpack(self._z, 2 * self.num_qubits)
+
+    @property
+    def sign(self) -> np.ndarray:
+        return _unpack([self._sign], 2 * self.num_qubits)[:, 0]
 
     def apply_gate(self, gate: Gate) -> "CliffordTableau":
         if gate.kind is GateKind.BARRIER:
             return self
-        bits_out, sign_out = _cached_table(*_table_key(gate))
-        idx = 0    # 2 bits (x, z) per gate qubit, the first most significant
-        for q in gate.qubits:
-            idx = idx << 2 | self.x[:, q] << 1 | self.z[:, q]
-        img = bits_out[idx].T
+        linear, monomials = _compiled_table(*_table_key(gate))
+        if max(gate.qubits) >= self.num_qubits:
+            raise ValueError(f"gate {gate} out of range for {self.num_qubits} qubits")
+        xs, zs = self._x, self._z
+        ins = [col for q in gate.qubits for col in (xs[q], zs[q])]
+        out = []
+        for terms in linear:
+            v = 0
+            for i in terms:
+                v ^= ins[i]
+            out.append(v)
+        for mono in monomials:    # none is empty, as the identity keeps its + sign
+            v = -1
+            for i in mono:
+                v &= ins[i]
+            self._sign ^= v
         for c, q in enumerate(gate.qubits):
-            self.x[:, q], self.z[:, q] = img[2 * c], img[2 * c + 1]
-        self.sign ^= sign_out[idx]
+            xs[q], zs[q] = out[2 * c], out[2 * c + 1]
         return self
 
     def apply_circuit(self, circuit: Circuit) -> "CliffordTableau":
@@ -117,10 +185,8 @@ class CliffordTableau:
     def __eq__(self, other):
         if not isinstance(other, CliffordTableau):
             return NotImplemented
-        return (self.num_qubits == other.num_qubits
-                and np.array_equal(self.x, other.x)
-                and np.array_equal(self.z, other.z)
-                and np.array_equal(self.sign, other.sign))
+        return (self.num_qubits == other.num_qubits and self._x == other._x
+                and self._z == other._z and self._sign == other._sign)
 
     def __repr__(self):
         return f"CliffordTableau(num_qubits={self.num_qubits})"
@@ -138,10 +204,12 @@ def tableau_of_cz_edges(num_qubits: int, edges) -> CliffordTableau:
     X_i to X_i prod_{j in N(i)} Z_j with no sign and fixes every Z_i; a
     repeated edge cancels, as CZ^2 = I.
     """
-    pairs = np.array(list(edges), dtype=np.intp).reshape(-1, 2)
-    if ((pairs < 0) | (pairs >= num_qubits)).any() or (pairs[:, 0] == pairs[:, 1]).any():
-        raise ValueError(f"CZ edges must join two distinct qubits in [0, {num_qubits})")
     t = CliffordTableau(num_qubits)
-    # edge (i, j) toggles Z_j in row X_i and Z_i in row X_j
-    np.bitwise_xor.at(t.z, (pairs.ravel(), pairs[:, ::-1].ravel()), np.uint8(1))
+    for edge in edges:
+        i, j = map(operator.index, edge)
+        if not (0 <= i < num_qubits and 0 <= j < num_qubits) or i == j:
+            raise ValueError(f"CZ edges must join two distinct qubits in [0, {num_qubits})")
+        # edge (i, j) toggles Z_j in row X_i and Z_i in row X_j
+        t._z[j] ^= 1 << i
+        t._z[i] ^= 1 << j
     return t

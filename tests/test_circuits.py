@@ -146,6 +146,15 @@ def test_circuit_header_and_comments():
     assert parse_circuit("CZ(0,1)\n").num_qubits == 2
 
 
+def test_gate_outside_known_register_names_its_line():
+    """A gate beyond the header's or the explicit register size fails on its
+    own line, not after the whole listing is read."""
+    with pytest.raises(ValueError, match=r"line 2: gate .* out of range for 2 qubits"):
+        parse_circuit("# qubits: 2\nCZ(0,3)\n")
+    with pytest.raises(ValueError, match=r"line 3: gate .* out of range for 3 qubits"):
+        parse_circuit("CZ(0,1)\n\nRZ(0.5,3)\n", num_qubits=3)
+
+
 def test_imported_listing_gate_mix():
     c = imported_interleave_sequence(27)
     counts = {"CX": 0, "CZ": 0}

@@ -414,3 +414,12 @@ def test_edge_list_explicit_qubits_win_over_header():
 def test_edge_list_malformed_line_names_it(text):
     with pytest.raises(ValueError, match="line 2"):
         parse_edge_list(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0 1\n2 2\n", r"line 2: self-loop \(2, 2\)"),
+    ("# qubits: 2\n0 3\n", r"line 2: edge \(0, 3\) out of range for 2 qubits"),
+], ids=["self-loop", "out-of-range"])
+def test_edge_list_graph_checks_name_the_line(text, message):
+    with pytest.raises(ValueError, match=message):
+        parse_edge_list(text)

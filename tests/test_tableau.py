@@ -10,7 +10,7 @@ from fermispec.circuits import (PARAMETRIC_KINDS, TWO_QUBIT_KINDS, Circuit, Gate
                                 GateKind, cx, cz, gate_matrix, givens, rz, s, z)
 from fermispec.statevector import circuit_unitary, unitaries_equal_up_to_phase
 from fermispec.tableau import (CliffordTableau, NonCliffordGateError, _cached_table,
-                               tableau_of, tableau_of_cz_edges)
+                               _compiled_table, _table_key, tableau_of, tableau_of_cz_edges)
 
 from strategies import clifford_circuits, clifford_circuits_8q
 
@@ -215,3 +215,96 @@ def test_cz_edges_closed_form_matches_gates(n):
 def test_cz_edges_reject_bad_edges(edges):
     with pytest.raises(ValueError, match="two distinct qubits in"):
         tableau_of_cz_edges(4, edges)
+
+
+@pytest.mark.parametrize("n", [-1, True, 2.0])
+def test_tableau_rejects_bad_qubit_count(n):
+    with pytest.raises(ValueError, match="num_qubits must be"):
+        CliffordTableau(n)
+
+
+def test_gate_outside_register_rejected():
+    t = CliffordTableau(3)
+    with pytest.raises(ValueError, match=r"qubits=\(1, 3\).* out of range for 3 qubits"):
+        t.apply_gate(cz(1, 3))
+    assert t == CliffordTableau(3)
+
+
+# ------------------------------------------ oracle: the update on uint8 rows
+
+def _apply_by_rows(x, z, sign, gate):
+    """Apply `gate` to the (2n, n) x, z and (2n,) sign arrays in place, row by
+    row through the gate's table (2 bits per gate qubit, the first most
+    significant, index the table)."""
+    if gate.kind is GateKind.BARRIER:
+        return
+    bits_out, sign_out = _cached_table(*_table_key(gate))
+    idx = 0
+    for q in gate.qubits:
+        idx = idx << 2 | x[:, q] << 1 | z[:, q]
+    img = bits_out[idx].T
+    for c, q in enumerate(gate.qubits):
+        x[:, q], z[:, q] = img[2 * c], img[2 * c + 1]
+    sign ^= sign_out[idx]
+
+
+def _assert_equals_row_oracle(circuit):
+    n = circuit.num_qubits
+    x, z = np.zeros((2 * n, n), np.uint8), np.zeros((2 * n, n), np.uint8)
+    sign = np.zeros(2 * n, np.uint8)
+    x[:n] = z[n:] = np.eye(n, dtype=np.uint8)
+    for g in circuit.gates:
+        _apply_by_rows(x, z, sign, g)
+    t = tableau_of(circuit)
+    assert t.x.dtype == t.z.dtype == t.sign.dtype == np.uint8
+    assert np.array_equal(t.x, x) and np.array_equal(t.z, z) and np.array_equal(t.sign, sign)
+
+
+@given(clifford_circuits_8q)
+@settings(max_examples=200)
+def test_packed_update_equals_row_oracle(c):
+    _assert_equals_row_oracle(c)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 130])
+def test_packed_update_equals_row_oracle_across_word_boundaries(n):
+    """Every table key, on qubits drawn from the whole register, the ends and
+    the 64-row word edges (rows q and n + q) included."""
+    rng = np.random.default_rng(n)
+    edge_qubits = sorted({0, 1, n // 2 - 1, n // 2, 31, 32, 62, 63, 64, n - 2, n - 1}
+                         & set(range(n)))
+    gates = []
+    for _ in range(12):
+        for kind, quarter_turns in TABLE_SHA256:
+            nq = 2 if kind in TWO_QUBIT_KINDS else 1
+            pool = edge_qubits if rng.random() < 0.5 else range(n)
+            qubits = tuple(int(q) for q in rng.choice(pool, nq, replace=False))
+            turns = None if quarter_turns is None else quarter_turns - 4 * rng.integers(-1, 2)
+            angle = None if turns is None else turns * np.pi / 2
+            gates.append(Gate(kind, qubits, angle))
+    order = rng.permutation(len(gates))
+    _assert_equals_row_oracle(Circuit(n, tuple(gates[i] for i in order)))
+
+
+@pytest.mark.parametrize("key", list(TABLE_SHA256), ids=lambda k: f"{k}")
+def test_compiled_program_reproduces_pinned_table(key):
+    """Run each derived program (XORs for the bits, the ANF monomials for the
+    sign) on all 4^nq inputs at once, one packed row per input."""
+    bits_out, sign_out = _cached_table(*key)
+    linear, monomials = _compiled_table(*key)
+    m = bits_out.shape[1]
+    ins = [sum(((idx >> (m - 1 - i)) & 1) << idx for idx in range(4 ** (m // 2)))
+           for i in range(m)]
+    for j, terms in enumerate(linear):
+        out = 0
+        for i in terms:
+            out ^= ins[i]
+        assert [(out >> idx) & 1 for idx in range(len(sign_out))] == list(bits_out[:, j])
+    flip = 0
+    for mono in monomials:
+        assert mono, "a constant sign term would flip the identity's sign"
+        v = -1
+        for i in mono:
+            v &= ins[i]
+        flip ^= v
+    assert [(flip >> idx) & 1 for idx in range(len(sign_out))] == list(sign_out)
