@@ -318,97 +318,92 @@ def nk_gaussian(config: ProtocolConfig, omegas) -> SpectralGrid:
 # Trotterized circuit pipeline (gate-level circuits, run in number sectors)
 # --------------------------------------------------------------------------
 
-def _hop_order(n: int) -> tuple[int, ...]:
-    """Hopping bonds in step order: even bonds, then odd bonds."""
-    bonds = chain_bonds(n)
-    return (*bonds[0::2], *bonds[1::2])
+def _env_terms(n: int, omega: float) -> list[tuple]:
+    """omega n_q on each environment qubit 2j+1; none at omega = 0."""
+    return [] if omega == 0 else [("onsite", (2 * j + 1,), omega) for j in range(n)]
 
 
-def _bond_qubits(n: int, j: int, stride: int) -> tuple[int, int]:
-    """Qubits (lo, hi) of the bond between system sites j and j+1 mod n."""
-    p, q = stride * j, stride * ((j + 1) % n)
-    return min(p, q), max(p, q)
+def _terms(config: ProtocolConfig, stride: int, omega: float = 0.0):
+    """The chain's Hamiltonian as (kind, qubits, coefficient) in step order,
+    with system site j on qubit stride*j: stride 1 is H_sys on the N system
+    qubits, stride 2 is H on the interleaved c_0,d_0,c_1,... register.
 
-
-def _hopping_bond_gates(n: int, j: int, theta: float, stride: int) -> list[Gate]:
-    """exp(i theta/2 * (XZ..ZX + YZ..ZY)) between system sites j and j+1 mod n,
-    with site j on qubit stride*j.
-
-    The JW string through interposed qubits is produced by CZ conjugation of
-    the plain two-qubit rotation.
+    "hop" is c (a_p^dag a_q + h.c.), "nn" is c n_p n_q and "onsite" is c n_q.
+    The terms are the hopping nu on the even bonds, then the odd bonds; V on
+    each bond (none at V = 0); at stride 2 the coupling eps/2 as a hop between
+    qubits 2j and 2j+1, then `_env_terms`.
     """
-    lo, hi = _bond_qubits(n, j, stride)
-    gates = [cz(lo, m) for m in range(lo + 1, hi)]
-    return gates + [givens(theta, lo, hi)] + list(reversed(gates))
-
-
-def _interaction_bond_gates(j: int, n: int, alpha: float, stride: int) -> list[Gate]:
-    """exp(i alpha n_p n_q) on system sites j, j+1 (global phase dropped)."""
-    p, q = stride * j, stride * ((j + 1) % n)
-    return [rz(alpha / 2, p), rz(alpha / 2, q), cx(p, q), rz(-alpha / 2, q), cx(p, q)]
-
-
-def _interaction_gates(config: ProtocolConfig, dt: float, stride: int) -> list[Gate]:
-    """The interaction term of one step, every bond; empty for V = 0."""
     n = config.n_sites
-    if config.interaction == 0:
-        return []
-    return [g for j in chain_bonds(n)
-            for g in _interaction_bond_gates(j, n, config.interaction * dt, stride)]
+    bonds = [(stride * j, stride * ((j + 1) % n)) for j in chain_bonds(n)]
+    for qubits in bonds[0::2] + bonds[1::2]:
+        yield "hop", qubits, config.nu
+    if config.interaction != 0:
+        for qubits in bonds:
+            yield "nn", qubits, config.interaction
+    if stride == 2:
+        for j in range(n):
+            yield "hop", (2 * j, 2 * j + 1), config.epsilon / 2
+        yield from _env_terms(n, omega)
 
 
-def _coupling_gates(config: ProtocolConfig, dt: float) -> list[Gate]:
-    """GIVENS(eps dt / 2) between system site j (qubit 2j) and environment site j."""
-    return [givens(config.epsilon * dt / 2, 2 * j, 2 * j + 1) for j in range(config.n_sites)]
+def _jw_span(p: int, q: int) -> range:
+    """The qubits strictly between p and q, whose parity is a hop's JW sign."""
+    return range(min(p, q) + 1, max(p, q))
 
 
-def _env_phase_gates(n: int, omega: float, dt: float) -> list[Gate]:
-    """RZ(omega dt) on each of the N environment qubits; empty for omega = 0."""
-    if omega == 0:
-        return []
-    return [rz(omega * dt, 2 * j + 1) for j in range(n)]
+def _term_gates(kind: str, qubits: tuple, coefficient: float, dt: float) -> list[Gate]:
+    """exp(i dt * term) as gates; "nn" and "onsite" drop a global phase.
+
+    A hop is a GIVENS between its qubits, conjugated by CZs from the lower
+    one onto its JW span, which carry the string's sign.
+    """
+    theta = coefficient * dt
+    if kind == "onsite":
+        return [rz(theta, *qubits)]
+    p, q = qubits
+    if kind == "nn":
+        return [rz(theta / 2, p), rz(theta / 2, q), cx(p, q), rz(-theta / 2, q), cx(p, q)]
+    lo = min(p, q)
+    string = [cz(lo, m) for m in _jw_span(p, q)]
+    return [*string, givens(theta, lo, max(p, q)), *string[::-1]]
+
+
+def _step(terms, num_qubits: int, dt: float) -> Circuit:
+    """First-order step of exp(+i H dt), H the sum of `terms`, in their order."""
+    return Circuit(num_qubits, tuple(g for term in terms for g in _term_gates(*term, dt)))
 
 
 def _system_step(config: ProtocolConfig, dt: float, stride: int) -> Circuit:
-    """First-order step of exp(+i H_sys dt): hopping (even bonds, odd bonds),
-    then interaction.
-
-    System site j sits on qubit stride*j: stride 2 on the interleaved
-    c_0,d_0,c_1,... register, stride 1 on the system qubits alone.
-    """
-    n = config.n_sites
-    gates = [g for j in _hop_order(n)
-             for g in _hopping_bond_gates(n, j, config.nu * dt, stride)]
-    return Circuit(stride * n, tuple(gates + _interaction_gates(config, dt, stride)))
+    """First-order step of exp(+i H_sys dt) on the N system qubits at stride 1;
+    at stride 2 the coupling joins it (`_terms`), the Trotter step at omega = 0."""
+    return _step(_terms(config, stride), stride * config.n_sites, dt)
 
 
 def trotter_step_circuit(config: ProtocolConfig, dt: float, omega: float) -> Circuit:
     """One first-order step of exp(+i H dt) at environment frequency omega:
     hopping (even bonds, odd bonds), interaction, coupling, environment phase."""
-    gates = (*_system_step(config, dt, 2).gates, *_coupling_gates(config, dt),
-             *_env_phase_gates(config.n_sites, omega, dt))
-    return Circuit(2 * config.n_sites, gates)
+    return _step(_terms(config, 2, omega), 2 * config.n_sites, dt)
 
 
 def _system_hamiltonian(config: ProtocolConfig, basis: sector.Basis) -> np.ndarray:
-    """Real many-body H_sys (+ interaction) over `basis`, a `sector.Basis` of
-    the N system qubits: the dense matrix on `sector.Basis(N)`, its k-particle
-    block on `sector.Basis(N, [k])`.  c_a^dag c_b + h.c. moves a particle
-    between a and b with the JW sign (-1)^(occupied sites strictly between),
-    and V n_a n_b is diagonal, summed bond by bond in the order a sum of dense
+    """Real many-body Hamiltonian of `_terms` over `basis`, a `sector.Basis`
+    of N qubits (H_sys) or 2N qubits (H at omega = 0): the dense matrix on the
+    full basis, its block on a sector basis.  A hop moves a particle between
+    its qubits with the JW sign (-1)^(occupied qubits of its `_jw_span`);
+    every other term, on one or two qubits, adds c times the AND of their
+    occupations to the diagonal, term by term in the order a sum of dense
     JW-operator products would.
     """
-    n = config.n_sites
+    nq = basis.num_qubits
     h = np.zeros((len(basis), len(basis)))
     diag = np.zeros(len(basis))
-    for j in chain_bonds(n):
-        a, b = j, (j + 1) % n
-        lo, hi = min(a, b), max(a, b)
-        i01, i10 = basis.pair(lo, hi)
-        between = sum(1 << (n - 1 - q) for q in range(lo + 1, hi))
-        h[i01, i10] = h[i10, i01] = config.nu * sector.parity_sign(basis.bits[i01] & between)
-        if config.interaction != 0:
-            diag += config.interaction * (basis.occupied(a) & basis.occupied(b))
+    for kind, qubits, c in _terms(config, nq // config.n_sites):
+        if kind == "hop":
+            i01, i10 = basis.pair(*sorted(qubits))
+            span = sum(1 << (nq - 1 - m) for m in _jw_span(*qubits))
+            h[i01, i10] = h[i10, i01] = c * sector.parity_sign(basis.bits[i01] & span)
+        else:
+            diag += c * (basis.occupied(qubits[0]) & basis.occupied(qubits[-1]))
     np.fill_diagonal(h, diag)
     return h
 
@@ -522,8 +517,9 @@ def _run_trotter(config: ProtocolConfig, omegas: np.ndarray, environments: Seque
     Every gate after the start state conserves particle number, so the
     fillings evolve as one vector over their sectors (`_sector_start`),
     through `trotter_step_circuit` and `_readout_circuit` compiled by
-    `sector.compile_circuit`: the step at omega = 0 once per call, its
-    environment phase layer once per omega.  Returns the environment
+    `sector.compile_circuit`.  The step's terms at omega = 0 compile once per
+    call; its onsite terms `_env_terms`, the last terms of `_terms` and their
+    only omega dependence, compile once per omega.  Returns the environment
     occupations n(k), shape (N, len(omegas), len(environments)); shots > 0
     samples them per omega, then per filling, from one seeded generator.
     `state` is the system start state when the caller has built it.
@@ -550,11 +546,9 @@ def _run_trotter(config: ProtocolConfig, omegas: np.ndarray, environments: Seque
     dt = config.t / steps
     rng = np.random.default_rng(seed)
     occ = np.zeros((n, len(omegas), len(environments)))
-    # the environment phase layer is the step's last term and its only omega
-    # dependence: the rest is compiled once
     step = sector.compile_circuit(trotter_step_circuit(config, dt, 0.0), basis)
     for iw, om in enumerate(omegas):
-        phase = sector.compile_circuit(Circuit(nq, tuple(_env_phase_gates(n, om, dt))), basis)
+        phase = sector.compile_circuit(_step(_env_terms(n, om), nq, dt), basis)
         state = start.copy()
         for _ in range(steps):
             sector.run_program(step, state)

@@ -8,6 +8,7 @@ import pytest
 from fermispec import protocol, sector, statevector as sv, verify
 from fermispec.circuits import format_circuit
 from fermispec.fft import fft_radix, ground_state_prep_circuit
+from fermispec.gaussian import chain_hopping, coupled_hamiltonian
 from fermispec.protocol import (DeltaLineSpectrum, Kernel, ProtocolConfig, SpectralGrid,
                                 broadening_and_ghosts, compare_trotter, convolve_kernel,
                                 dynamical_correlation_baseline,
@@ -307,26 +308,30 @@ def test_circuit_protocol_momentum_orientation():
 
 
 def test_trotter_step_term_identities():
-    """Each emitted gate group equals the exponential of its Hamiltonian term."""
+    """Each term of the Trotter step, rendered as gates, equals the exponential
+    of its Hamiltonian term up to the global phase its decomposition drops:
+    the hopping and coupling hops, the interaction and the environment's
+    onsite terms."""
     from scipy.linalg import expm
     from fermispec.circuits import Circuit
-    from fermispec.protocol import _hopping_bond_gates, _interaction_bond_gates
 
     n = 3  # 6 qubits total, wrap bond crosses four interposers
-    dt, nu, V = 0.37, 0.8, 2.3
-    ops = [sv.annihilation_operator(2 * n, 2 * j) for j in range(n)]
-    for j in range(n):
-        a, b = j, (j + 1) % n
-        hop = nu * (ops[a].conj().T @ ops[b] + ops[b].conj().T @ ops[a])
-        want = expm(1j * dt * hop)
-        got = sv.circuit_unitary(Circuit(2 * n, tuple(_hopping_bond_gates(n, j, nu * dt, 2))))
-        assert np.max(np.abs(want - got)) < 1e-12, f"hopping bond {j}"
-        inter = V * (ops[a].conj().T @ ops[a] @ ops[b].conj().T @ ops[b])
-        want = expm(1j * dt * inter)
-        got = sv.circuit_unitary(Circuit(2 * n, tuple(_interaction_bond_gates(j, n, V * dt, 2))))
-        # the decomposition drops a global phase exp(i V dt / 4)
-        phase = np.exp(1j * V * dt / 4)
-        assert np.max(np.abs(want - phase * got)) < 1e-12, f"interaction bond {j}"
+    dt = 0.37
+    cfg = ProtocolConfig(n, 0.9, nu=0.8, interaction=2.3)
+    ops = [sv.annihilation_operator(2 * n, q) for q in range(2 * n)]
+    num = [a.conj().T @ a for a in ops]
+    dense = {"hop": lambda p, q: ops[p].conj().T @ ops[q] + ops[q].conj().T @ ops[p],
+             "nn": lambda p, q: num[p] @ num[q],
+             "onsite": lambda q: num[q]}
+    # the decompositions drop exp(i c dt / 4) (nn) and exp(i c dt / 2) (onsite)
+    dropped = {"hop": 0.0, "nn": 0.25, "onsite": 0.5}
+    terms = list(protocol._terms(cfg, 2, omega=0.7))
+    assert [kind for kind, _, _ in terms] == ["hop"] * n + ["nn"] * n + ["hop"] * n + ["onsite"] * n
+    for kind, qubits, c in terms:
+        want = expm(1j * dt * c * dense[kind](*qubits))
+        got = sv.circuit_unitary(Circuit(2 * n, tuple(protocol._term_gates(kind, qubits, c, dt))))
+        phase = np.exp(1j * dropped[kind] * c * dt)
+        assert np.max(np.abs(want - phase * got)) < 1e-12, (kind, qubits)
 
 
 # sha256 of format_circuit for (Trotter step, system-only step, readout); the
@@ -402,35 +407,42 @@ def test_fused_readout_matches_gates(n, monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_sector_hop_terms_match_jw_exponential(n):
-    """Each hopping bond, compiled on every particle-number sector, equals
-    exp(i dt nu (c_a^dag c_b + h.c.)) restricted to that sector.  With one
-    particle the CZ string acts trivially; from two particles on it carries
-    the JW sign, so a wrong string fails only there."""
+    """Each hop of the Trotter step (hopping bonds and couplings), compiled on
+    every particle-number sector, equals exp(i dt c (a_p^dag a_q + h.c.))
+    restricted to that sector.  With one particle the CZ string acts
+    trivially; from two particles on it carries the JW sign, so a wrong
+    string fails only there."""
     from scipy.linalg import expm
     from fermispec.circuits import Circuit
-    dt, nu = 0.37, 0.8
-    ops = [sv.annihilation_operator(2 * n, 2 * j) for j in range(n)]
-    for j in protocol.chain_bonds(n):
-        a, b = j, (j + 1) % n
-        want = expm(1j * dt * nu * (ops[a].conj().T @ ops[b] + ops[b].conj().T @ ops[a]))
-        circuit = Circuit(2 * n, tuple(protocol._hopping_bond_gates(n, j, nu * dt, 2)))
+    dt = 0.37
+    ops = [sv.annihilation_operator(2 * n, q) for q in range(2 * n)]
+    hops = [(qubits, c) for kind, qubits, c in protocol._terms(ProtocolConfig(n, 0.3, nu=0.8), 2)
+            if kind == "hop"]
+    assert len(hops) == len(protocol.chain_bonds(n)) + n
+    for (p, q), c in hops:
+        want = expm(1j * dt * c * (ops[p].conj().T @ ops[q] + ops[q].conj().T @ ops[p]))
+        circuit = Circuit(2 * n, tuple(protocol._term_gates("hop", (p, q), c, dt)))
         for k in range(2 * n + 1):
             basis = sector.Basis(2 * n, [k])
             program = sector.compile_circuit(circuit, basis)
             got = sector.run_program(program, np.eye(len(basis), dtype=complex))
-            assert np.max(np.abs(got - want[np.ix_(basis.bits, basis.bits)])) < 1e-12, (j, k)
+            assert np.max(np.abs(got - want[np.ix_(basis.bits, basis.bits)])) < 1e-12, (p, q, k)
 
 
-def _jw_system_hamiltonian(config):
-    """H_sys from dense kron-built JW operators: the oracle of the bit-built one."""
+def _jw_system_hamiltonian(config, stride=1):
+    """H_sys from dense kron-built JW operators: the oracle of the bit-built
+    one; at stride 2, on the 2N register with the coupling, H at omega = 0."""
     n = config.n_sites
-    ops = [sv.annihilation_operator(n, j) for j in range(n)]
-    h = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    ops = [sv.annihilation_operator(stride * n, q) for q in range(stride * n)]
+    h = np.zeros((2 ** (stride * n),) * 2, dtype=complex)
     for j in protocol.chain_bonds(n):
-        a, b = j, (j + 1) % n
+        a, b = stride * j, stride * ((j + 1) % n)
         h += config.nu * (ops[a].conj().T @ ops[b] + ops[b].conj().T @ ops[a])
         if config.interaction != 0:
             h += config.interaction * (ops[a].conj().T @ ops[a] @ ops[b].conj().T @ ops[b])
+    if stride == 2:
+        for c, d in zip(ops[0::2], ops[1::2]):
+            h += config.epsilon / 2 * (c.conj().T @ d + d.conj().T @ c)
     return h
 
 
@@ -446,6 +458,23 @@ def test_system_hamiltonian_bit_built_equals_jw_operators(n):
             bits = sector.Basis(n, [k]).bits
             assert np.array_equal(protocol._system_hamiltonian(cfg, sector.Basis(n, [k])),
                                   dense[np.ix_(bits, bits)]), (nu, V, k)
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_system_hamiltonian_renders_single_particle_matrices(n):
+    """The one-particle block of the bit-built Hamiltonian, in qubit order
+    (reversed rank), is `chain_hopping` on the N system qubits and
+    `coupled_hamiltonian` at omega = 0 on the 2N register; on the full 2N
+    basis (N <= 4) it is the dense JW H at omega = 0."""
+    for nu, eps, V in ((0.8, 0.3, 2.3), (-1.0, 1.7, 0.0)):
+        cfg = ProtocolConfig(n, eps, nu=nu, interaction=V)
+        for stride, want in ((1, chain_hopping(n, nu)),
+                             (2, coupled_hamiltonian(n, nu, eps, 0.0))):
+            block = protocol._system_hamiltonian(cfg, sector.Basis(stride * n, [1]))
+            assert np.array_equal(block[::-1, ::-1], want), (nu, eps, V, stride)
+        if n <= 4:
+            assert np.array_equal(protocol._system_hamiltonian(cfg, sector.Basis(2 * n)),
+                                  _jw_system_hamiltonian(cfg, 2)), (nu, eps, V)
 
 
 def _embed_sector_state(n, state):
