@@ -14,6 +14,11 @@ only `verify`, which the CLI runs, and the tests do.
 
 BARRIER takes no qubits and cuts commutation-based layering globally; in the
 text format it is a blank line.
+
+It is also the home of the input rules that every module checks by: an
+integer, a finite real (a bool is neither) and the qubits of an n-qubit
+register, integers in [0, n) with no two equal; each is a predicate and a
+`require_` helper that raises ValueError naming the value and the rule.
 """
 from __future__ import annotations
 
@@ -21,12 +26,54 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Iterator, Sequence
 
 import numpy as np
 
 ANGLE_TOL = 1e-12
+
+
+def is_integer(value, low: int = 0) -> bool:
+    """value is an integer (a bool is not one) of at least `low`."""
+    return isinstance(value, Integral) and not isinstance(value, bool) and value >= low
+
+
+def require_integer(name: str, value, low: int = 0) -> None:
+    """Raise ValueError naming `name` unless `is_integer(value, low)`."""
+    if not is_integer(value, low):
+        rule = f">= {low}" if is_integer(value, -math.inf) else "an integer"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
+def is_finite_real(value) -> bool:
+    """value is a finite real number (a bool is not one)."""
+    return (type(value) is float or isinstance(value, Real) and not isinstance(value, bool)
+            ) and math.isfinite(value)    # a float skips the slow ABC isinstance
+
+
+def require_finite_real(name: str, value) -> None:
+    """Raise ValueError naming `name` unless `is_finite_real(value)`."""
+    if not is_finite_real(value):
+        real = isinstance(value, Real) and not isinstance(value, bool)
+        raise ValueError(f"{name} must be {'finite' if real else 'a real number'}, got {value!r}")
+
+
+def are_qubits(qubits, num_qubits: int) -> bool:
+    """qubits are integers in [0, num_qubits), no two equal."""
+    for q in qubits:    # exact ints pass on the first test, without a call
+        if not (type(q) is int and 0 <= q < num_qubits or is_integer(q) and q < num_qubits):
+            return False
+    return len(set(qubits)) == len(qubits)
+
+
+def require_qubits(what, qubits, num_qubits: int) -> None:
+    """Raise ValueError naming `what` unless `are_qubits(qubits, num_qubits)`;
+    `what` is formatted only then, so a gate may be passed as it is."""
+    if not are_qubits(qubits, num_qubits):
+        rule = (f"out of range for {num_qubits} qubits" if len(set(qubits)) == len(qubits)
+                else "repeats a qubit")
+        raise ValueError(f"{what} {rule}")
 
 
 class GateKind(Enum):
@@ -68,12 +115,13 @@ class Gate:
         else:
             if nq != 1:
                 raise ValueError(f"{self.kind.value} is a single-qubit gate")
-        if any(q < 0 for q in self.qubits):
-            raise ValueError("qubit indices must be nonnegative")
+        for q in self.qubits:    # exact ints >= 0 pass without a call
+            if type(q) is not int or q < 0:
+                require_integer("qubit index", q)
         if (self.angle is not None) != (self.kind in PARAMETRIC_KINDS):
             raise ValueError(f"angle mismatch for {self.kind.value}")
-        if self.angle is not None and not math.isfinite(self.angle):
-            raise ValueError(f"{self.kind.value} angle must be finite, got {self.angle!r}")
+        if self.angle is not None and not is_finite_real(self.angle):
+            require_finite_real(f"{self.kind.value} angle", self.angle)
 
     def __eq__(self, other):
         if not isinstance(other, Gate):
@@ -139,15 +187,6 @@ def barrier() -> Gate:
     return Gate(GateKind.BARRIER, ())
 
 
-def require_qubit_count(num_qubits) -> None:
-    """Raise ValueError naming `num_qubits` unless it is a non-negative
-    integer (a bool is not one)."""
-    if isinstance(num_qubits, bool) or not isinstance(num_qubits, Integral):
-        raise ValueError(f"num_qubits must be an integer, got {num_qubits!r}")
-    if num_qubits < 0:
-        raise ValueError(f"num_qubits must be >= 0, got {num_qubits}")
-
-
 @dataclass(frozen=True)
 class Circuit:
     """Ordered gate list on `num_qubits` qubits; first gate applies first."""
@@ -156,11 +195,10 @@ class Circuit:
     meta: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
-        require_qubit_count(self.num_qubits)
+        require_integer("num_qubits", self.num_qubits)
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
-            if any(q >= self.num_qubits for q in g.qubits):
-                raise ValueError(f"gate {g} out of range for {self.num_qubits} qubits")
+            require_qubits(g, g.qubits, self.num_qubits)
 
     def __iter__(self) -> Iterator[Gate]:
         return iter(self.gates)
@@ -356,8 +394,8 @@ def parse_circuit(text: str, num_qubits: int | None = None) -> Circuit:
                 gates.append(Gate(kind, tuple(map(int, parts)), angle))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: {exc}") from None
-            if n is not None and any(q >= n for q in gates[-1].qubits):
-                raise ValueError(f"line {lineno}: gate {gates[-1]} out of range for {n} qubits")
+            if n is not None and not are_qubits(gates[-1].qubits, n):
+                require_qubits(f"line {lineno}: gate {gates[-1]}", gates[-1].qubits, n)
     if n is None:
         n = max(1, 1 + max((q for g in gates for q in g.qubits), default=-1))
     return Circuit(n, tuple(gates))

@@ -18,8 +18,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .circuits import two_qubit_count, two_qubit_depth, write_circuit
-from .czgraph import check_depth_penalty, decimate, parse_edge_list, verify_equivalence
+from .circuits import require_finite_real, two_qubit_count, two_qubit_depth, write_circuit
+from .czgraph import decimate, parse_edge_list, verify_equivalence
 from .fft import (FFTPlan, InterleaveStrategy, compile_fft, fft_circuit,
                   has_shipped_listing, interleave_circuit, interleave_cz_graph,
                   interleave_permutation)
@@ -131,7 +131,7 @@ def _cmd_optimize_cz(args) -> int:
         "steps": circuit.meta.get("steps", len(circuit.gates)),
         "depth_penalty": args.depth_penalty,
     }
-    _write_outputs(args, report, report)
+    _write_outputs(args, dict(report, graph_sha256=_sha256(args.graph)), report)
     print(json.dumps(report))
     return 0
 
@@ -295,7 +295,7 @@ def main(argv=None) -> int:
             return 2
     if "depth_penalty" in args:    # compile-fft and optimize-cz
         try:
-            check_depth_penalty(args.depth_penalty)
+            require_finite_real("depth_penalty", args.depth_penalty)
         except ValueError as exc:
             print(f"bad penalty: {exc}", file=sys.stderr)
             return 2

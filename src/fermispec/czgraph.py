@@ -27,22 +27,14 @@ circuit) is the one of a plain scan over the moves in that order.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
-from numbers import Real
 
 import numpy as np
 
-from .circuits import Circuit, Gate, cz, cx, cy, listing_qubits, require_qubit_count, z
+from .circuits import (Circuit, Gate, are_qubits, cz, cx, cy, listing_qubits,
+                       require_finite_real, require_integer, require_qubits, z)
 from .tableau import CliffordTableau, tableau_of, tableau_of_cz_edges
-
-
-def _norm_edge(e) -> tuple[int, int]:
-    a, b = e
-    if a == b:
-        raise ValueError("self-loops are not allowed")
-    return (a, b) if a < b else (b, a)
 
 
 @dataclass(frozen=True)
@@ -51,11 +43,11 @@ class CZGraph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        require_qubit_count(self.num_qubits)
-        object.__setattr__(self, "edges", frozenset(_norm_edge(e) for e in self.edges))
-        for (a, b) in self.edges:
-            if not (0 <= a < self.num_qubits and 0 <= b < self.num_qubits):
-                raise ValueError(f"edge ({a},{b}) out of range")
+        require_integer("num_qubits", self.num_qubits)
+        for a, b in self.edges:
+            if not are_qubits((a, b), self.num_qubits):
+                require_qubits(f"edge ({a}, {b})", (a, b), self.num_qubits)
+        object.__setattr__(self, "edges", frozenset(tuple(sorted(e)) for e in self.edges))
 
     @property
     def num_edges(self) -> int:
@@ -128,8 +120,7 @@ def _move(rows: np.ndarray, rule: DecimationRule, i: int,
 
 def apply_rule(graph: CZGraph, step: DecimationStep) -> CZGraph:
     n, i, j = graph.num_qubits, step.i, step.j
-    if i == j or not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"invalid step qubits ({i},{j})")
+    require_qubits(f"step qubits ({i}, {j})", (i, j), n)
     rows = _rows(graph)
     _move(rows, step.rule, i, j)
     dense = np.unpackbits(rows.view(np.uint8), axis=1, bitorder="little")[:, :n]
@@ -140,15 +131,6 @@ def apply_rule(graph: CZGraph, step: DecimationStep) -> CZGraph:
 # greedy decimation
 # --------------------------------------------------------------------------
 
-def check_depth_penalty(depth_penalty: float) -> None:
-    """Raise ValueError unless the depth penalty is a finite real number (any
-    sign) and not a bool."""
-    if isinstance(depth_penalty, bool) or not isinstance(depth_penalty, Real):
-        raise ValueError(f"depth_penalty must be a real number, got {depth_penalty!r}")
-    if not math.isfinite(depth_penalty):
-        raise ValueError(f"depth_penalty must be finite, got {depth_penalty}")
-
-
 def decimate(graph: CZGraph, depth_penalty: float = 0.5) -> Circuit:
     """Synthesize a circuit realizing U_G exactly (phases included).
 
@@ -156,7 +138,7 @@ def decimate(graph: CZGraph, depth_penalty: float = 0.5) -> Circuit:
     emitted gate order is [V_1 .. V_m, W_m .. W_1].  `depth_penalty` must be
     finite; it may be negative.
     """
-    check_depth_penalty(depth_penalty)
+    require_finite_real("depth_penalty", depth_penalty)
     n = graph.num_qubits
     words = _rows(graph)
     width = words.shape[1]
@@ -236,10 +218,9 @@ def parse_edge_list(text: str, num_qubits: int | None = None) -> CZGraph:
         if len(fields) != 2 or not all(f.isdecimal() for f in fields):
             raise ValueError(f"line {lineno}: expected 'i j', got {line!r}")
         a, b = int(fields[0]), int(fields[1])
-        if a == b:
-            raise ValueError(f"line {lineno}: self-loop ({a}, {b}) is not allowed")
-        if n is not None and max(a, b) >= n:
-            raise ValueError(f"line {lineno}: edge ({a}, {b}) out of range for {n} qubits")
+        # with no register size fixed yet, only a self-loop can fail
+        require_qubits(f"line {lineno}: edge ({a}, {b})", (a, b),
+                       max(a, b) + 1 if n is None else n)
         if (a, b) in edges or (b, a) in edges:
             raise ValueError(f"line {lineno}: repeated edge ({a}, {b})")
         edges.add((a, b))

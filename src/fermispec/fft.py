@@ -29,13 +29,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
-from numbers import Integral
 
 import numpy as np
 
-from .circuits import (Circuit, Gate, GateKind, cz, cx, fswap, givens, remap,
-                       rz, s, sdg, x, z, parse_circuit, invert)
-from .czgraph import CZGraph, check_depth_penalty, decimate, graph_from_edges
+from .circuits import (Circuit, Gate, GateKind, cz, cx, fswap, givens, is_integer, remap,
+                       require_finite_real, require_integer, rz, s, sdg, x, z, parse_circuit,
+                       invert)
+from .czgraph import CZGraph, decimate, graph_from_edges
 from .gaussian import band_energies, extract_mode_transform
 from .tableau import tableau_of, tableau_of_cz_edges
 
@@ -57,10 +57,8 @@ class FFTPlan:
     depth_penalty: float = 0.5
 
     def __post_init__(self):
-        for name in ("num_modes", "radix"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+        require_integer("num_modes", self.num_modes, 2)
+        require_integer("radix", self.radix, 2)
         if not isinstance(self.interleave_strategy, InterleaveStrategy):
             raise ValueError(f"interleave_strategy must be one of "
                              f"{[s.value for s in InterleaveStrategy]}, "
@@ -68,7 +66,7 @@ class FFTPlan:
         if fft_radix(self.num_modes) != self.radix:
             raise ValueError(f"num_modes {self.num_modes} is not a power of radix "
                              f"{self.radix} (supported radices: 2, 3)")
-        check_depth_penalty(self.depth_penalty)
+        require_finite_real("depth_penalty", self.depth_penalty)
 
 
 def fft_radix(num_modes: int) -> int | None:
@@ -104,8 +102,9 @@ class InterleavePermutation:
 
 
 def interleave_permutation(num_modes: int, radix: int) -> InterleavePermutation:
-    if radix < 1 or num_modes % radix != 0:
-        raise ValueError(f"radix {radix} is not a positive divisor of {num_modes}")
+    require_integer("num_modes", num_modes)
+    if not is_integer(radix, 1) or num_modes % radix != 0:
+        raise ValueError(f"radix {radix!r} is not a positive divisor of {num_modes}")
     m = num_modes // radix
     sigma = [0] * num_modes
     for q in range(m):

@@ -31,12 +31,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import KW_ONLY, asdict, dataclass, field, replace
-from numbers import Integral, Real
 from typing import Sequence
 
 import numpy as np
 
-from .circuits import Circuit, Gate, cx, cz, givens, remap, rz
+from .circuits import (Circuit, Gate, cx, cz, givens, is_finite_real, is_integer, remap,
+                       require_finite_real, require_integer, rz)
 from .fft import (InterleaveStrategy, fft_circuit, fft_radix, ground_state_momenta,
                   ground_state_prep_circuit, interleave_circuit,
                   interleave_permutation)
@@ -48,13 +48,6 @@ from . import sector
 # --------------------------------------------------------------------------
 # configuration and result grid
 # --------------------------------------------------------------------------
-
-def _require_finite(**values) -> None:
-    """Raise ValueError naming the first value that is not a finite real number."""
-    for name, value in values.items():
-        if not isinstance(value, Real) or not math.isfinite(value):
-            raise ValueError(f"{name} must be a finite number, got {value!r}")
-
 
 @dataclass
 class ProtocolConfig:
@@ -72,26 +65,20 @@ class ProtocolConfig:
     initial_state: object = "ground"  # "ground" | sequence of rho_k in [0,1]
 
     def __post_init__(self):
-        for name in ("n_sites", "trotter_steps"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.n_sites < 2:
-            raise ValueError("n_sites must be >= 2")
-        _require_finite(**{name: getattr(self, name)
-                            for name in ("epsilon", "t", "nu", "interaction")})
+        require_integer("n_sites", self.n_sites, 2)
+        require_integer("trotter_steps", self.trotter_steps)
+        for name in ("epsilon", "t", "nu", "interaction"):
+            require_finite_real(name, getattr(self, name))
         if self.t < 0:
             raise ValueError("t must be >= 0")
-        if self.trotter_steps < 0:
-            raise ValueError("trotter_steps must be >= 0")
         if self.environment not in ("empty", "full"):
             raise ValueError(f"environment must be 'empty' or 'full', got {self.environment!r}")
         if isinstance(self.initial_state, str):
             if self.initial_state != "ground":
                 raise ValueError(f"unknown initial_state {self.initial_state!r}")
         else:
-            rho = np.asarray(self.initial_state, dtype=float)
-            if rho.shape != (self.n_sites,) or not ((rho >= 0) & (rho <= 1)).all():
+            if np.shape(self.initial_state) != (self.n_sites,) or not all(
+                    is_finite_real(r) and 0 <= r <= 1 for r in self.initial_state):
                 raise ValueError("explicit rho_k must be n_sites values in [0, 1]")
             if self.interaction != 0:
                 raise ValueError("an interacting chain starts in its ground state; "
@@ -145,19 +132,14 @@ class SpectralGrid:
                              f"{float(self.values[ik, iw])!r},{self.method}\n")
 
 
-def _is_integer(value, low: int) -> bool:
-    """value is an integer >= low, and not a bool."""
-    return not isinstance(value, bool) and isinstance(value, Integral) and value >= low
-
-
 def _omega_grid(omegas) -> np.ndarray:
-    """Real, non-bool omegas as a non-empty 1-D array of finite floats, or ValueError."""
+    """Finite real omegas as a non-empty 1-D float array, or ValueError."""
     try:
         grid = np.asarray(omegas, dtype=float)
     except (TypeError, ValueError):
         grid = None
-    if (grid is None or grid.ndim != 1 or not grid.size or not np.isfinite(grid).all()
-            or not all(isinstance(w, Real) and not isinstance(w, bool) for w in omegas)):
+    if (grid is None or grid.ndim != 1 or not grid.size
+            or not all(is_finite_real(w) for w in omegas)):
         raise ValueError(f"omegas must be a 1-D sequence of finite numbers, at least one, "
                          f"got {omegas!r}")
     return grid
@@ -220,7 +202,8 @@ def broadening_and_ghosts(epsilon: float, t: float) -> dict:
     is suppressed by r = (t*eps / (2 n pi + t*eps))^2.  Every grid depends on
     eps only through eps^2, so -eps gives the result of eps.
     """
-    _require_finite(epsilon=epsilon, t=t)
+    require_finite_real("epsilon", epsilon)
+    require_finite_real("t", t)
     if t <= 0:
         raise ValueError("t must be > 0")
     epsilon = abs(epsilon)
@@ -373,10 +356,9 @@ def _step(terms, num_qubits: int, dt: float) -> Circuit:
     return Circuit(num_qubits, tuple(g for term in terms for g in _term_gates(*term, dt)))
 
 
-def _system_step(config: ProtocolConfig, dt: float, stride: int) -> Circuit:
-    """First-order step of exp(+i H_sys dt) on the N system qubits at stride 1;
-    at stride 2 the coupling joins it (`_terms`), the Trotter step at omega = 0."""
-    return _step(_terms(config, stride), stride * config.n_sites, dt)
+def _system_step(config: ProtocolConfig, dt: float) -> Circuit:
+    """First-order step of exp(+i H_sys dt) on the N system qubits."""
+    return _step(_terms(config, 1), config.n_sites, dt)
 
 
 def trotter_step_circuit(config: ProtocolConfig, dt: float, omega: float) -> Circuit:
@@ -571,9 +553,8 @@ def run_circuit_protocol(config: ProtocolConfig, omegas, shots: int = 0,
     multinomial sampling of Z outcomes with a seeded generator.  shots and
     seed are integers >= 0.
     """
-    for name, value in (("shots", shots), ("seed", seed)):
-        if not _is_integer(value, 0):
-            raise ValueError(f"{name} must be a non-negative integer, got {value!r}")
+    require_integer("shots", shots)
+    require_integer("seed", seed)
     omegas = _omega_grid(omegas)
     occ = _run_trotter(config, omegas, (config.environment,), shots, seed)[..., 0]
     vals = occ if config.environment == "empty" else 1 - occ
@@ -662,7 +643,7 @@ def _trotterized_correlators(config: ProtocolConfig, state: tuple | None = None)
     # from v = 0 forward (d = 1) to v = t and backward to v = -t; a step of
     # exp(-iH dt) is _system_step's exp(+iH dt) at -dt
     for d in (1, -1):
-        step = sector.compile_circuit(_system_step(config, -d * config.t / steps, 1), basis)
+        step = sector.compile_circuit(_system_step(config, -d * config.t / steps), basis)
         for iv in range(steps + d, steps + d * (steps + 1), d):
             states[iv] = states[iv - d]
             sector.run_program(step, states[iv])
@@ -794,7 +775,7 @@ def compare_trotter(config: ProtocolConfig, omegas, step_counts) -> dict:
     """
     omegas = _omega_grid(omegas)
     counts = list(step_counts) if np.iterable(step_counts) else []
-    if not counts or not all(_is_integer(s, 1) for s in counts):
+    if not counts or not all(is_integer(s, 1) for s in counts):
         raise ValueError(f"step_counts must be positive integers, at least one, "
                          f"got {step_counts!r}")
     _require_readout(config.n_sites)

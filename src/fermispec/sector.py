@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuits import Circuit, GateKind, gate_matrix, require_qubit_count
+from .circuits import Circuit, GateKind, gate_matrix, require_integer
 
 _SWAPPED = [0, 2, 1, 3]    # two-qubit basis order with the qubits exchanged
 
@@ -97,13 +97,16 @@ class Basis:
     """
 
     def __init__(self, num_qubits: int, particle_numbers=None):
-        require_qubit_count(num_qubits)
+        require_integer("num_qubits", num_qubits)
         self.num_qubits = num_qubits
         if particle_numbers is None:
             self.bits = np.arange(2 ** num_qubits, dtype=np.int64)
         else:
-            ks = sorted(set(int(k) for k in particle_numbers))
-            if ks and (ks[0] < 0 or ks[-1] > num_qubits):
+            ks = set(particle_numbers)
+            for k in ks:
+                require_integer("particle number", k)
+            ks = sorted(map(int, ks))
+            if ks and ks[-1] > num_qubits:
                 raise ValueError(f"particle numbers {ks} outside 0..{num_qubits}")
             dtype = np.dtype(np.int64 if num_qubits <= 63 else object)
             self.bits = np.sort(np.concatenate(

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuits import Circuit, Gate, GateKind, gate_matrix
+from .circuits import Circuit, Gate, GateKind, gate_matrix, require_qubits
 
 QUBIT_CAP = 20
 
@@ -44,8 +44,7 @@ def apply_gate(state: np.ndarray, gate: Gate, num_qubits: int) -> np.ndarray:
     """
     if gate.kind is GateKind.BARRIER:
         return state
-    if max(gate.qubits) >= num_qubits:
-        raise IndexError(f"gate {gate} out of range for {num_qubits} qubits")
+    require_qubits(gate, gate.qubits, num_qubits)
     view = np.moveaxis(state, gate.qubits, range(len(gate.qubits)))
     m = gate_matrix(gate)
     np.copyto(view, (m @ view.reshape(len(m), -1)).reshape(view.shape))

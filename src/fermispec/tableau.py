@@ -26,13 +26,12 @@ tableau has a closed form (`tableau_of_cz_edges`).
 from __future__ import annotations
 
 import math
-import operator
 from functools import lru_cache
 
 import numpy as np
 
 from .circuits import (PARAMETRIC_KINDS, TWO_QUBIT_KINDS, Circuit, Gate, GateKind,
-                       gate_matrix, require_qubit_count)
+                       are_qubits, gate_matrix, require_integer, require_qubits)
 
 _HALF_PI = math.pi / 2
 
@@ -125,7 +124,7 @@ class CliffordTableau:
     """
 
     def __init__(self, num_qubits: int):
-        require_qubit_count(num_qubits)
+        require_integer("num_qubits", num_qubits)
         n = self.num_qubits = num_qubits
         self._x = [1 << q for q in range(n)]
         self._z = [1 << (n + q) for q in range(n)]
@@ -147,8 +146,7 @@ class CliffordTableau:
         if gate.kind is GateKind.BARRIER:
             return self
         linear, monomials = _compiled_table(*_table_key(gate))
-        if max(gate.qubits) >= self.num_qubits:
-            raise ValueError(f"gate {gate} out of range for {self.num_qubits} qubits")
+        require_qubits(gate, gate.qubits, self.num_qubits)
         xs, zs = self._x, self._z
         ins = [col for q in gate.qubits for col in (xs[q], zs[q])]
         out = []
@@ -206,9 +204,9 @@ def tableau_of_cz_edges(num_qubits: int, edges) -> CliffordTableau:
     """
     t = CliffordTableau(num_qubits)
     for edge in edges:
-        i, j = map(operator.index, edge)
-        if not (0 <= i < num_qubits and 0 <= j < num_qubits) or i == j:
-            raise ValueError(f"CZ edges must join two distinct qubits in [0, {num_qubits})")
+        if not are_qubits(edge, num_qubits):
+            require_qubits(f"CZ edge {tuple(edge)}", edge, num_qubits)
+        i, j = map(int, edge)    # numpy ints would make the columns fixed-width
         # edge (i, j) toggles Z_j in row X_i and Z_i in row X_j
         t._z[j] ^= 1 << i
         t._z[i] ^= 1 << j

@@ -1,7 +1,11 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 
+import fermispec
 from fermispec.circuits import (Circuit, Gate, GateKind, barrier, cx, cy, cz,
                                 format_circuit, givens, invert, parse_circuit,
                                 rz, two_qubit_count, two_qubit_depth)
@@ -24,6 +28,37 @@ def test_gate_validation():
         Gate(GateKind.BARRIER, (0,))
     with pytest.raises(ValueError):
         Circuit(2, (cz(0, 2),))
+    for q, kind in ((1.5, "an integer"), (True, "an integer"), (-1, ">= 0")):
+        with pytest.raises(ValueError, match=f"qubit index must be {kind}, got {q!r}"):
+            cz(0, q)
+        with pytest.raises(ValueError, match=f"qubit index must be {kind}, got {q!r}"):
+            Gate(GateKind.X, (q,))
+
+
+def _rule_uses(tree: ast.AST) -> list[str]:
+    """Each import of numbers.Integral or numbers.Real and each use of
+    operator.index in a parsed module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("numbers", "operator"):
+            found += [f"from {node.module} import {a.name}" for a in node.names
+                      if a.name in ("Integral", "Real", "index", "*")]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and (node.value.id, node.attr) in (("numbers", "Integral"), ("numbers", "Real"),
+                                                 ("operator", "index"))):
+            found.append(f"{node.value.id}.{node.attr}")
+    return found
+
+
+def test_input_rules_live_in_circuits():
+    """Only `circuits` decides what an integer or a real number is: no other
+    module imports numbers.Integral or numbers.Real, or calls operator.index."""
+    src = Path(fermispec.__file__).resolve().parent
+    offenders = {path.name: uses for path in sorted(src.glob("*.py"))
+                 if path.name != "circuits.py"
+                 and (uses := _rule_uses(ast.parse(path.read_text())))}
+    assert offenders == {}
+    assert _rule_uses(ast.parse((src / "circuits.py").read_text()))
 
 
 def test_negative_qubit_count_rejected():

@@ -158,10 +158,10 @@ def test_missing_input_file(tmp_path, capsys, subcommand, flag, prefix):
      "bad penalty: depth_penalty must be finite, got inf"),
     (["optimize-cz", "--depth-penalty=-inf"], None,
      "bad penalty: depth_penalty must be finite, got -inf"),
-    (["simulate-spectral"], {"t": float("nan")}, "bad config: t must be a finite number"),
+    (["simulate-spectral"], {"t": float("nan")}, "bad config: t must be finite, got nan"),
     (["simulate-spectral"], {"epsilon": float("nan")},
-     "bad config: epsilon must be a finite number"),
-    (["simulate-spectral"], {"nu": float("inf")}, "bad config: nu must be a finite number"),
+     "bad config: epsilon must be finite, got nan"),
+    (["simulate-spectral"], {"nu": float("inf")}, "bad config: nu must be finite, got inf"),
     (["simulate-spectral"], {"omegas": [float("nan")]},
      "bad config: omegas must be a 1-D sequence of finite numbers"),
     (["compare-trotter"], {"omegas": [0.5, float("-inf")]},
@@ -175,6 +175,8 @@ def test_missing_input_file(tmp_path, capsys, subcommand, flag, prefix):
     (["simulate-spectral"], {"shots": False}, "bad config: shots requires the circuit method"),
     (["simulate-spectral"], {"method": "exact", "shots": 0.0},
      "bad config: shots requires the circuit method"),
+    (["simulate-spectral"], {"epsilon": True},
+     "bad config: epsilon must be a real number, got True"),
 ])
 def test_malformed_input(tmp_path, capsys, argv, config, prefix):
     if argv[0] == "optimize-cz":
@@ -365,6 +367,14 @@ def test_manifest_records_every_input(tmp_path):
     d = _manifest_config(tmp_path, "d", "compare-trotter", dict(trotter, step_counts=[2]))
     e = _manifest_config(tmp_path, "e", "compare-trotter", dict(trotter, omegas=[0.5]))
     assert c != d and c != e
+    graphs = []
+    for name, text in (("f", "0 1\n1 2\n"), ("g", "0 2\n2 3\n")):
+        (tmp_path / f"{name}.txt").write_text(text)
+        man = tmp_path / f"{name}.manifest.json"
+        assert main(["optimize-cz", "--graph", str(tmp_path / f"{name}.txt"),
+                     "--out", str(tmp_path / f"{name}.cz"), "--manifest", str(man)]) == 0
+        graphs.append(json.loads(man.read_text())["config"])
+    assert graphs[0] != graphs[1]
 
 
 # sha256 of (output, sidecar, manifest) per subcommand, on the runs of _pinned_run
@@ -374,7 +384,7 @@ _OUTPUT_PINS = {
                     "3a168003186c5df18ca0fb149e4d1df5c5cf6c55402c8f17ccffbee1b0a89902"),
     "optimize-cz": ("42fc9212595aa6cb2bbb2bd39eb2668e7c41c8161146af50887eb634ecf73201",
                     "bff61f00821f50d1a0557de34724406641eb7a7c075be2659cdd8c95bd671b16",
-                    "144e727fb4a14fb746c3bd540ce6ac9216609cc85fb705382b641dd82665bed7"),
+                    "e949e93d9626938bb3b03cd777e5424dc2522d56cb7c835795302226170439e8"),
     "report": ("f8e1731ebbeaaeba1094751a05314d850e1f69c025d5ce5ee12104519c94fdbc",
                "45f6baf40f56367b2817c5afa621a23cb0309df4ef77c4be2c5f26344fc99d7a",
                "ec77491fcd94decac96bd6e62d5daf285e49411e51e0e958d2d8c3f8f83f3f64"),

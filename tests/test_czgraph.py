@@ -83,6 +83,17 @@ def test_apply_rule_validates_indices():
         apply_rule(g, DecimationStep(DecimationRule.CZ_REMOVAL, 1, 1))
     with pytest.raises(ValueError):
         apply_rule(g, DecimationStep(DecimationRule.CZ_REMOVAL, 0, 5))
+    for i, j in ((0, 1.5), (0, True), (-1, 2)):
+        with pytest.raises(ValueError, match="step qubits .* out of range for 3 qubits"):
+            apply_rule(g, DecimationStep(DecimationRule.CZ_REMOVAL, i, j))
+
+
+@pytest.mark.parametrize("edge", [(0, 1.5), (0, True), (-1, 2), (0, 3), (1, 1)])
+def test_graph_rejects_bad_edges(edge):
+    """A float edge used to pass and be truncated: (0, 1.5) decimated to CZ(0, 1)."""
+    with pytest.raises(ValueError,
+                       match=r"edge \(.*\) (out of range for 3 qubits|repeats a qubit)"):
+        decimate(CZGraph(3, {edge}))
 
 
 def test_step_costs():
@@ -417,7 +428,7 @@ def test_edge_list_malformed_line_names_it(text):
 
 
 @pytest.mark.parametrize("text, message", [
-    ("0 1\n2 2\n", r"line 2: self-loop \(2, 2\)"),
+    ("0 1\n2 2\n", r"line 2: edge \(2, 2\) repeats a qubit"),
     ("# qubits: 2\n0 3\n", r"line 2: edge \(0, 3\) out of range for 2 qubits"),
 ], ids=["self-loop", "out-of-range"])
 def test_edge_list_graph_checks_name_the_line(text, message):

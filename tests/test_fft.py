@@ -49,9 +49,9 @@ def test_plan_validation():
 
 
 @pytest.mark.parametrize("args, match", [
-    ((9, 3.0), "radix must be an int, got 3.0"),
-    ((2, True), "radix must be an int, got True"),
-    ((9.0, 3), "num_modes must be an int, got 9.0"),
+    ((9, 3.0), "radix must be an integer, got 3.0"),
+    ((2, True), "radix must be an integer, got True"),
+    ((9.0, 3), "num_modes must be an integer, got 9.0"),
     ((9, 3, "graph-decimated"),
      r"interleave_strategy must be one of \['local-fswap', 'cx-ladder', "
      r"'graph-decimated', 'imported'\], got 'graph-decimated'"),
@@ -77,6 +77,8 @@ def test_interleave_permutation_examples():
 def test_interleave_permutation_requires_divisor():
     with pytest.raises(ValueError):
         interleave_permutation(7, 2)
+    with pytest.raises(ValueError, match="radix 2.0 is not a positive divisor of 8"):
+        interleave_permutation(8, 2.0)
 
 
 @pytest.mark.parametrize("radix", [0, -2])

@@ -218,7 +218,7 @@ def test_broadening_eps_zero():
                                              (0.5, np.inf, "t"), (-np.inf, 5.0, "epsilon")],
                          ids=["eps-nan", "t-nan", "t-inf", "eps-inf"])
 def test_broadening_rejects_non_finite(epsilon, t, name):
-    with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
         broadening_and_ghosts(epsilon, t)
 
 
@@ -365,7 +365,7 @@ def test_emitted_circuits_pinned(n):
             cfg = ProtocolConfig(n, 0.3, nu=0.8, interaction=V)
             step.update(format_circuit(protocol.trotter_step_circuit(cfg, dt, omega)).encode())
             for sign in (1, -1):
-                system.update(format_circuit(protocol._system_step(cfg, sign * dt, 1)).encode())
+                system.update(format_circuit(protocol._system_step(cfg, sign * dt)).encode())
     readout = hashlib.sha256(format_circuit(protocol._readout_circuit(n)).encode())
     assert (step.hexdigest(), system.hexdigest(), readout.hexdigest()) == CIRCUIT_DIGESTS[n]
 
@@ -816,7 +816,7 @@ def _dense_trotterized_baseline(config, omegas):
     evolved = {steps: cols}
     basis = sector.Basis(n)
     for sign, ivs in ((1, range(steps + 1, 2 * steps + 1)), (-1, range(steps - 1, -1, -1))):
-        step = sector.compile_circuit(protocol._system_step(config, -sign * config.t / steps, 1),
+        step = sector.compile_circuit(protocol._system_step(config, -sign * config.t / steps),
                                       basis)
         cur = cols
         for iv in ivs:
@@ -1041,10 +1041,12 @@ def test_config_validation():
             ProtocolConfig(**{"n_sites": 4, "epsilon": 0.1, name: value})
     assert ProtocolConfig(np.int64(4), 0.1, trotter_steps=np.int64(2)).n_sites == 4
     for name in ("epsilon", "t", "nu", "interaction"):
-        for value in (np.nan, np.inf, -np.inf, "0.5", None):
-            with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+        for value, kind in ((np.nan, "finite"), (np.inf, "finite"), (-np.inf, "finite"),
+                            ("0.5", "a real number"), (None, "a real number"),
+                            (True, "a real number")):
+            with pytest.raises(ValueError, match=f"{name} must be {kind}, got"):
                 ProtocolConfig(**{"n_sites": 4, "epsilon": 0.1, name: value})
-    for rho in ([np.nan, 0, 0, 1], [0, 0, np.inf, 1]):
+    for rho in ([np.nan, 0, 0, 1], [0, 0, np.inf, 1], [True, False, False, True]):
         with pytest.raises(ValueError, match="rho_k must be"):
             ProtocolConfig(4, 0.1, initial_state=rho)
 
@@ -1100,12 +1102,12 @@ def test_bad_omega_grid_rejected(entry, omegas):
 
 
 @pytest.mark.parametrize("kwargs, match", [
-    ({"shots": 2.5}, "shots must be a non-negative integer"),
-    ({"shots": True}, "shots must be a non-negative integer"),
-    ({"shots": -1}, "shots must be a non-negative integer"),
-    ({"seed": -1}, "seed must be a non-negative integer"),
-    ({"seed": 1.5}, "seed must be a non-negative integer"),
-    ({"shots": 10, "seed": False}, "seed must be a non-negative integer"),
+    ({"shots": 2.5}, "shots must be an integer, got 2.5"),
+    ({"shots": True}, "shots must be an integer, got True"),
+    ({"shots": -1}, "shots must be >= 0, got -1"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+    ({"shots": 10, "seed": False}, "seed must be an integer, got False"),
 ], ids=["shots-float", "shots-bool", "shots-negative", "seed-negative", "seed-float", "seed-bool"])
 def test_shots_and_seed_rejected(kwargs, match):
     """run_circuit_protocol takes what the CLI takes: integers >= 0, not bools."""

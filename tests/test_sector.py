@@ -40,6 +40,9 @@ def test_basis_of_few_holes_is_built_from_few_levels():
 def test_basis_rejects_impossible_particle_numbers():
     with pytest.raises(ValueError):
         sector.Basis(3, [4])
+    for ks in ([1.5], [-1], [True]):
+        with pytest.raises(ValueError, match="particle number must be"):
+            sector.Basis(4, ks)
 
 
 @pytest.mark.parametrize("ks", [None, [0]])

@@ -46,6 +46,12 @@ def test_real_state_is_refused():
         sv.apply_gate(np.array([0.0, 1.0]), s(0), 1)
 
 
+def test_gate_outside_register_rejected():
+    """A gate beyond the register is a ValueError, as in every other module."""
+    with pytest.raises(ValueError, match=r"qubits=\(1, 3\).* out of range for 3 qubits"):
+        sv.apply_gate(sv.zero_state(3), cz(1, 3), 3)
+
+
 def test_givens_convention():
     # GIVENS(pi/4) on |01> -> cos(pi/4)|01> + i sin(pi/4)|10>
     psi = sv.basis_state(2, (0, 1))
