@@ -492,23 +492,24 @@ def _sector_start(config: ProtocolConfig, environments: Sequence[str], state: tu
 
 
 def _run_trotter(config: ProtocolConfig, omegas: np.ndarray, environments: Sequence[str],
-                 shots: int = 0, seed: int = 0, state=None) -> np.ndarray:
-    """Trotterized pipeline on 2N qubits, run in the particle-number sectors
-    of the environment fillings.
+                 step_counts: list, shots: int = 0, seed: int = 0, state=None) -> np.ndarray:
+    """Trotterized pipeline on 2N qubits at each of `step_counts`, run in the
+    particle-number sectors of the environment fillings.
 
     Every gate after the start state conserves particle number, so the
     fillings evolve as one vector over their sectors (`_sector_start`),
     through `trotter_step_circuit` and `_readout_circuit` compiled by
-    `sector.compile_circuit`.  The step's terms at omega = 0 compile once per
-    call; its onsite terms `_env_terms`, the last terms of `_terms` and their
-    only omega dependence, compile once per omega.  Returns the environment
-    occupations n(k), shape (N, len(omegas), len(environments)); shots > 0
-    samples them per omega, then per filling, from one seeded generator.
+    `sector.compile_circuit`.  The basis, start vector and readout are built
+    once per call for every step count; per count the step's terms at omega = 0
+    compile once, and its onsite terms `_env_terms`, its only omega
+    dependence, once per omega.  Returns the environment occupations n(k),
+    shape (len(step_counts), N, len(omegas), len(environments)); shots > 0
+    samples them per count, omega, then filling, from one seeded generator.
     `state` is the system start state when the caller has built it.
     """
     n = config.n_sites
     nq = 2 * n
-    if config.trotter_steps < 1:
+    if min(step_counts) < 1:
         raise ValueError("the circuit protocol needs trotter_steps >= 1")
     _require_readout(n)
     if state is None and config.interaction != 0:
@@ -524,24 +525,25 @@ def _run_trotter(config: ProtocolConfig, omegas: np.ndarray, environments: Seque
     # after the readout, qubit N + k holds n(k)
     tables = [np.stack([basis.occupied(q)[mask] for q in range(n, nq)], axis=1).astype(float)
               for mask in masks]
-    steps = config.trotter_steps
-    dt = config.t / steps
     rng = np.random.default_rng(seed)
-    occ = np.zeros((n, len(omegas), len(environments)))
-    step = sector.compile_circuit(trotter_step_circuit(config, dt, 0.0), basis)
-    for iw, om in enumerate(omegas):
-        phase = sector.compile_circuit(_step(_env_terms(n, om), nq, dt), basis)
-        state = start.copy()
-        for _ in range(steps):
-            sector.run_program(step, state)
-            sector.run_program(phase, state)
-        probs = np.abs(sector.run_program(readout, state)) ** 2
-        for b, (mask, table) in enumerate(zip(masks, tables)):
-            p = probs[mask]
-            if shots:
-                # multinomial Z-basis sampling over the filling's sector
-                p = rng.multinomial(shots, p / p.sum()) / shots
-            occ[:, iw, b] = p @ table
+    occ = np.zeros((len(step_counts), n, len(omegas), len(environments)))
+    for i, steps in enumerate(step_counts):
+        dt = config.t / steps
+        step = sector.compile_circuit(trotter_step_circuit(config, dt, 0.0), basis)
+        for iw, om in enumerate(omegas):
+            phase = sector.compile_circuit(_step(_env_terms(n, om), nq, dt), basis)
+            state = start.copy()
+            for _ in range(steps):
+                sector.run_program(step, state)
+                sector.run_program(phase, state)
+            probs = np.abs(sector.run_program(readout, state)) ** 2
+            for b, (mask, table) in enumerate(zip(masks, tables)):
+                p = probs[mask]
+                if shots:
+                    # multinomial Z-basis sampling over the filling's sector
+                    p = rng.multinomial(shots, p / p.sum()) / shots
+                occ[i, :, iw, b] = p @ table
+        del step, phase     # free this count's programs before the next compiles
     return occ
 
 
@@ -556,7 +558,8 @@ def run_circuit_protocol(config: ProtocolConfig, omegas, shots: int = 0,
     require_integer("shots", shots)
     require_integer("seed", seed)
     omegas = _omega_grid(omegas)
-    occ = _run_trotter(config, omegas, (config.environment,), shots, seed)[..., 0]
+    occ = _run_trotter(config, omegas, (config.environment,), [config.trotter_steps],
+                       shots, seed)[0, ..., 0]
     vals = occ if config.environment == "empty" else 1 - occ
     meta = {"config": config.snapshot()}
     if shots:
@@ -748,13 +751,14 @@ def environment_method_grid(config: ProtocolConfig, omegas) -> SpectralGrid:
     particle-number sectors, so they run as one vector over the union of
     their sectors (`_run_trotter`).
     """
-    return _environment_grid(config, _omega_grid(omegas))
+    omegas = _omega_grid(omegas)
+    occ = _run_trotter(config, omegas, ("empty", "full"), [config.trotter_steps])[0]
+    return _environment_grid(config, omegas, occ)
 
 
-def _environment_grid(config: ProtocolConfig, omegas: np.ndarray, state=None) -> SpectralGrid:
-    """`environment_method_grid` on an omega array; `state` is the system
-    start state when the caller has built it."""
-    occ = _run_trotter(config, omegas, ("empty", "full"), state=state)
+def _environment_grid(config: ProtocolConfig, omegas: np.ndarray, occ: np.ndarray) -> SpectralGrid:
+    """`environment_method_grid` from the `_run_trotter` occupations of its
+    empty and full fillings at config's step count."""
     vals_e, vals_f = occ[..., 0], 1 - occ[..., 1]
     meta = {"config": config.snapshot(),
             "empty_min": float(vals_e.min()), "empty_max": float(vals_e.max()),
@@ -782,10 +786,11 @@ def compare_trotter(config: ProtocolConfig, omegas, step_counts) -> dict:
     spectrum = _system_spectrum(config)
     state = _system_state(config, spectrum)
     ref = _windowed_reference(config, omegas, _lehmann_lines(config, spectrum, state)).values
+    occs = _run_trotter(config, omegas, ("empty", "full"), counts, state=state)
     rows = []
-    for steps in counts:
+    for steps, occ in zip(counts, occs):
         cfg = replace(config, trotter_steps=steps)
-        env = _environment_grid(cfg, omegas, state)
+        env = _environment_grid(cfg, omegas, occ)
         base = _windowed_baseline(cfg, omegas, *_trotterized_correlators(cfg, state))
         s_env = least_squares_scale(env.values, ref)
         s_base = least_squares_scale(base.values, ref)

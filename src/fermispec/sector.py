@@ -17,7 +17,8 @@ conserve particle number.  Each merged block splits by particle number
 basis, and one whose pair map is a signed swap (FSWAP) a signed permutation
 of the basis; runs of these compose into one op.  Any other pair map is a
 "pair" op on the ranks of the partner states, cached per qubit pair.  A block
-that mixes particle numbers raises `ParticleConservationError`.
+that mixes particle numbers raises `ParticleConservationError`.  Each
+distinct run is merged and split once per call.
 
 `annihilate` and `create` apply the momentum-mode fermion operators c(k) and
 c^dag(k), with every qubit a Jordan-Wigner mode, to a vector or batch over a
@@ -174,23 +175,29 @@ def _lift(u: np.ndarray, qubits: tuple, onto: tuple) -> np.ndarray:
 
 
 def _blocks(circuit: Circuit):
-    """(qubits, matrix, kinds) of each maximal run of consecutive gates
-    confined to the same one or two qubits."""
-    qubits, m, kinds = (), None, []
+    """(qubits, gates) of each maximal run of consecutive gates confined to
+    the same one or two qubits, `qubits` in order of first use."""
+    qubits, run = (), []
     for g in circuit.gates:
         if g.kind is GateKind.BARRIER:
             continue
         union = qubits + tuple(q for q in g.qubits if q not in qubits)
-        if m is not None and len(union) <= 2:
-            m = _lift(gate_matrix(g), g.qubits, union) @ _lift(m, qubits, union)
-            qubits = union
-            kinds.append(g.kind.value)
-            continue
-        if m is not None:
-            yield qubits, m, kinds
-        qubits, m, kinds = g.qubits, gate_matrix(g), [g.kind.value]
-    if m is not None:
-        yield qubits, m, kinds
+        if run and len(union) > 2:
+            yield qubits, run
+            union, run = g.qubits, []
+        qubits = union
+        run.append(g)
+    if run:
+        yield qubits, run
+
+
+def _parts(gates: list) -> tuple:
+    """`number_parts` of the merged matrix of a run of gates."""
+    qubits, m = gates[0].qubits, gate_matrix(gates[0])
+    for g in gates[1:]:
+        union = qubits + tuple(q for q in g.qubits if q not in qubits)
+        qubits, m = union, _lift(gate_matrix(g), g.qubits, union) @ _lift(m, qubits, union)
+    return number_parts(m, f"{' '.join(g.kind.value for g in gates)} on qubits {qubits}")
 
 
 def compile_circuit(circuit: Circuit, basis: Basis) -> list[tuple]:
@@ -205,6 +212,7 @@ def compile_circuit(circuit: Circuit, basis: Basis) -> list[tuple]:
         raise ValueError(f"{circuit.num_qubits}-qubit circuit on a "
                          f"{basis.num_qubits}-qubit basis")
     program = []
+    parts: dict = {}    # `_parts` per run key, not per Gate: Gate equates angles 1e-12 apart
     ranks = phases = None        # pending run: new[i] = phases[i] * old[ranks[i]]
 
     def monomial(ph, r=None):
@@ -222,8 +230,12 @@ def compile_circuit(circuit: Circuit, basis: Basis) -> list[tuple]:
             program.append(("diag", phases) if ranks is None else ("perm", ranks, phases))
         ranks = phases = None
 
-    for qubits, m, kinds in _blocks(circuit):
-        empty, full, pair = number_parts(m, f"{' '.join(kinds)} on qubits {qubits}")
+    for qubits, gates in _blocks(circuit):
+        # (kind, angle, positions in qubits) of each gate fix the run's matrix
+        key = tuple((g.kind, g.angle, tuple(map(qubits.index, g.qubits))) for g in gates)
+        if key not in parts:
+            parts[key] = _parts(gates)
+        empty, full, pair = parts[key]
         if pair is None:
             monomial(basis.diagonal(qubits, (empty, full)))
         elif pair[0, 1] == 0 and pair[1, 0] == 0:

@@ -18,18 +18,23 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circuits import Circuit, Gate, GateKind, gate_matrix, require_qubits
+from .circuits import Circuit, Gate, GateKind, gate_matrix, require_integer, require_qubits
 
 QUBIT_CAP = 20
 
 
 def zero_state(num_qubits: int) -> np.ndarray:
-    if num_qubits > QUBIT_CAP:
-        raise ValueError(f"statevector capped at {QUBIT_CAP} qubits, got {num_qubits}")
+    require_integer("num_qubits", num_qubits)
     return basis_state(num_qubits, (0,) * num_qubits)
 
 
 def basis_state(num_qubits: int, bits) -> np.ndarray:
+    """|bits> on num_qubits qubits; bits holds num_qubits values, each 0 or 1."""
+    require_integer("num_qubits", num_qubits)
+    if num_qubits > QUBIT_CAP:
+        raise ValueError(f"statevector capped at {QUBIT_CAP} qubits, got {num_qubits}")
+    if np.shape(bits) != (num_qubits,) or not all(b in (0, 1) for b in bits):
+        raise ValueError(f"bits must be {num_qubits} values, each 0 or 1, got {bits!r}")
     psi = np.zeros((2,) * num_qubits, dtype=complex)
     psi[tuple(int(b) for b in bits)] = 1.0
     return psi

@@ -551,6 +551,56 @@ def test_one_system_spectrum_per_call(monkeypatch):
     assert calls == {"eigh": 5, "spectrum": 1}
 
 
+def _counting(monkeypatch, module, name, calls):
+    """Replace module.name by a wrapper that appends each call's first
+    argument to calls[name]."""
+    original = getattr(module, name)
+    calls[name] = []
+
+    def counted(*args, **kwargs):
+        calls[name].append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_one_sector_start_and_readout_per_compare_trotter(monkeypatch):
+    """compare_trotter builds the environment basis and start vector, and
+    compiles the readout, once for all its step counts."""
+    calls = {}
+    for module, name in ((protocol, "_sector_start"), (sector, "compile_circuit")):
+        _counting(monkeypatch, module, name, calls)
+    cfg = _cfg(n_sites=4, t=2.0, nu=-1.0, interaction=2.3)
+    compare_trotter(cfg, [0.0, 1.0], [1, 2, 4])
+    assert len(calls["_sector_start"]) == 1
+    readout = protocol._readout_circuit(4)
+    assert sum(c == readout for c in calls["compile_circuit"]) == 1
+
+
+def test_compare_trotter_grids_equal_environment_method_grid(monkeypatch):
+    """compare_trotter runs the environment method once for every step
+    count, and each count's grid is, bit for bit, environment_method_grid
+    at that step count."""
+    calls, grids = {}, []
+    _counting(monkeypatch, protocol, "_run_trotter", calls)
+    environment_grid = protocol._environment_grid
+
+    def kept(*args):
+        grids.append(environment_grid(*args))
+        return grids[-1]
+
+    monkeypatch.setattr(protocol, "_environment_grid", kept)
+    cfg = _cfg(n_sites=4, t=2.0, nu=-1.0, interaction=2.3)
+    omegas = [0.0, 0.7, -1.3]
+    counts = [1, 2, 4]
+    compare_trotter(cfg, omegas, counts)
+    assert len(calls["_run_trotter"]) == 1 and len(grids) == len(counts)
+    for steps, grid in zip(counts, grids):
+        want = environment_method_grid(replace(cfg, trotter_steps=steps), omegas)
+        assert np.array_equal(grid.values, want.values), steps
+        assert grid.meta == want.meta, steps
+
+
 def test_compare_trotter_rejects_step_counts_before_any_work(monkeypatch):
     """A step count that is not an integer >= 1 raises before H_sys is
     diagonalized."""
@@ -729,6 +779,20 @@ def test_shot_sampling_over_several_omegas():
     assert np.array_equal(both.values[:, :1], first.values)
     exact = run_circuit_protocol(cfg, [0.5, 1.5])
     assert np.max(np.abs(both.values - exact.values)) < 0.2
+
+
+# sha256 of run_circuit_protocol(...).values at 500 shots, seed 7, per filling
+SHOT_DIGESTS = {"empty": "43affea9b18fe8ccdfa11b6e724f63ecf150d3c3f9062c88e8ef47f6c28374a6",
+                "full": "66735b80a18a7f8804965be47acc31a2d1131c1953cda95b50f8bad9ee521698"}
+
+
+@pytest.mark.parametrize("environment", sorted(SHOT_DIGESTS))
+def test_shot_samples_pinned(environment):
+    """Seeded samples of an interacting chain, byte for byte."""
+    cfg = _cfg(n_sites=4, t=2.0, nu=-1.0, interaction=2.3, trotter_steps=3,
+               environment=environment)
+    grid = run_circuit_protocol(cfg, [0.0, 0.7, -1.3], shots=500, seed=7)
+    assert hashlib.sha256(grid.values.tobytes()).hexdigest() == SHOT_DIGESTS[environment]
 
 
 # ------------------------------------------------------------ baseline

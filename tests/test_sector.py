@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from fermispec import sector, verify
-from fermispec.circuits import Circuit, cx, cz, givens, rz, x
+from fermispec import fft, protocol, sector, verify
+from fermispec.circuits import Circuit, GateKind, cx, cz, gate_matrix, givens, rz, x
 from fermispec.sector import ParticleConservationError
 
 from strategies import pc_circuits
@@ -121,6 +121,166 @@ def test_number_changing_gates_raise(circuit):
     for ks in ([1], None):
         with pytest.raises(ParticleConservationError):
             sector.compile_circuit(circuit, sector.Basis(circuit.num_qubits, ks))
+
+
+def _uncached_blocks(circuit):
+    """(qubits, matrix, kinds) of each run, every run merged anew: the merge
+    that compile_circuit does once per distinct run."""
+    qubits, m, kinds = (), None, []
+    for g in circuit.gates:
+        if g.kind is GateKind.BARRIER:
+            continue
+        union = qubits + tuple(q for q in g.qubits if q not in qubits)
+        if m is not None and len(union) <= 2:
+            m = sector._lift(gate_matrix(g), g.qubits, union) @ sector._lift(m, qubits, union)
+            qubits = union
+            kinds.append(g.kind.value)
+            continue
+        if m is not None:
+            yield qubits, m, kinds
+        qubits, m, kinds = g.qubits, gate_matrix(g), [g.kind.value]
+    if m is not None:
+        yield qubits, m, kinds
+
+
+def _uncached_program(circuit, basis):
+    """compile_circuit over `_uncached_blocks`: the oracle of the cached merge."""
+    program = []
+    ranks = phases = None
+
+    def monomial(ph, r=None):
+        nonlocal ranks, phases
+        if phases is None:
+            ranks, phases = r, ph
+        elif r is None:
+            phases = ph * phases
+        else:
+            ranks, phases = (r if ranks is None else ranks[r]), ph * phases[r]
+
+    def flush():
+        nonlocal ranks, phases
+        if phases is not None:
+            program.append(("diag", phases) if ranks is None else ("perm", ranks, phases))
+        ranks = phases = None
+
+    for qubits, m, kinds in _uncached_blocks(circuit):
+        empty, full, pair = sector.number_parts(m, f"{' '.join(kinds)} on qubits {qubits}")
+        if pair is None:
+            monomial(basis.diagonal(qubits, (empty, full)))
+        elif pair[0, 1] == 0 and pair[1, 0] == 0:
+            monomial(basis.diagonal(qubits, (empty, pair[0, 0], pair[1, 1], full)))
+        elif pair[0, 0] == 0 and pair[1, 1] == 0:
+            i01, i10 = basis.pair(*qubits)
+            r = np.arange(len(basis))
+            r[i01], r[i10] = i10, i01
+            monomial(basis.diagonal(qubits, (empty, pair[0, 1], pair[1, 0], full)), r)
+        else:
+            if empty != 1 or full != 1:
+                monomial(basis.diagonal(qubits, (empty, 1, 1, full)))
+            flush()
+            program.append(("pair", np.concatenate(basis.pair(*qubits)), pair))
+    flush()
+    return program
+
+
+def _assert_programs_equal(got, want):
+    assert [op[0] for op in got] == [op[0] for op in want]
+    for a, b in zip(got, want):
+        assert all(np.array_equal(x, y) for x, y in zip(a[1:], b[1:]))
+
+
+def _kept_fft(n):
+    """The graph-decimated FFFT on n modes without its interleave blocks: the
+    part `single_particle_transfer` runs in sectors."""
+    plan = fft.FFTPlan(n, fft.fft_radix(n), fft.InterleaveStrategy.GRAPH_DECIMATED)
+    circuit = fft.compile_fft(plan)
+    keep = list(circuit.gates)
+    for start, end, _ in reversed(circuit.meta["interleave_blocks"]):
+        del keep[start:end]
+    return Circuit(n, tuple(keep))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 9])
+def test_readout_program_equals_uncached_merge(n):
+    """The readout's program, op by op, on the sectors of both fillings."""
+    basis = sector.Basis(2 * n, [n // 2, n // 2 + n])
+    circuit = protocol._readout_circuit(n)
+    _assert_programs_equal(sector.compile_circuit(circuit, basis),
+                           _uncached_program(circuit, basis))
+
+
+@pytest.mark.parametrize("interaction", [0.0, 2.3])
+@pytest.mark.parametrize("n", [3, 4])
+def test_step_program_equals_uncached_merge(n, interaction):
+    basis = sector.Basis(2 * n, [n // 2, n // 2 + n])
+    for omega in (0.0, 0.7):
+        circuit = protocol.trotter_step_circuit(
+            protocol.ProtocolConfig(n, 0.3, nu=0.8, interaction=interaction), 0.37, omega)
+        _assert_programs_equal(sector.compile_circuit(circuit, basis),
+                               _uncached_program(circuit, basis))
+
+
+@pytest.mark.parametrize("n", [8, 9, 27, 64])
+def test_fft_programs_equal_uncached_merge(n):
+    """The LOCAL_FSWAP FFFT and the kept graph-decimated FFFT on the sectors
+    0 and 1 that `gaussian.extract_mode_transform` runs."""
+    basis = sector.Basis(n, (0, 1))
+    for circuit in (fft.fft_circuit(n, fft.fft_radix(n), fft.InterleaveStrategy.LOCAL_FSWAP),
+                    _kept_fft(n)):
+        _assert_programs_equal(sector.compile_circuit(circuit, basis),
+                               _uncached_program(circuit, basis))
+
+
+def _run_key(qubits, gates):
+    return tuple((g.kind, g.angle, tuple(qubits.index(q) for q in g.qubits)) for g in gates)
+
+
+def test_one_number_parts_per_distinct_run(monkeypatch):
+    """On the kept N = 64 FFFT, 248 runs, most of them copies of the radix-2
+    base block, split by particle number once per distinct run."""
+    circuit = _kept_fft(64)
+    runs = list(sector._blocks(circuit))
+    distinct = {_run_key(qubits, gates) for qubits, gates in runs}
+    assert len(runs) == 248 and len(distinct) == 33
+    calls = []
+    number_parts = sector.number_parts
+    monkeypatch.setattr(sector, "number_parts",
+                        lambda u, what: calls.append(what) or number_parts(u, what))
+    sector.compile_circuit(circuit, sector.Basis(64, (0, 1)))
+    assert len(calls) == len(distinct)
+
+
+def test_run_key_holds_the_exact_angle():
+    """Two RZ runs 1e-13 apart in angle, which Gate compares as equal, merge
+    apart: the program is the uncached one, not the one with the first angle
+    twice."""
+    a, b = 0.3, 0.3 + 1e-13
+    basis = sector.Basis(3, [1])
+    circuit = Circuit(3, (rz(a, 0), cz(1, 2), rz(b, 0)))
+    assert rz(a, 0) == rz(b, 0)
+    got = sector.compile_circuit(circuit, basis)
+    _assert_programs_equal(got, _uncached_program(circuit, basis))
+    same = Circuit(3, (rz(a, 0), cz(1, 2), rz(a, 0)))
+    assert not np.array_equal(got[0][1], sector.compile_circuit(same, basis)[0][1])
+
+
+def test_run_key_holds_the_qubit_positions():
+    """Runs of the same gates and angles, the RZ on the run's first qubit
+    in one and its second in the other, merge apart."""
+    circuit = Circuit(4, (cz(0, 1), rz(0.3, 0), cz(2, 3), rz(0.3, 3)))
+    for ks in ([1], [2]):
+        basis = sector.Basis(4, ks)
+        _assert_programs_equal(sector.compile_circuit(circuit, basis),
+                               _uncached_program(circuit, basis))
+
+
+def test_repeated_failing_run_names_the_first():
+    """Of two lone X runs, which share a key, the first raises, named by its
+    own qubits."""
+    circuit = Circuit(4, (x(0), cz(1, 2), x(3)))
+    with pytest.raises(ParticleConservationError,
+                       match=r"^X on qubits \(0,\) does not conserve particle number$"):
+        sector.compile_circuit(circuit, sector.Basis(4, [1]))
 
 
 def test_circuit_and_basis_sizes_must_match():

@@ -143,6 +143,21 @@ def test_occupations_batched():
 def test_qubit_cap():
     with pytest.raises(ValueError):
         sv.zero_state(21)
+    with pytest.raises(ValueError, match="capped at 20 qubits"):
+        sv.basis_state(21, (0,) * 21)
+
+
+@pytest.mark.parametrize("count", [-1, 2.5, True])
+@pytest.mark.parametrize("make", [sv.zero_state, lambda n: sv.basis_state(n, ())])
+def test_states_reject_a_non_count(make, count):
+    with pytest.raises(ValueError, match="num_qubits must be"):
+        make(count)
+
+
+@pytest.mark.parametrize("bits", [(1,), (0, 5), (0, 1, 0), (0, -1), (0, 0.5), [[0, 1]]])
+def test_basis_state_needs_one_bit_per_qubit(bits):
+    with pytest.raises(ValueError, match=r"bits must be 2 values, each 0 or 1"):
+        sv.basis_state(2, bits)
 
 
 def test_jw_anticommutation():
