@@ -11,9 +11,9 @@ from .fft import (FFTPlan, InterleavePermutation, InterleaveStrategy,
                   base_fft, compile_fft, fft_circuit, ground_state_prep_circuit,
                   interleave_circuit, interleave_cz_graph,
                   interleave_permutation, single_particle_transfer)
-from .gaussian import (coupled_hamiltonian, dft_matrix, evolve_gaussian,
-                       extract_mode_transform, mode_propagator,
-                       momentum_occupations, state_from_momentum_occupations)
+from .gaussian import (dft_matrix, evolve_gaussian, extract_mode_transform,
+                       mode_propagator, momentum_occupations,
+                       state_from_momentum_occupations)
 from .tableau import CliffordTableau, NonCliffordGateError, tableau_of
 from .protocol import (Kernel, ProtocolConfig, SpectralGrid,
                        broadening_and_ghosts, convolve_kernel,

@@ -19,6 +19,7 @@ It is also the home of the input rules that every module checks by: an
 integer, a finite real (a bool is neither) and the qubits of an n-qubit
 register, integers in [0, n) with no two equal; each is a predicate and a
 `require_` helper that raises ValueError naming the value and the rule.
+The memory rule, `require_memory`, refuses a call that would hold > 1 GiB.
 """
 from __future__ import annotations
 
@@ -57,6 +58,13 @@ def require_finite_real(name: str, value) -> None:
     if not is_finite_real(value):
         real = isinstance(value, Real) and not isinstance(value, bool)
         raise ValueError(f"{name} must be {'finite' if real else 'a real number'}, got {value!r}")
+
+
+def require_memory(need: float, what: str) -> None:
+    """Raise ValueError before a call holds `need` bytes at once when they
+    would exceed 1 GiB; `what` says what it would hold."""
+    if need > 2 ** 30:
+        raise ValueError(f"{what}, about {need / 2 ** 30:.1f} GiB (limit 1 GiB)")
 
 
 def are_qubits(qubits, num_qubits: int) -> bool:

@@ -115,10 +115,10 @@ def _cmd_optimize_cz(args) -> int:
     try:
         with open(args.graph) as fh:
             graph = parse_edge_list(fh.read())
+        circuit = decimate(graph, args.depth_penalty)
     except (OSError, ValueError) as exc:
         print(f"bad graph: {exc}", file=sys.stderr)
         return 2
-    circuit = decimate(graph, args.depth_penalty)
     if not verify_equivalence(circuit, graph):
         print("internal error: decimated circuit failed tableau verification",
               file=sys.stderr)

@@ -33,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from .circuits import (Circuit, Gate, are_qubits, cz, cx, cy, listing_qubits,
-                       require_finite_real, require_integer, require_qubits, z)
+                       require_finite_real, require_integer, require_memory, require_qubits, z)
 from .tableau import CliffordTableau, tableau_of, tableau_of_cz_edges
 
 
@@ -136,10 +136,14 @@ def decimate(graph: CZGraph, depth_penalty: float = 0.5) -> Circuit:
 
     Step t rewrites G_t into G_{t+1} with U_{G_t} = W_t U_{G_{t+1}} V_t, so the
     emitted gate order is [V_1 .. V_m, W_m .. W_1].  `depth_penalty` must be
-    finite; it may be negative.
+    finite; it may be negative.  Too large a graph fails the memory rule first.
     """
     require_finite_real("depth_penalty", depth_penalty)
     n = graph.num_qubits
+    # a scoring step holds 23 B per (i, j) (int32 a, h, delta; bool shrinks) and 72 B per
+    # candidate, up to 3 per (i, j) (measured at most 238 n^2 B); plus `_rows`' bool array
+    require_memory(239 * n * n + n * 64 * ((n + 63) // 64),
+                   f"decimate on {n} qubits would hold its scoring arrays")
     words = _rows(graph)
     width = words.shape[1]
     edge_count = graph.num_edges

@@ -19,8 +19,10 @@ Conventions, fixed once and validated by the oracle tests:
 
 The coupled system-environment matrix, over (system, environment) modes, is
 h(omega) = [[H_s, e I], [e I, omega I]] with e = epsilon / 2 and H_s the real
-N x N system hopping (`chain_hopping`).  In the eigenbasis U of
-H_s = U diag(lambda) U^T it splits into N 2 x 2 blocks
+N x N system hopping.  Both are renderings of the chain's one term list,
+`protocol._one_particle` at stride 1 (H_s) and 2 (h(omega) over the
+interleaved modes c_0, d_0, c_1, ...).  In the eigenbasis U of
+H_s = U diag(lambda) U^T, h(omega) splits into N 2 x 2 blocks
 [[lambda_m, e], [e, omega]], so with delta = (lambda - omega) / 2,
 r = sqrt(delta^2 + e^2), s = sin(r t) / r and g = exp(-i t (lambda + omega) / 2)
 the transfer's blocks are
@@ -29,7 +31,7 @@ the transfer's blocks are
     T_ee        = U diag(gamma) U^T,   gamma = g (cos(r t) + i delta s),
 
 (`coupled_transfer`), and one eigendecomposition of H_s serves every omega.
-`mode_propagator(coupled_hamiltonian(...))` is the dense 2N x 2N oracle.
+`mode_propagator` of the stride-2 rendering is the dense 2N x 2N oracle.
 
 The environment's momentum occupations after the transfer are read in the
 same eigenbasis (`eigenbasis_occupations`).  With F = `dft_matrix(N)`, any
@@ -113,7 +115,7 @@ def momentum_occupations(corr: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# coupled system-environment single-particle Hamiltonian
+# the chain's band and the coupled system-environment transfer
 # --------------------------------------------------------------------------
 
 def chain_bonds(n: int) -> range:
@@ -123,39 +125,11 @@ def chain_bonds(n: int) -> range:
 
 
 def band_energies(num_sites: int, nu: float) -> np.ndarray:
-    """Levels of `chain_hopping` at k = 2 pi m / N, in m order: each of the
-    `chain_bonds` adds nu (e^{ik} + e^{-ik}) / N, so 2 nu cos k for N >= 3
-    and, with the one bond of N = 2, nu cos k."""
+    """Levels of the system hopping H_s at k = 2 pi m / N, in m order, in
+    closed form: each of the `chain_bonds` adds nu (e^{ik} + e^{-ik}) / N, so
+    2 nu cos k for N >= 3 and, with the one bond of N = 2, nu cos k."""
     ks = 2 * np.pi * np.arange(num_sites) / num_sites
     return (2 * len(chain_bonds(num_sites)) / num_sites) * nu * np.cos(ks)
-
-
-def chain_hopping(num_sites: int, nu: float) -> np.ndarray:
-    """N x N real system hopping H_s: nu on each of the chain_bonds."""
-    n = num_sites
-    h = np.zeros((n, n))
-    for j in chain_bonds(n):
-        h[j, (j + 1) % n] += nu
-        h[(j + 1) % n, j] += nu
-    return h
-
-
-def coupled_hamiltonian(num_sites: int, nu: float, epsilon: float,
-                        omega: float) -> np.ndarray:
-    """2N x 2N single-particle matrix over interleaved modes c_0,d_0,c_1,d_1,...
-
-    System hopping `chain_hopping(N, nu)` on the c modes, system-environment
-    coupling epsilon/2 on matching sites, environment on-site energy omega.
-    Over (system, environment) modes it is [[H_s, e I], [e I, omega I]], the
-    dense oracle of `coupled_transfer`.
-    """
-    n = num_sites
-    h = np.zeros((2 * n, 2 * n))
-    h[0::2, 0::2] = chain_hopping(n, nu)
-    c, d = 2 * np.arange(n), 2 * np.arange(n) + 1
-    h[c, d] = h[d, c] = epsilon / 2
-    h[d, d] = omega
-    return h
 
 
 def mode_propagator(h: np.ndarray, t: float) -> np.ndarray:

@@ -36,12 +36,12 @@ from typing import Sequence
 import numpy as np
 
 from .circuits import (Circuit, Gate, cx, cz, givens, is_finite_real, is_integer, remap,
-                       require_finite_real, require_integer, rz)
+                       require_finite_real, require_integer, require_memory, rz)
 from .fft import (InterleaveStrategy, fft_circuit, fft_radix, ground_state_momenta,
                   ground_state_prep_circuit, interleave_circuit,
                   interleave_permutation)
-from .gaussian import (band_energies, chain_bonds, chain_hopping, coupled_transfer,
-                       eigenbasis_occupations, state_from_momentum_occupations)
+from .gaussian import (band_energies, chain_bonds, coupled_transfer, eigenbasis_occupations,
+                       state_from_momentum_occupations)
 from . import sector
 
 
@@ -206,6 +206,7 @@ def broadening_and_ghosts(epsilon: float, t: float) -> dict:
     require_finite_real("t", t)
     if t <= 0:
         raise ValueError("t must be > 0")
+    require_finite_real("epsilon * t", epsilon * t)    # may overflow to inf
     epsilon = abs(epsilon)
     half = epsilon * t / 2
     n = math.floor(half / math.pi) + 1
@@ -266,22 +267,23 @@ def nk_gaussian(config: ProtocolConfig, omegas) -> SpectralGrid:
     environment) has no system-environment block, so the evolved environment
     block is the system block C carried through T_se, plus, for the full
     environment, the filled block carried through T_ee.  Once per call the
-    real-space hopping H_s = U diag(lambda) U^T is diagonalized, and C and the
-    DFT are brought into its eigenbasis as D = U^T C U and Q = U^T F.  Each
-    omega then takes (beta, gamma) from `coupled_transfer` and reads n(k)
-    with `eigenbasis_occupations`, one N x N complex product; the filled
-    environment adds |gamma|^2 @ |Q|^2 and reports 1 - n(k).
+    real-space hopping H_s = U diag(lambda) U^T (`_one_particle` at stride 1)
+    is diagonalized, and C and the DFT are brought into its eigenbasis as
+    D = U^T C U and Q = U^T F.  Each omega then takes (beta, gamma) from
+    `coupled_transfer` and reads n(k) with `eigenbasis_occupations`, one
+    N x N complex product; the filled environment adds |gamma|^2 @ |Q|^2 and
+    reports 1 - n(k).
     """
     _require_free(config, "nk_gaussian")
     omegas = _omega_grid(omegas)
     n = config.n_sites
     # N x N arrays, counted as if held at once: the real U and |Q|^2 and six
     # complex ones (start state, DFT, Q, D, and per omega V and D^T V)
-    _require_memory((2 * 8 + 6 * 16) * n * n,
-                    f"nk_gaussian at N = {n} would hold its N x N arrays")
+    require_memory((2 * 8 + 6 * 16) * n * n,
+                   f"nk_gaussian at N = {n} would hold its N x N arrays")
     ks = config.momenta()
     sys0 = state_from_momentum_occupations(config.rho())
-    levels, u = np.linalg.eigh(chain_hopping(n, config.nu))
+    levels, u = np.linalg.eigh(_one_particle(config, 1))
     d = np.empty_like(sys0)         # U^T C U; U is real, so real products
     d.real = u.T @ sys0.real @ u
     d.imag = u.T @ sys0.imag @ u
@@ -382,11 +384,25 @@ def _system_hamiltonian(config: ProtocolConfig, basis: sector.Basis) -> np.ndarr
     for kind, qubits, c in _terms(config, nq // config.n_sites):
         if kind == "hop":
             i01, i10 = basis.pair(*sorted(qubits))
-            span = sum(1 << (nq - 1 - m) for m in _jw_span(*qubits))
+            span = basis.mask(_jw_span(*qubits))
             h[i01, i10] = h[i10, i01] = c * sector.parity_sign(basis.bits[i01] & span)
         else:
             diag += c * (basis.occupied(qubits[0]) & basis.occupied(qubits[-1]))
     np.fill_diagonal(h, diag)
+    return h
+
+
+def _one_particle(config: ProtocolConfig, stride: int, omega: float = 0.0) -> np.ndarray:
+    """One-particle matrix h of `_terms` (sum h[p, q] a_p^dag a_q) over the stride*N
+    qubits: stride 1 is the real system hopping H_s, stride 2 h(omega) over c_0, d_0,
+    c_1, d_1, ...  A hop writes c at h[p, q] and h[q, p], an onsite term c at
+    h[q, q]; an "nn" term vanishes on one particle."""
+    h = np.zeros((stride * config.n_sites,) * 2)
+    for kind, qubits, c in _terms(config, stride, omega):
+        if kind == "hop":
+            h[qubits] = h[qubits[::-1]] = c
+        elif kind == "onsite":
+            h[qubits * 2] = c
     return h
 
 
@@ -396,8 +412,8 @@ def _system_spectrum(config: ProtocolConfig) -> list[tuple[np.ndarray, np.ndarra
     n = config.n_sites
     sizes = [math.comb(n, k) for k in range(n + 1)]
     # every block's eigenvectors, and the largest block's copy and 2x workspace in LAPACK
-    _require_memory(8 * (sum(d * d for d in sizes) + 3 * max(sizes) ** 2),
-                    f"the spectrum of H_sys at N = {n} would hold {n + 1} sector eigenbases")
+    require_memory(8 * (sum(d * d for d in sizes) + 3 * max(sizes) ** 2),
+                   f"the spectrum of H_sys at N = {n} would hold {n + 1} sector eigenbases")
     return [np.linalg.eigh(_system_hamiltonian(config, sector.Basis(n, [k])))
             for k in range(n + 1)]
 
@@ -441,7 +457,7 @@ def _system_state(config: ProtocolConfig, spectrum: list | None = None) -> tuple
     if not fft_radix(n):
         return _state_from_filled(n, filled)
     basis = sector.Basis(n, [len(filled)])
-    psi = (basis.bits == sum(1 << (n - 1 - int(j)) for j in filled)).astype(complex)
+    psi = (basis.bits == basis.mask(filled)).astype(complex)
     rest = Circuit(n, ground_state_prep_circuit(n, filled).gates[len(filled):])
     return len(filled), sector.run_program(sector.compile_circuit(rest, basis), psi)
 
@@ -473,15 +489,12 @@ def _sector_start(config: ProtocolConfig, environments: Sequence[str], state: tu
     n0, amps = state
     sectors = [n0 if env == "empty" else n0 + n for env in environments]
     basis = sector.Basis(2 * n, sectors)
-    bits = sector.Basis(n, [n0]).bits.astype(basis.bits.dtype)
-    # system site j is bit n-1-j of `bits` and qubit 2j, bit 2(n-1-j)+1, of the register
-    spread = np.zeros_like(bits)
-    for p in range(n):
-        spread |= ((bits >> p) & 1) << (2 * p + 1)
-    env_bits = sum(1 << (2 * p) for p in range(n))
-    # site j (bit p = n-1-j) has N - j = p + 1 odd when p is even
-    z_string = sum(1 << p for p in range(0, n, 2))
-    filled_amps = amps * sector.parity_sign(bits & z_string)
+    system = sector.Basis(n, [n0])
+    spread = np.zeros(len(system), basis.bits.dtype)    # system qubit j onto qubit 2j
+    for j in range(n):
+        spread[system.occupied(j)] |= basis.mask((2 * j,))
+    env_bits = basis.mask(range(1, 2 * n, 2))
+    filled_amps = amps * sector.parity_sign(system.bits & system.mask(range(n - 1, -1, -2)))
     numbers = basis.particle_numbers()
     masks = [numbers == k for k in sectors]
     start = np.zeros(len(basis), dtype=complex)
@@ -518,7 +531,7 @@ def _run_trotter(config: ProtocolConfig, omegas: np.ndarray, environments: Seque
     # per sector state per qubit for programs, caches and vectors (measured at most 49)
     n0 = int((config.rho() > 0.5).sum()) if state is None else state[0]
     size = sum(math.comb(nq, n0 + n * (env == "full")) for env in environments)
-    _require_memory(56 * nq * size, f"the circuit protocol would run {size} sector states")
+    require_memory(56 * nq * size, f"the circuit protocol would run {size} sector states")
     basis, start, masks = _sector_start(
         config, environments, _system_state(config) if state is None else state)
     readout = sector.compile_circuit(_readout_circuit(n), basis)
@@ -570,13 +583,6 @@ def run_circuit_protocol(config: ProtocolConfig, omegas, shots: int = 0,
 # --------------------------------------------------------------------------
 # dynamical-correlation baseline and exact windowed reference
 # --------------------------------------------------------------------------
-
-def _require_memory(need: float, what: str) -> None:
-    """Raise before a call holds `need` bytes at once when they would exceed
-    1 GiB; `what` says what it would hold."""
-    if need > 2 ** 30:
-        raise ValueError(f"{what}, about {need / 2 ** 30:.1f} GiB (limit 1 GiB)")
-
 
 def dynamical_correlation_baseline(config: ProtocolConfig, omegas,
                                    return_parts: bool = False):
@@ -636,9 +642,9 @@ def _trotterized_correlators(config: ProtocolConfig, state: tuple | None = None)
     n0 = int((config.rho() > 0.5).sum()) if state is None else state[0]
     size = sum(math.comb(n, k) for k in (n0 - 1, n0, n0 + 1) if 0 <= k <= n)
     vgrid = np.linspace(-config.t, config.t, 2 * steps + 1)
-    _require_memory(16 * size * len(vgrid) * (5 * n + 1),
-                    f"the Trotterized baseline at N = {n}, {steps} steps would hold "
-                    f"{len(vgrid)} batches over {size} sector states")
+    require_memory(16 * size * len(vgrid) * (5 * n + 1),
+                   f"the Trotterized baseline at N = {n}, {steps} steps would hold "
+                   f"{len(vgrid)} batches over {size} sector states")
     basis, psi = _neighbour_sectors(n, _system_state(config) if state is None else state)
     states = np.empty((len(vgrid), len(basis), 2 * n + 1), dtype=complex)
     states[steps] = np.concatenate(

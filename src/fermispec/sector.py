@@ -123,6 +123,11 @@ class Basis:
         """Particle number of each basis state."""
         return np.bitwise_count(self.bits)
 
+    def mask(self, qubits) -> int:
+        """The bitstring with exactly `qubits` set (qubit q is bit num_qubits - 1 - q),
+        a Python int, so it fits the object bitstrings beyond 63 qubits too."""
+        return sum(1 << (self.num_qubits - 1 - int(q)) for q in qubits)
+
     def occupied(self, q: int) -> np.ndarray:
         """Bool array: qubit q is 1 in each basis state."""
         if q not in self._occupied:
@@ -142,8 +147,8 @@ class Basis:
         their partners with (1, 0)."""
         if (a, b) not in self._pairs:
             i01 = np.flatnonzero(~self.occupied(a) & self.occupied(b))
-            flip = (1 << (self.num_qubits - 1 - a)) | (1 << (self.num_qubits - 1 - b))
-            self._pairs[a, b] = (i01, np.searchsorted(self.bits, self.bits[i01] ^ flip))
+            partners = self.bits[i01] ^ self.mask((a, b))
+            self._pairs[a, b] = (i01, np.searchsorted(self.bits, partners))
         return self._pairs[a, b]
 
     def lowering(self, q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -152,7 +157,7 @@ class Basis:
         ranks of those partners, and the sign (-1)^(occupied qubits before q)."""
         if q not in self._lowerings:
             src = np.flatnonzero(self.occupied(q))
-            partner = self.bits[src] ^ (1 << (self.num_qubits - 1 - q))
+            partner = self.bits[src] ^ self.mask((q,))
             dst = np.minimum(np.searchsorted(self.bits, partner), len(self.bits) - 1)
             keep = self.bits[dst] == partner
             src, dst = src[keep], dst[keep]

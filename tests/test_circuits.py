@@ -61,6 +61,20 @@ def test_input_rules_live_in_circuits():
     assert _rule_uses(ast.parse((src / "circuits.py").read_text()))
 
 
+def test_bit_layout_and_memory_rule_have_one_home():
+    """`protocol` shifts no bits (`sector.Basis.mask` and `occupied` hold the
+    bit layout), and only `circuits` defines the memory rule."""
+    src = Path(fermispec.__file__).resolve().parent
+    shifts = [node.lineno for node in ast.walk(ast.parse((src / "protocol.py").read_text()))
+              if isinstance(node, (ast.BinOp, ast.AugAssign))
+              and isinstance(node.op, (ast.LShift, ast.RShift))]
+    assert shifts == []
+    homes = {path.name for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.FunctionDef) and node.name.lstrip("_") == "require_memory"}
+    assert homes == {"circuits.py"}
+
+
 def test_negative_qubit_count_rejected():
     with pytest.raises(ValueError, match="num_qubits must be >= 0, got -5"):
         Circuit(-5, ())

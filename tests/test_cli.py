@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import fermispec
+from fermispec import czgraph
 from fermispec.cli import RUN_KEYS, main
 from fermispec.circuits import read_circuit, two_qubit_count
 from fermispec.czgraph import format_edge_list
@@ -117,6 +118,23 @@ def test_optimize_cz_repeated_edge(tmp_path, capsys):
     rc = main(["optimize-cz", "--graph", str(gpath), "--out", str(tmp_path / "opt.txt")])
     assert rc == 2
     assert "bad graph: line 3: repeated edge (1, 0)" in capsys.readouterr().err
+    assert not (tmp_path / "opt.txt").exists()
+
+
+def test_optimize_cz_too_large(tmp_path, capsys, monkeypatch):
+    """A 100 000-qubit header with one edge fails the memory rule: one
+    `bad graph:` line naming the limit, exit 2, and no adjacency built."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("adjacency built")
+
+    monkeypatch.setattr(czgraph, "_rows", forbidden)
+    gpath = tmp_path / "g.txt"
+    gpath.write_text("# qubits: 100000\n0 1\n")
+    rc = main(["optimize-cz", "--graph", str(gpath), "--out", str(tmp_path / "opt.txt")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bad graph: decimate on 100000 qubits") and len(err.splitlines()) == 1
+    assert "(limit 1 GiB)" in err
     assert not (tmp_path / "opt.txt").exists()
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermispec import verify
+from fermispec import czgraph, verify
 from fermispec.circuits import Circuit, GateKind, cx, cy, cz, format_circuit, z
 from fermispec.czgraph import (CZGraph, DecimationRule, DecimationStep, _move,
                                _rows, apply_rule, decimate, format_edge_list,
@@ -307,6 +307,18 @@ def test_non_finite_depth_penalty_rejected(penalty):
         decimate(g, penalty)
     with pytest.raises(ValueError, match="depth_penalty must be finite"):
         FFTPlan(9, 3, InterleaveStrategy.GRAPH_DECIMATED, penalty)
+
+
+def test_decimate_memory_fails_fast(monkeypatch):
+    """At 100 000 qubits the dense adjacency alone would be about 9.3 GiB and
+    one scoring step far more: the memory rule raises before `_rows` builds
+    anything, even for a graph with no edges."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("adjacency built")
+
+    monkeypatch.setattr(czgraph, "_rows", forbidden)
+    with pytest.raises(ValueError, match=r"decimate on 100000 qubits .* GiB \(limit 1 GiB\)"):
+        decimate(CZGraph(100_000, frozenset()))
 
 
 @pytest.mark.parametrize("penalty", ["0.5", None, True, np.bool_(False), 1j])

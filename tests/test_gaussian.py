@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermispec import verify
+from fermispec import protocol, verify
 from fermispec.circuits import Circuit, cx, x
 from fermispec.fft import base_fft, fft_circuit
-from fermispec.gaussian import (band_energies, chain_hopping, coupled_hamiltonian,
-                                coupled_transfer, dft_matrix, eigenbasis_occupations,
-                                evolve_gaussian, extract_mode_transform, mode_propagator,
-                                momentum_occupations, state_from_momentum_occupations)
+from fermispec.gaussian import (band_energies, coupled_transfer, dft_matrix,
+                                eigenbasis_occupations, evolve_gaussian, extract_mode_transform,
+                                mode_propagator, momentum_occupations,
+                                state_from_momentum_occupations)
 from fermispec import statevector as sv
 from fermispec.sector import ParticleConservationError
 
@@ -155,7 +155,7 @@ def test_mode_propagator_block_matches_full(kind, rows, cols):
     transfer, for a real coupled h and a complex h; the full transfer equals
     scipy's matrix exponential."""
     from scipy.linalg import expm
-    h = (coupled_hamiltonian(4, 0.9, 0.3, 0.5) if kind == "coupled"
+    h = (_coupled(4, 0.9, 0.3, 0.5) if kind == "coupled"
          else _random_hermitian(8, np.random.default_rng(8)))
     full = mode_propagator(h, 1.9)
     assert np.max(np.abs(full - expm(-1.9j * h))) <= 1e-12
@@ -187,7 +187,7 @@ def test_purity_preserved(n, data):
     rho = np.array(data.draw(st.lists(st.sampled_from([0.0, 1.0]),
                                       min_size=n, max_size=n)))
     state = state_from_momentum_occupations(rho)
-    h = coupled_hamiltonian(n, 1.0, 0.4, 0.7)[0::2, 0::2]  # any Hermitian works
+    h = _hopping(n, 1.0)  # any Hermitian works
     t = mode_propagator(h, 1.3)
     c = evolve_gaussian(state, t)
     assert np.max(np.abs(c @ c - c)) < 1e-10
@@ -198,8 +198,18 @@ def test_purity_preserved(n, data):
 
 # ------------------------------------------------------- coupled Hamiltonian
 
+def _hopping(n, nu):
+    """The system hopping H_s: the chain's one-particle rendering at stride 1."""
+    return protocol._one_particle(protocol.ProtocolConfig(n, 0.0, nu=nu), 1)
+
+
+def _coupled(n, nu, eps, omega):
+    """h(omega) over c_0, d_0, c_1, ...: the one-particle rendering at stride 2."""
+    return protocol._one_particle(protocol.ProtocolConfig(n, eps, nu=nu), 2, omega)
+
+
 def test_decoupled_blocks_at_zero_epsilon():
-    h = coupled_hamiltonian(5, 1.0, 0.0, 0.8)
+    h = _coupled(5, 1.0, 0.0, 0.8)
     t = mode_propagator(h, 2.0)
     assert np.max(np.abs(t[0::2, 1::2])) < 1e-12
     assert np.max(np.abs(t[1::2, 0::2])) < 1e-12
@@ -208,7 +218,7 @@ def test_decoupled_blocks_at_zero_epsilon():
 def test_two_mode_mixing_amplitude():
     # nu = 0: each (c_j, d_j) pair mixes with |a'|^2 = sin^2(t*Omega0) eps^2/(w^2+eps^2)
     eps, omega, t = 0.7, 0.4, 2.3
-    h = coupled_hamiltonian(3, 0.0, eps, omega)
+    h = _coupled(3, 0.0, eps, omega)
     tr = mode_propagator(h, t)
     omega0 = 0.5 * np.sqrt(omega ** 2 + eps ** 2)
     want = np.sin(t * omega0) ** 2 * eps ** 2 / (omega ** 2 + eps ** 2)
@@ -217,7 +227,7 @@ def test_two_mode_mixing_amplitude():
 
 
 def test_propagator_unitary():
-    h = coupled_hamiltonian(4, 0.9, 0.3, 0.5)
+    h = _coupled(4, 0.9, 0.3, 0.5)
     t = mode_propagator(h, 7.0)
     assert np.max(np.abs(t.conj().T @ t - np.eye(8))) < 1e-12
 
@@ -225,10 +235,11 @@ def test_propagator_unitary():
 @pytest.mark.parametrize("n", range(2, 13))
 @pytest.mark.parametrize("nu", [1.0, -0.7, 0.0])
 def test_band_energies_are_momentum_diagonal_of_chain_hopping(n, nu):
-    """band_energies(N, nu) is diag(F^dag H_s F) of the chain hopping, read
-    with dft_matrix; at N = 2 the one bond gives nu cos k."""
+    """band_energies(N, nu) is diag(F^dag H_s F) of the chain hopping H_s,
+    the one-particle rendering of the chain's terms, read with dft_matrix; at
+    N = 2 the one bond gives nu cos k."""
     f = dft_matrix(n)
-    want = np.diagonal(f.conj().T @ chain_hopping(n, nu) @ f)
+    want = np.diagonal(f.conj().T @ _hopping(n, nu) @ f)
     assert np.max(np.abs(band_energies(n, nu) - want)) <= 1e-12
 
 
@@ -242,11 +253,18 @@ def test_band_energies_are_momentum_diagonal_of_chain_hopping(n, nu):
     (31, 1.3, 0.2, -1.1, 5.0),
 ])
 def test_coupled_transfer_matches_mode_propagator(n, nu, eps, omega, t):
-    """U diag(beta) U^T and U diag(gamma) U^T are the system-environment and
-    environment-environment blocks of the dense 2N x 2N transfer."""
-    h_s = chain_hopping(n, nu)
-    h = coupled_hamiltonian(n, nu, eps, omega)
-    assert np.array_equal(h_s, h[0::2, 0::2])
+    """The one-particle rendering of h(omega) has the block form
+    [[H_s, e I], [e I, omega I]] over the interleaved modes (e = eps / 2),
+    and U diag(beta) U^T and U diag(gamma) U^T are the system-environment and
+    environment-environment blocks of its dense 2N x 2N transfer."""
+    h_s = _hopping(n, nu)
+    h = _coupled(n, nu, eps, omega)
+    c, d = 2 * np.arange(n), 2 * np.arange(n) + 1
+    want = np.zeros((2 * n, 2 * n))
+    want[0::2, 0::2] = h_s
+    want[c, d] = want[d, c] = eps / 2
+    want[d, d] = omega
+    assert np.array_equal(h, want)
     levels, u = np.linalg.eigh(h_s)
     beta, gamma = coupled_transfer(levels, eps, omega, t)
     full = mode_propagator(h, t)
@@ -267,7 +285,7 @@ def test_eigenbasis_occupations_match_evolve_and_fft(n, nu, env):
     rng = np.random.default_rng(n)
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     corr = (a + a.conj().T) / 2
-    h_s = chain_hopping(n, nu) if nu is not None else a.real + a.real.T
+    h_s = _hopping(n, nu) if nu is not None else a.real + a.real.T
     levels, u = np.linalg.eigh(h_s)
     d, q = u.T @ corr @ u, u.T @ dft_matrix(n)
     for omega in (0.37, levels[-1]):

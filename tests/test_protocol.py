@@ -8,7 +8,6 @@ import pytest
 from fermispec import protocol, sector, statevector as sv, verify
 from fermispec.circuits import format_circuit
 from fermispec.fft import fft_radix, ground_state_prep_circuit
-from fermispec.gaussian import chain_hopping, coupled_hamiltonian
 from fermispec.protocol import (DeltaLineSpectrum, Kernel, ProtocolConfig, SpectralGrid,
                                 broadening_and_ghosts, compare_trotter, convolve_kernel,
                                 dynamical_correlation_baseline,
@@ -65,9 +64,9 @@ def test_gaussian_matches_exact_both_fills():
 
 def _full_correlation_chain(config, omegas):
     """nk_gaussian as the full 2N x 2N evolution: diagonal-matrix initial
-    state, square transfer from its own eigendecomposition, environment
-    slice, three-operand einsum readout."""
-    from fermispec.gaussian import coupled_hamiltonian, dft_matrix
+    state, square transfer of the stride-2 one-particle rendering from its
+    own eigendecomposition, environment slice, three-operand einsum readout."""
+    from fermispec.gaussian import dft_matrix
     n = config.n_sites
     f = dft_matrix(n)
     corr0 = np.zeros((2 * n, 2 * n), dtype=complex)
@@ -76,7 +75,7 @@ def _full_correlation_chain(config, omegas):
         corr0[1::2, 1::2] = np.eye(n)
     vals = np.zeros((n, len(omegas)))
     for iw, om in enumerate(omegas):
-        w, v = np.linalg.eigh(coupled_hamiltonian(n, config.nu, config.epsilon, om))
+        w, v = np.linalg.eigh(protocol._one_particle(config, 2, om))
         t = (v * np.exp(-1j * config.t * w)) @ v.conj().T
         corr = (t.T @ corr0 @ t.conj())[1::2, 1::2]
         nk = np.einsum("jk,jl,lk->k", f, corr, f.conj()).real
@@ -215,8 +214,9 @@ def test_broadening_eps_zero():
 
 
 @pytest.mark.parametrize("epsilon, t, name", [(np.nan, 5.0, "epsilon"), (0.5, np.nan, "t"),
-                                             (0.5, np.inf, "t"), (-np.inf, 5.0, "epsilon")],
-                         ids=["eps-nan", "t-nan", "t-inf", "eps-inf"])
+                                             (0.5, np.inf, "t"), (-np.inf, 5.0, "epsilon"),
+                                             (1e308, 1e308, r"epsilon \* t")],
+                         ids=["eps-nan", "t-nan", "t-inf", "eps-inf", "eps-t-overflow"])
 def test_broadening_rejects_non_finite(epsilon, t, name):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         broadening_and_ghosts(epsilon, t)
@@ -463,15 +463,15 @@ def test_system_hamiltonian_bit_built_equals_jw_operators(n):
 @pytest.mark.parametrize("n", range(2, 10))
 def test_system_hamiltonian_renders_single_particle_matrices(n):
     """The one-particle block of the bit-built Hamiltonian, in qubit order
-    (reversed rank), is `chain_hopping` on the N system qubits and
-    `coupled_hamiltonian` at omega = 0 on the 2N register; on the full 2N
-    basis (N <= 4) it is the dense JW H at omega = 0."""
+    (reversed rank), is the one-particle rendering `_one_particle` of the same
+    terms, on the N system qubits and at omega = 0 on the 2N register; on the
+    full 2N basis (N <= 4) it is the dense JW H at omega = 0."""
     for nu, eps, V in ((0.8, 0.3, 2.3), (-1.0, 1.7, 0.0)):
         cfg = ProtocolConfig(n, eps, nu=nu, interaction=V)
-        for stride, want in ((1, chain_hopping(n, nu)),
-                             (2, coupled_hamiltonian(n, nu, eps, 0.0))):
+        for stride in (1, 2):
             block = protocol._system_hamiltonian(cfg, sector.Basis(stride * n, [1]))
-            assert np.array_equal(block[::-1, ::-1], want), (nu, eps, V, stride)
+            assert np.array_equal(block[::-1, ::-1], protocol._one_particle(cfg, stride)), \
+                (nu, eps, V, stride)
         if n <= 4:
             assert np.array_equal(protocol._system_hamiltonian(cfg, sector.Basis(2 * n)),
                                   _jw_system_hamiltonian(cfg, 2)), (nu, eps, V)

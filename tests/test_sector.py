@@ -60,7 +60,8 @@ def test_basis_rejects_non_integer_qubit_count(count, ks):
 
 def test_basis_of_any_width():
     """Up to 63 qubits the bitstrings are int64 (qubit 0 of 63 is bit 62, the
-    top bit of a nonnegative int64); wider registers hold Python ints."""
+    top bit of a nonnegative int64); wider registers hold Python ints.  The
+    pair flip is `mask` of the pair, a Python int also for numpy qubits."""
     for n in (63, 64, 243):
         for ks in ((0, 1), (2,), (0, 1, 2)):
             basis = sector.Basis(n, ks)
@@ -77,6 +78,9 @@ def test_basis_of_any_width():
                 assert [want[i] for i in i01] == [w for w in want if
                                                   not w >> (n - 1 - a) & 1 and w >> (n - 1 - b) & 1]
                 assert [want[i] for i in i10] == [want[i] ^ flip for i in i01]
+                for qubits in ((a, b), np.array([a, b])):
+                    assert type(basis.mask(qubits)) is int and basis.mask(qubits) == flip
+            assert basis.mask(()) == 0
 
 
 def test_basis_occupation_and_pairs():
