@@ -48,9 +48,12 @@ def require_integer(name: str, value, low: int = 0) -> None:
 
 
 def is_finite_real(value) -> bool:
-    """value is a finite real number (a bool is not one)."""
-    return (type(value) is float or isinstance(value, Real) and not isinstance(value, bool)
-            ) and math.isfinite(value)    # a float skips the slow ABC isinstance
+    """value is a finite real number (a bool is not one, nor an int past float's range)."""
+    try:
+        return (type(value) is float or isinstance(value, Real) and not isinstance(value, bool)
+                ) and math.isfinite(value)    # a float skips the slow ABC isinstance
+    except OverflowError:                     # math.isfinite(10 ** 400)
+        return False
 
 
 def require_finite_real(name: str, value) -> None:

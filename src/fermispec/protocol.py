@@ -40,8 +40,7 @@ from .circuits import (Circuit, Gate, cx, cz, givens, is_finite_real, is_integer
 from .fft import (InterleaveStrategy, fft_circuit, fft_radix, ground_state_momenta,
                   ground_state_prep_circuit, interleave_circuit,
                   interleave_permutation)
-from .gaussian import (band_energies, chain_bonds, coupled_transfer, eigenbasis_occupations,
-                       state_from_momentum_occupations)
+from .gaussian import band_energies, chain_bonds, coupled_transfer, environment_occupations
 from . import sector
 
 
@@ -265,38 +264,35 @@ def nk_gaussian(config: ProtocolConfig, omegas) -> SpectralGrid:
 
     The initial correlation (momentum-diagonal system, empty or full
     environment) has no system-environment block, so the evolved environment
-    block is the system block C carried through T_se, plus, for the full
+    block is the system block carried through T_se, plus, for the full
     environment, the filled block carried through T_ee.  Once per call the
     real-space hopping H_s = U diag(lambda) U^T (`_one_particle` at stride 1)
-    is diagonalized, and C and the DFT are brought into its eigenbasis as
-    D = U^T C U and Q = U^T F.  Each omega then takes (beta, gamma) from
-    `coupled_transfer` and reads n(k) with `eigenbasis_occupations`, one
-    N x N complex product; the filled environment adds |gamma|^2 @ |Q|^2 and
-    reports 1 - n(k).
+    is diagonalized and the DFT brought into its eigenbasis as Q = U^T F; no
+    start correlation is formed.  Each omega takes (beta, gamma) from
+    `coupled_transfer` and reads n(k) = sum_p rho_{-p} |S[p, k]|^2 with
+    `environment_occupations`, one symmetric product S = W^T W of
+    W = diag(sqrt(beta)) Q.  The filled environment adds |gamma|^2 @ |Q|^2
+    and reports 1 - n(k).
     """
     _require_free(config, "nk_gaussian")
     omegas = _omega_grid(omegas)
     n = config.n_sites
-    # N x N arrays, counted as if held at once: the real U and |Q|^2 and six
-    # complex ones (start state, DFT, Q, D, and per omega V and D^T V)
-    require_memory((2 * 8 + 6 * 16) * n * n,
+    # N x N arrays, counted as if held at once: the real U, the complex Q and
+    # per omega W and S, the two squared parts of S and, when full, |Q|^2
+    full = config.environment == "full"
+    require_memory((8 + 3 * 16 + 2 * 8 + 8 * full) * n * n,
                    f"nk_gaussian at N = {n} would hold its N x N arrays")
-    ks = config.momenta()
-    sys0 = state_from_momentum_occupations(config.rho())
+    rho = config.rho()
     levels, u = np.linalg.eigh(_one_particle(config, 1))
-    d = np.empty_like(sys0)         # U^T C U; U is real, so real products
-    d.real = u.T @ sys0.real @ u
-    d.imag = u.T @ sys0.imag @ u
-    del sys0                        # free C: only D is read from here on
     q = np.fft.ifft(u.T, axis=1)
     q *= math.sqrt(n)
-    filled = np.abs(q) ** 2 if config.environment == "full" else None
+    filled = np.abs(q) ** 2 if full else None
     vals = np.zeros((n, len(omegas)))
     for iw, om in enumerate(omegas):
         beta, gamma = coupled_transfer(levels, config.epsilon, om, config.t)
-        nk = eigenbasis_occupations(d, q, beta)
+        nk = environment_occupations(q, rho, beta)
         vals[:, iw] = nk if filled is None else 1 - nk - np.abs(gamma) ** 2 @ filled
-    return SpectralGrid(ks, omegas, vals, "gaussian", {"config": config.snapshot()})
+    return SpectralGrid(config.momenta(), omegas, vals, "gaussian", {"config": config.snapshot()})
 
 
 # --------------------------------------------------------------------------

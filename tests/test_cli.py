@@ -406,9 +406,9 @@ _OUTPUT_PINS = {
     "report": ("f8e1731ebbeaaeba1094751a05314d850e1f69c025d5ce5ee12104519c94fdbc",
                "45f6baf40f56367b2817c5afa621a23cb0309df4ef77c4be2c5f26344fc99d7a",
                "ec77491fcd94decac96bd6e62d5daf285e49411e51e0e958d2d8c3f8f83f3f64"),
-    "simulate-spectral": ("61dffaebfb76107a6732eb1c98044325fdc5d22b1e24695b33d6425aab50f3e6",
+    "simulate-spectral": ("9a7d92a9e7c652ad0a864be268c44af43d6d42634a0c678ca393de8c1c6a28a9",
                           "1dc5682c147c87d4663ce42b5d3a6f16e9d30e24bcdeb83de6399927e5474999",
-                          "33c4390a35e5f026aa7196273b56d87792116fe0fb0b14a9263d4fd074f4fd5e"),
+                          "a79d7679cf61dc3b0b7a37a0874434b13ee48df7cbb5a9b8633c1bee80035ab0"),
     "compare-trotter": ("ac4a769690492cf5689dcc2109a5c8dff2dfe8ebb51b6b71162fc0b17692b4f5",
                         "826bb8c5b6eefbfd1c9c5e972c4da9c1bdb9511721e8b92e355377a7296b215f",
                         "5400ff1d0b58bea949bb2406c3a82722ec066152e25b7b9c743fed8ac1657e0f"),

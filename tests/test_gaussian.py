@@ -7,7 +7,7 @@ from fermispec import protocol, verify
 from fermispec.circuits import Circuit, cx, x
 from fermispec.fft import base_fft, fft_circuit
 from fermispec.gaussian import (band_energies, coupled_transfer, dft_matrix,
-                                eigenbasis_occupations, evolve_gaussian, extract_mode_transform,
+                                environment_occupations, evolve_gaussian, extract_mode_transform,
                                 mode_propagator, momentum_occupations,
                                 state_from_momentum_occupations)
 from fermispec import statevector as sv
@@ -276,22 +276,25 @@ def test_coupled_transfer_matches_mode_propagator(n, nu, eps, omega, t):
 @pytest.mark.parametrize("nu", [-1.0, 0.0, None])
 @pytest.mark.parametrize("env", ["empty", "full"])
 def test_eigenbasis_occupations_match_evolve_and_fft(n, nu, env):
-    """The eigenbasis readout of a random Hermitian, not momentum-diagonal C
-    equals momentum_occupations(evolve_gaussian(C, T_se)), with the filled
-    environment's T_ee T_ee^dag added for the full filling; at a generic
-    omega and on a resonance omega = lambda_m.  At nu = 0 every level is
-    degenerate, so eigh's U is arbitrary; nu = None stands for a random real
-    symmetric H_s, whose T_se, unlike the chain's, is not diagonal in k."""
+    """The eigenbasis readout of a random momentum ensemble rho equals
+    momentum_occupations(evolve_gaussian(C, T_se)) of its correlation C,
+    with the filled environment's T_ee T_ee^dag added for the full filling;
+    at a generic omega and on a resonance omega = lambda_m.  Even and odd N,
+    where k -> -k fixes two momenta or one, check the rho_{-p} relabel, and
+    rho is not even in k.  At nu = 0 every level is degenerate, so eigh's U
+    is arbitrary; nu = None stands for a random real symmetric H_s, whose
+    T_se, unlike the chain's, is not diagonal in k."""
     rng = np.random.default_rng(n)
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    corr = (a + a.conj().T) / 2
-    h_s = _hopping(n, nu) if nu is not None else a.real + a.real.T
+    rho = rng.uniform(size=n)
+    corr = state_from_momentum_occupations(rho)
+    a = rng.normal(size=(n, n))
+    h_s = _hopping(n, nu) if nu is not None else a + a.T
     levels, u = np.linalg.eigh(h_s)
-    d, q = u.T @ corr @ u, u.T @ dft_matrix(n)
+    q = u.T @ dft_matrix(n)
     for omega in (0.37, levels[-1]):
         beta, gamma = coupled_transfer(levels, 0.45, omega, 5.0)
         env_corr = evolve_gaussian(corr, (u * beta) @ u.T)
-        got = eigenbasis_occupations(d, q, beta)
+        got = environment_occupations(q, rho, beta)
         if env == "full":
             env_corr += (u * np.abs(gamma) ** 2) @ u.T
             got += np.abs(gamma) ** 2 @ np.abs(q) ** 2

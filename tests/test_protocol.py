@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fermispec import protocol, sector, statevector as sv, verify
+from fermispec import circuits, protocol, sector, statevector as sv, verify
 from fermispec.circuits import format_circuit
 from fermispec.fft import fft_radix, ground_state_prep_circuit
 from fermispec.protocol import (DeltaLineSpectrum, Kernel, ProtocolConfig, SpectralGrid,
@@ -126,12 +126,12 @@ def test_nk_gaussian_one_eigendecomposition_per_call(monkeypatch, n_omegas):
 
 def test_nk_gaussian_memory_fails_fast(monkeypatch):
     """At N = 5000 the kernel's N x N arrays would exceed 1 GiB: the guard
-    raises before the start state is built or H_s is diagonalized."""
+    raises before H_s, its first N x N array, is built or diagonalized."""
     def forbidden(*args, **kwargs):
         raise AssertionError("allocating work called")
 
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
-    monkeypatch.setattr(protocol, "state_from_momentum_occupations", forbidden)
+    monkeypatch.setattr(protocol, "_one_particle", forbidden)
     for env in ("empty", "full"):
         with pytest.raises(ValueError, match=r"GiB \(limit 1 GiB\)"):
             nk_gaussian(ProtocolConfig(5000, 0.3, environment=env), [0.0])
@@ -215,9 +215,14 @@ def test_broadening_eps_zero():
 
 @pytest.mark.parametrize("epsilon, t, name", [(np.nan, 5.0, "epsilon"), (0.5, np.nan, "t"),
                                              (0.5, np.inf, "t"), (-np.inf, 5.0, "epsilon"),
-                                             (1e308, 1e308, r"epsilon \* t")],
-                         ids=["eps-nan", "t-nan", "t-inf", "eps-inf", "eps-t-overflow"])
+                                             (1e308, 1e308, r"epsilon \* t"),
+                                             (10 ** 400, 1.0, "epsilon"), (0.5, 10 ** 400, "t"),
+                                             (10 ** 200, 10 ** 200, r"epsilon \* t")],
+                         ids=["eps-nan", "t-nan", "t-inf", "eps-inf", "eps-t-overflow",
+                              "eps-int-past-float", "t-int-past-float", "eps-t-int-past-float"])
 def test_broadening_rejects_non_finite(epsilon, t, name):
+    """NaN, infinity and an integer too large for a float all fail the input
+    rule with its ValueError, not an OverflowError from math.isfinite."""
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         broadening_and_ghosts(epsilon, t)
 
@@ -1106,11 +1111,13 @@ def test_config_validation():
     assert ProtocolConfig(np.int64(4), 0.1, trotter_steps=np.int64(2)).n_sites == 4
     for name in ("epsilon", "t", "nu", "interaction"):
         for value, kind in ((np.nan, "finite"), (np.inf, "finite"), (-np.inf, "finite"),
-                            ("0.5", "a real number"), (None, "a real number"),
-                            (True, "a real number")):
+                            (10 ** 400, "finite"), ("0.5", "a real number"),
+                            (None, "a real number"), (True, "a real number")):
             with pytest.raises(ValueError, match=f"{name} must be {kind}, got"):
                 ProtocolConfig(**{"n_sites": 4, "epsilon": 0.1, name: value})
-    for rho in ([np.nan, 0, 0, 1], [0, 0, np.inf, 1], [True, False, False, True]):
+    assert not circuits.is_finite_real(10 ** 400)    # math.isfinite overflows on it
+    for rho in ([np.nan, 0, 0, 1], [0, 0, np.inf, 1], [0, 0, 10 ** 400, 1],
+                [True, False, False, True]):
         with pytest.raises(ValueError, match="rho_k must be"):
             ProtocolConfig(4, 0.1, initial_state=rho)
 
