@@ -187,10 +187,12 @@ def sdg(q: int) -> Gate:
 
 def rz(angle: float, q: int) -> Gate:
     """diag(e^{-i angle/2}, e^{+i angle/2}) on qubit q."""
+    require_finite_real("RZ angle", angle)
     return Gate(GateKind.RZ, (q,), float(angle))
 
 
 def givens(angle: float, a: int, b: int) -> Gate:
+    require_finite_real("GIVENS angle", angle)
     return Gate(GateKind.GIVENS, (a, b), float(angle))
 
 

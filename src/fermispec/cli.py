@@ -119,7 +119,8 @@ def _cmd_optimize_cz(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"bad graph: {exc}", file=sys.stderr)
         return 2
-    if not verify_equivalence(circuit, graph):
+    verified = verify_equivalence(circuit, graph)
+    if not verified:
         print("internal error: decimated circuit failed tableau verification",
               file=sys.stderr)
         return 2
@@ -130,6 +131,7 @@ def _cmd_optimize_cz(args) -> int:
         "depth_out": two_qubit_depth(circuit),
         "steps": circuit.meta.get("steps", len(circuit.gates)),
         "depth_penalty": args.depth_penalty,
+        "tableau_verified": verified,
     }
     _write_outputs(args, dict(report, graph_sha256=_sha256(args.graph)), report)
     print(json.dumps(report))

@@ -186,6 +186,22 @@ def test_non_finite_angle_rejected(build, message):
         build()
 
 
+@pytest.mark.parametrize("angle, message", [
+    (10**400, "must be finite"), (True, "must be a real number"),
+    ("0.5", "must be a real number"), (None, "must be a real number"),
+], ids=["huge-int", "bool", "str", "none"])
+@pytest.mark.parametrize("kind", ["RZ", "GIVENS"])
+def test_angle_constructors_check_the_angle_first(kind, angle, message):
+    """`rz` and `givens` run the input rule before `float(angle)`: a huge int
+    used to raise OverflowError, True and "0.5" became 1.0 and 0.5, and None
+    raised TypeError.  A valid angle is still stored as `float(angle)`."""
+    build = (lambda a: rz(a, 0)) if kind == "RZ" else (lambda a: givens(a, 0, 1))
+    with pytest.raises(ValueError, match=f"{kind} angle {message}"):
+        build(angle)
+    for valid in (1, np.float32(0.1), -0.5):
+        assert type(build(valid).angle) is float and build(valid).angle == float(valid)
+
+
 def test_circuit_header_and_comments():
     """Text after '#' is a comment, a comment line is not a barrier, the
     header sizes the register and an explicit num_qubits wins over it."""

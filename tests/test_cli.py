@@ -90,7 +90,7 @@ def test_runtime_imports_need_only_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_optimize_cz_nine_qubit_interleave(tmp_path):
+def test_optimize_cz_nine_qubit_interleave(tmp_path, capsys):
     graph = interleave_cz_graph(interleave_permutation(9, 3))
     gpath = tmp_path / "g.txt"
     gpath.write_text(format_edge_list(graph))
@@ -100,6 +100,8 @@ def test_optimize_cz_nine_qubit_interleave(tmp_path):
     report = json.loads((tmp_path / "opt.txt.json").read_text())
     assert report["edges_in"] == 9
     assert report["gates_out"] <= 9
+    assert report["tableau_verified"] is True
+    assert json.loads(capsys.readouterr().out) == report
 
 
 def test_optimize_cz_bad_graph(tmp_path, capsys):
@@ -401,8 +403,8 @@ _OUTPUT_PINS = {
                     "099837e13f0794fa6e35c62bda6d74561e99e84f51fd54229ee939a71990d753",
                     "3a168003186c5df18ca0fb149e4d1df5c5cf6c55402c8f17ccffbee1b0a89902"),
     "optimize-cz": ("42fc9212595aa6cb2bbb2bd39eb2668e7c41c8161146af50887eb634ecf73201",
-                    "bff61f00821f50d1a0557de34724406641eb7a7c075be2659cdd8c95bd671b16",
-                    "e949e93d9626938bb3b03cd777e5424dc2522d56cb7c835795302226170439e8"),
+                    "099ce07e9352fbbc7c8e50f1d2137665549398e9d421284985ba40418a3e58f2",
+                    "1244ddbcf4186475fb9b8295ec67a0cac5c454b816dbf687fb815d07d115ee78"),
     "report": ("f8e1731ebbeaaeba1094751a05314d850e1f69c025d5ce5ee12104519c94fdbc",
                "45f6baf40f56367b2817c5afa621a23cb0309df4ef77c4be2c5f26344fc99d7a",
                "ec77491fcd94decac96bd6e62d5daf285e49411e51e0e958d2d8c3f8f83f3f64"),

@@ -96,6 +96,20 @@ def test_graph_rejects_bad_edges(edge):
         decimate(CZGraph(3, {edge}))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: graph_from_edges(3, [(0, 1), (1, 0)]),
+    lambda: graph_from_edges(3, [(1, 2), (0, 2), (1, 2)]),
+    lambda: CZGraph(3, frozenset({(0, 1), (1, 0)})),
+], ids=["list-reversed", "list-twice", "frozenset-reversed"])
+def test_graph_rejects_repeated_edge(build):
+    """An edge listed twice in either order used to collapse to one edge, and
+    `decimate` emitted CZ(0, 1) for a product that is the identity."""
+    with pytest.raises(ValueError, match=r"repeated edge \((0, 1|1, 0|1, 2)\)"):
+        build()
+    g = graph_from_edges(4, [(1, 0), (2, 1), (np.int64(3), 0)])
+    assert g.edges == frozenset({(0, 1), (1, 2), (0, 3)}) and g.num_edges == 3
+
+
 def test_step_costs():
     assert DecimationStep(DecimationRule.CZ_REMOVAL, 0, 1).cost == 1
     assert DecimationStep(DecimationRule.CX_CONJUGATION, 0, 1).cost == 2
@@ -161,7 +175,7 @@ def test_large_penalty_terminates_sound():
 
 
 # The oracle's own moves, on a bitmask adjacency list (bit k of adj[q] = edge
-# (q, k)), independent of the word rows that `decimate` and `apply_rule` use.
+# (q, k)), independent of the dense adjacency that `decimate` and `apply_rule` use.
 
 _COSTS = (1, 2, 2)
 
@@ -286,10 +300,32 @@ ORACLE_PENALTIES = (-0.5, 0.0, 0.5, 2.0, 3.0)
 
 @pytest.mark.parametrize("n", list(range(2, 13)) + [63, 64, 65, 127, 128, 129])
 def test_decimate_matches_scan_oracle(n):
+    """For n <= 12 also at penalties +-1: an integer penalty ties CZ removal
+    (score = penalty) exactly with CX-family moves (integer + penalty)."""
     for g in _oracle_graphs(n):
-        for penalty in ORACLE_PENALTIES:
+        for penalty in ORACLE_PENALTIES + ((1.0, -1.0) if n <= 12 else ()):
             assert (format_circuit(decimate(g, penalty))
                     == format_circuit(_scan_decimate(g, penalty))), (n, g.num_edges, penalty)
+
+
+@pytest.mark.parametrize("n", [17, 20])
+def test_decimate_huge_penalty_matches_scan_oracle(n):
+    """At |penalty| = 1e17 the float spacing is 16, so adding the penalty can
+    round a move's score and that of the move it dominates (1 higher) to one
+    value; on these dense graphs the scan then takes the dominated move."""
+    g = list(_seeded_graphs(n))[-1]  # density 0.8
+    for penalty in (1e17, -1e17):
+        assert (format_circuit(decimate(g, penalty))
+                == format_circuit(_scan_decimate(g, penalty))), penalty
+
+
+def test_numpy_float32_penalty_scores_in_float64():
+    """A float32 penalty scores as its float64 value: in float32, -3 + 1e-9
+    would round to -3 and tie with an untouched move."""
+    for g in _seeded_graphs(8):
+        for penalty in (np.float32(1e-9), np.float32(-3e-8)):
+            assert (format_circuit(decimate(g, penalty))
+                    == format_circuit(_scan_decimate(g, float(penalty)))), penalty
 
 
 @pytest.mark.parametrize("n,radix", [(27, 3), (64, 2)])
@@ -364,6 +400,13 @@ INTERLEAVE_DIGESTS = {
     (64, 2): "35c0435de8473bb515b8f026064ceaae93c72b1384cc6ca99315c80357cd6c67",
     (81, 3): "9acb1a168281ab36c7490066c8d1aac8e3517e902be2bdb203f7e7373c249b76",
     (128, 2): "62610652d02de7d7ed92f88b9d918e878720c8cc5b5f6db4aed881db8facea58",
+    (243, 3): "cbe4d2ec9849a9a330599a5772741b511960b09a4fe3cdb738d6db7099d916cc",
+}
+# the same digest over two seeded graphs of each benchmark shape (n qubits,
+# round(density * n (n - 1) / 2) edges), where the scan oracle is too slow
+SHAPE_DIGESTS = {
+    (48, 0.3): "662b17d913bf3a70222ca01057bce85b1bfa8ba109b0591549f357df2c165d2e",
+    (36, 0.5): "5c835e4cba4f3df8cfef7f9c790cd57f7504433ae7f015d397551620e4e211b9",
 }
 
 
@@ -374,6 +417,19 @@ def test_decimate_random_graphs_pinned(n):
         for penalty in (0.0, 0.5, 2.0):
             h.update(format_circuit(decimate(g, penalty)).encode())
     assert h.hexdigest() == RANDOM_DIGESTS[n]
+
+
+@pytest.mark.parametrize("n,density", sorted(SHAPE_DIGESTS))
+def test_decimate_benchmark_shapes_pinned(n, density):
+    rng = np.random.default_rng(4000 + n)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    h = hashlib.sha256()
+    for _ in range(2):
+        picked = rng.choice(len(pairs), round(density * len(pairs)), replace=False)
+        g = graph_from_edges(n, [pairs[k] for k in picked])
+        for penalty in (0.0, 0.5, 2.0):
+            h.update(format_circuit(decimate(g, penalty)).encode())
+    assert h.hexdigest() == SHAPE_DIGESTS[n, density]
 
 
 @pytest.mark.parametrize("n,radix", sorted(INTERLEAVE_DIGESTS))
